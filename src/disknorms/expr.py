@@ -6,6 +6,12 @@ exponents.  Provides parsing, printing, evaluation with principal-branch
 powers, cancellation-safe evaluation near boundary points, structural
 detection of boundary zeros/singularities, Taylor coefficients, and the
 substitutions z -> -z and z -> z^2.
+
+Repeated evaluation goes through BoundaryEvaluator, which compiles its
+expression once into a plan of closures shared by plain and anchored
+evaluation: affine factors a + b*z^k (k = 1, 2) are recognized once, by
+the same recognizer that locates boundary roots, and exponents are
+resolved once.
 """
 from __future__ import annotations
 
@@ -426,22 +432,6 @@ def exponent_value(e: Expr, env: Optional[ParamEnv] = None) -> float:
     return float(val.real)
 
 
-def _principal_pow(w: np.ndarray, s: float) -> np.ndarray:
-    """Principal-branch power w^s; integer s bypasses the branch cut."""
-    n = _is_int(s)
-    if n is not None:
-        if n < 0 and np.any(w == 0):
-            raise EvalDomainError(f"zero base raised to negative power {n}")
-        return w ** n
-    bad = (w.imag == 0.0) & (w.real <= 0.0)
-    if np.any(bad):
-        zb = w[bad].flat[0]
-        raise EvalDomainError(
-            f"principal branch violation: base {zb} on (-inf, 0] with "
-            f"non-integer exponent {s}")
-    return np.exp(s * np.log(w))
-
-
 def evaluate(e: Expr, z, env: Optional[ParamEnv] = None):
     """Evaluate e at z (complex scalar or ndarray) with principal powers.
 
@@ -521,8 +511,8 @@ class BoundaryStructure:
         return max((s.blowup for s in self.singular), default=0.0)
 
 
-def _linear_parts(e: Expr, env: dict) -> Optional[tuple[complex, complex]]:
-    """If e == a + b*z structurally, return (a, b); else None."""
+def _affine_in(e: Expr, env: dict, k: int) -> Optional[tuple[complex, complex]]:
+    """(a, b) when e == a + b*z^k structurally (k = 1 or 2); else None."""
     if isinstance(e, Const):
         return (e.value, 0j)
     if isinstance(e, Param):
@@ -530,73 +520,49 @@ def _linear_parts(e: Expr, env: dict) -> Optional[tuple[complex, complex]]:
             return (complex(env[e.name]), 0j)
         return None
     if isinstance(e, Z):
-        return (0j, 1 + 0j)
+        return (0j, 1 + 0j) if k == 1 else None
     if isinstance(e, Neg):
-        r = _linear_parts(e.operand, env)
+        r = _affine_in(e.operand, env, k)
         return None if r is None else (-r[0], -r[1])
     if isinstance(e, Add):
-        l = _linear_parts(e.left, env)
-        r = _linear_parts(e.right, env)
+        l = _affine_in(e.left, env, k)
+        r = _affine_in(e.right, env, k)
         if l is None or r is None:
             return None
         return (l[0] + r[0], l[1] + r[1])
     if isinstance(e, Mul):
-        l = _linear_parts(e.left, env)
-        r = _linear_parts(e.right, env)
+        if k == 2 and isinstance(e.left, Z) and isinstance(e.right, Z):
+            return (0j, 1 + 0j)
+        l = _affine_in(e.left, env, k)
+        r = _affine_in(e.right, env, k)
         if l is not None and l[1] == 0:
             return None if r is None else (l[0] * r[0], l[0] * r[1])
         if r is not None and r[1] == 0:
             return None if l is None else (r[0] * l[0], r[0] * l[1])
         return None
     if isinstance(e, Div):
-        n = _linear_parts(e.num, env)
-        d = _linear_parts(e.den, env)
+        n = _affine_in(e.num, env, k)
+        d = _affine_in(e.den, env, k)
         if n is None or d is None or d[1] != 0 or d[0] == 0:
             return None
         return (n[0] / d[0], n[1] / d[0])
+    if isinstance(e, Pow) and k == 2 and isinstance(e.base, Z):
+        try:
+            s = exponent_value(e.exponent, env)
+        except EvalDomainError:
+            return None
+        if _is_int(s) == 2:
+            return (0j, 1 + 0j)
     return None
 
 
-def _linear_in_z2_parts(e: Expr, env: dict) -> Optional[tuple[complex, complex]]:
-    """If e == a + b*z^2 structurally, return (a, b); else None."""
-    if isinstance(e, (Const, Param)):
-        return _linear_parts(e, env)
-    if isinstance(e, Z):
-        return None
-    if isinstance(e, Neg):
-        r = _linear_in_z2_parts(e.operand, env)
-        return None if r is None else (-r[0], -r[1])
-    if isinstance(e, Add):
-        l = _linear_in_z2_parts(e.left, env)
-        r = _linear_in_z2_parts(e.right, env)
-        if l is None or r is None:
-            return None
-        return (l[0] + r[0], l[1] + r[1])
-    if isinstance(e, Mul):
-        if isinstance(e.left, Z) and isinstance(e.right, Z):
-            return (0j, 1 + 0j)
-        l = _linear_in_z2_parts(e.left, env)
-        r = _linear_in_z2_parts(e.right, env)
-        if l is not None and l[1] == 0:
-            return None if r is None else (l[0] * r[0], l[0] * r[1])
-        if r is not None and r[1] == 0:
-            return None if l is None else (r[0] * l[0], r[0] * l[1])
-        return None
-    if isinstance(e, Div):
-        n = _linear_in_z2_parts(e.num, env)
-        d = _linear_in_z2_parts(e.den, env)
-        if n is None or d is None or d[1] != 0 or d[0] == 0:
-            return None
-        return (n[0] / d[0], n[1] / d[0])
-    if isinstance(e, Pow):
-        if isinstance(e.base, Z):
-            try:
-                s = exponent_value(e.exponent, env)
-            except EvalDomainError:
-                return None
-            if _is_int(s) == 2:
-                return (0j, 1 + 0j)
-        return None
+def _affine_parts(e: Expr, env: dict) -> Optional[tuple[complex, complex, int]]:
+    """(a, b, k) when e == a + b*z^k structurally, trying k = 1 before
+    k = 2; else None.  Constants come back as (a, 0, 1)."""
+    for k in (1, 2):
+        ab = _affine_in(e, env, k)
+        if ab is not None:
+            return (ab[0], ab[1], k)
     return None
 
 
@@ -692,24 +658,20 @@ def boundary_structure(e: Expr, env: Optional[ParamEnv] = None) -> BoundaryStruc
                 walk(node.base, mult * s)
             return
         if isinstance(node, Add):
-            lin = _linear_parts(node, env)
-            if lin is not None:
-                roots = _circle_roots(lin[0], lin[1], squared=False)
+            aff = _affine_parts(node, env)
+            if aff is not None:
+                roots = _circle_roots(aff[0], aff[1], squared=aff[2] == 2)
+            elif mult is not None and mult > 0:
+                # a sum of terms with nonnegative context: singular
+                # points are contained in the union over the summands
+                walk(node.left, mult)
+                walk(node.right, mult)
+                return
             else:
-                lin2 = _linear_in_z2_parts(node, env)
-                if lin2 is not None:
-                    roots = _circle_roots(lin2[0], lin2[1], squared=True)
-                elif mult is not None and mult > 0:
-                    # a sum of terms with nonnegative context: singular
-                    # points are contained in the union over the summands
-                    walk(node.left, mult)
-                    walk(node.right, mult)
-                    return
-                else:
-                    raise UnsupportedFormError(
-                        "cannot locate boundary zeros of a non-affine "
-                        "denominator factor structurally; pass singular "
-                        "angles explicitly")
+                raise UnsupportedFormError(
+                    "cannot locate boundary zeros of a non-affine "
+                    "denominator factor structurally; pass singular "
+                    "angles explicitly")
             for r in roots:
                 if mult is None:
                     add_singular(r, 1.0)
@@ -847,7 +809,108 @@ def to_polynomial(e: Expr, env: Optional[ParamEnv] = None) -> TaylorCoeffs:
 
 
 # ---------------------------------------------------------------------------
-# Cached evaluation, including cancellation-safe boundary offsets
+# Compiled evaluation, including cancellation-safe boundary offsets
+
+_SNAP = 64.0 * _EPS
+
+
+def _power(node: Pow, env: dict):
+    """w -> w^s with the exponent of node resolved once; an s that _is_int
+    snaps to an integer bypasses the principal branch cut."""
+    try:
+        s = exponent_value(node.exponent, env)
+    except (ExprError, ArithmeticError):
+        # re-resolved, and so raised afresh, on every call that reaches it
+        return lambda w: exponent_value(node.exponent, env)
+    n = _is_int(s)
+    if n is None:
+        def power(w):
+            # the branch check can only fire where some imaginary part is 0
+            if not w.imag.all():
+                bad = (w.imag == 0.0) & (w.real <= 0.0)
+                if bad.any():
+                    raise EvalDomainError(
+                        f"principal branch violation: base {w[bad].flat[0]} "
+                        f"on (-inf, 0] with non-integer exponent {s}")
+            return np.exp(s * np.log(w))
+    elif n < 0:
+        def power(w):
+            if not w.all():
+                raise EvalDomainError(f"zero base raised to negative power {n}")
+            return w ** n
+    else:
+        def power(w):
+            return w ** n
+    return power
+
+
+def _quotient(num, den):
+    def quotient(x):
+        d = den(x)
+        if not np.asarray(d).all():
+            raise EvalDomainError("division by zero")
+        return num(x) / d
+    return quotient
+
+
+def _affine_leaf(a: complex, b: complex, k: int):
+    """near-closure of a + b*z^k, expanded around the anchor."""
+    if b == 0:
+        return lambda c: np.asarray(a)
+    abs_a = abs(a)
+    i, j = (0, 1) if k == 1 else (2, 3)   # (anchor, dz) or (a2, dz2)
+
+    def leaf(c):
+        base = a + b * c[i]
+        if abs(base) <= _SNAP * (abs_a + abs(b * c[i])):
+            base = 0j
+        return base + b * c[j]
+    return leaf
+
+
+def _compile(e: Expr, env: dict):
+    """Compile e once into (value_fn, near_fn, squares).
+
+    value_fn(z) evaluates node by node, as written.  near_fn(c), with
+    c = (anchor, dz, anchor^2, z^2 - anchor^2), evaluates each maximal
+    affine subexpression a + b*z^k from its (a, b, k), and the nodes above
+    those leaves node by node; squares says whether it reads c[2:].
+    Unbound parameters and the checks on the samples raise on the call.
+    """
+    def build(node):
+        # (value closure, near closure, squares) for node
+        if isinstance(node, Z):
+            return (lambda z: z), _affine_leaf(0j, 1 + 0j, 1), False
+        if isinstance(node, Param) and node.name not in env:
+            def unbound(_):
+                raise EvalDomainError(f"unbound parameter {node.name!r}")
+            return unbound, unbound, False
+        if isinstance(node, (Const, Param)):
+            v = node.value if isinstance(node, Const) else complex(env[node.name])
+            return (lambda z: np.asarray(v)), _affine_leaf(v, 0j, 1), False
+        if isinstance(node, Pow):
+            power = _power(node, env)
+            kids = [build(node.base)]
+            combine = lambda f: lambda x: power(np.asarray(f(x)))
+        elif isinstance(node, Neg):
+            kids, combine = [build(node.operand)], lambda f: lambda x: -f(x)
+        elif isinstance(node, Div):
+            kids, combine = [build(node.num), build(node.den)], _quotient
+        elif isinstance(node, Add):
+            kids = [build(node.left), build(node.right)]
+            combine = lambda f, g: lambda x: f(x) + g(x)
+        elif isinstance(node, Mul):
+            kids = [build(node.left), build(node.right)]
+            combine = lambda f, g: lambda x: f(x) * g(x)
+        else:
+            raise TypeError(f"not an Expr node: {node!r}")
+        val = combine(*(k[0] for k in kids))
+        aff = _affine_parts(node, env)
+        if aff is not None:
+            return val, _affine_leaf(*aff), aff[2] == 2
+        return val, combine(*(k[1] for k in kids)), any(k[2] for k in kids)
+
+    return build(e)
 
 
 class BoundaryEvaluator:
@@ -859,70 +922,25 @@ class BoundaryEvaluator:
     around the anchor, with the anchored constant snapped to zero when it is
     below roundoff scale.  This keeps relative accuracy for offsets far
     below machine epsilon, which the singular quadrature transform needs.
+
+    Both methods run one plan, compiled on first use (see _compile):
+    affine leaves carry their (a, b, k) and powers their resolved exponent,
+    and the arithmetic is that of a walk of the tree, operation for
+    operation.
     """
 
     def __init__(self, e: Expr, env: Optional[ParamEnv] = None):
         self.expr = e
         self.env = check_param_env(env)
-        self._lin: dict[int, Optional[tuple[complex, complex]]] = {}
-        self._lin2: dict[int, Optional[tuple[complex, complex]]] = {}
-        self._expo: dict[int, float] = {}
+        self._plan = None
 
-    # -- plain path --------------------------------------------------------
+    def _compiled(self):
+        if self._plan is None:
+            self._plan = _compile(self.expr, self.env)
+        return self._plan
 
     def value(self, z: np.ndarray) -> np.ndarray:
-        env = self.env
-
-        def rec(node: Expr) -> np.ndarray:
-            if isinstance(node, Const):
-                return np.asarray(node.value)
-            if isinstance(node, Param):
-                try:
-                    return np.asarray(complex(env[node.name]))
-                except KeyError:
-                    raise EvalDomainError(
-                        f"unbound parameter {node.name!r}") from None
-            if isinstance(node, Z):
-                return z
-            if isinstance(node, Neg):
-                return -rec(node.operand)
-            if isinstance(node, Add):
-                return rec(node.left) + rec(node.right)
-            if isinstance(node, Mul):
-                return rec(node.left) * rec(node.right)
-            if isinstance(node, Div):
-                den = rec(node.den)
-                if np.any(den == 0):
-                    raise EvalDomainError("division by zero")
-                return rec(node.num) / den
-            if isinstance(node, Pow):
-                return _principal_pow(np.asarray(rec(node.base)),
-                                      self._exponent(node))
-            raise TypeError(f"not an Expr node: {node!r}")
-
-        return np.asarray(rec(self.expr))
-
-    # -- helpers -----------------------------------------------------------
-
-    def _exponent(self, node: Pow) -> float:
-        key = id(node)
-        if key not in self._expo:
-            self._expo[key] = exponent_value(node.exponent, self.env)
-        return self._expo[key]
-
-    def _linear(self, node: Expr) -> Optional[tuple[complex, complex]]:
-        key = id(node)
-        if key not in self._lin:
-            self._lin[key] = _linear_parts(node, self.env)
-        return self._lin[key]
-
-    def _linear2(self, node: Expr) -> Optional[tuple[complex, complex]]:
-        key = id(node)
-        if key not in self._lin2:
-            self._lin2[key] = _linear_in_z2_parts(node, self.env)
-        return self._lin2[key]
-
-    # -- anchored path -----------------------------------------------------
+        return np.asarray(self._compiled()[0](z))
 
     def near(self, anchor: complex, delta, gap: float) -> np.ndarray:
         """Evaluate at z = anchor*(1-gap)*e^{i*delta}.
@@ -931,6 +949,7 @@ class BoundaryEvaluator:
         gap is the radial distance 1-|z|/|anchor| >= 0.  Accurate for |delta|
         and gap down to ~1e-290.
         """
+        _, near, squares = self._compiled()
         delta = np.asarray(delta, dtype=float)
         half = np.sin(delta / 2.0)
         # e^{i d} - 1, no cancellation
@@ -938,45 +957,6 @@ class BoundaryEvaluator:
         # (1-gap) e^{i d} - 1 = (e^{id} - 1) - gap - gap (e^{id} - 1)
         rel = em1 - gap - gap * em1
         dz = anchor * rel
-        zfull = anchor + dz
-        a2 = anchor * anchor
-        dz2 = dz * (2.0 * anchor + dz)
-
-        def rec(node: Expr) -> np.ndarray:
-            lin = self._linear(node)
-            if lin is not None:
-                a, b = lin
-                if b == 0:
-                    return np.asarray(a)
-                base = a + b * anchor
-                if abs(base) <= 64.0 * _EPS * (abs(a) + abs(b * anchor)):
-                    base = 0j
-                return base + b * dz
-            lin2 = self._linear2(node)
-            if lin2 is not None:
-                a, b = lin2
-                base = a + b * a2
-                if abs(base) <= 64.0 * _EPS * (abs(a) + abs(b * a2)):
-                    base = 0j
-                return base + b * dz2
-            if isinstance(node, Z):
-                return zfull
-            if isinstance(node, Neg):
-                return -rec(node.operand)
-            if isinstance(node, Add):
-                return rec(node.left) + rec(node.right)
-            if isinstance(node, Mul):
-                return rec(node.left) * rec(node.right)
-            if isinstance(node, Div):
-                den = rec(node.den)
-                if np.any(den == 0):
-                    raise EvalDomainError("division by zero")
-                return rec(node.num) / den
-            if isinstance(node, Pow):
-                return _principal_pow(np.asarray(rec(node.base)),
-                                      self._exponent(node))
-            if isinstance(node, Param):  # only reached when unbound
-                raise EvalDomainError(f"unbound parameter {node.name!r}")
-            raise TypeError(f"not an Expr node: {node!r}")
-
-        return np.asarray(rec(self.expr))
+        # z^2 - anchor^2 = dz (2 anchor + dz)
+        sq = (anchor * anchor, dz * (2.0 * anchor + dz)) if squares else ()
+        return np.asarray(near((anchor, dz, *sq)))

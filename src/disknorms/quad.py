@@ -15,6 +15,9 @@ endpoint offset (see expr.BoundaryEvaluator.near) keep full accuracy at
 offsets far below machine epsilon.  Plain callables fall back to f(a + d) /
 f(b - d), with the transform depth capped near roundoff of the endpoint and
 the unreachable tail folded into the error estimate.
+
+Sibling panels (the halves of a bisection, or all initial panels) share
+one integrand call; each panel's sums still use only its own samples.
 """
 from __future__ import annotations
 
@@ -138,19 +141,26 @@ def _as_integrand(f, a: float, b: float):
     return _CallableIntegrand(f, a, b)
 
 
-def _panel(F, lo: float, hi: float) -> tuple[float, float]:
-    h2 = 0.5 * (hi - lo)
-    x = 0.5 * (lo + hi) + h2 * _GK_X
+def _panel(F, bounds: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
+    """(value, error) of each (lo, hi) panel from one call of F on all of
+    their nodes; each panel's sums use its own 15 samples only."""
+    halves = [0.5 * (hi - lo) for lo, hi in bounds]
+    x = np.concatenate([0.5 * (lo + hi) + h2 * _GK_X
+                        for (lo, hi), h2 in zip(bounds, halves)])
     y = np.asarray(F(x), dtype=float)
     if y.shape != x.shape:
         y = np.broadcast_to(y, x.shape)
     finite = np.isfinite(y)
-    if not np.all(finite):
+    if not finite.all():
         xb = float(x[~finite][0])
         raise NonFiniteSampleError(f"non-finite sample at interior node {xb}", xb)
-    vk = h2 * float(_GK_WK @ y)
-    vg = h2 * float(_GK_WG @ y)
-    return vk, _SAFETY * abs(vk - vg)
+    out = []
+    for i, h2 in enumerate(halves):
+        yi = y[15 * i:15 * i + 15]
+        vk = h2 * float(_GK_WK @ yi)
+        vg = h2 * float(_GK_WG @ yi)
+        out.append((vk, _SAFETY * abs(vk - vg)))
+    return out
 
 
 def _adaptive(F, edges: Sequence[float], abs_tol: float, rel_tol: float,
@@ -162,13 +172,11 @@ def _adaptive(F, edges: Sequence[float], abs_tol: float, rel_tol: float,
     """
     heap: list = []
     done: list = []
-    seq = 0
-    evals = 0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        v, e = _panel(F, lo, hi)
-        evals += 15
+    bounds = list(zip(edges[:-1], edges[1:]))
+    for seq, ((lo, hi), (v, e)) in enumerate(zip(bounds, _panel(F, bounds))):
         heapq.heappush(heap, (-e, seq, lo, hi, v, e))
-        seq += 1
+    seq = len(bounds)
+    evals = 15 * len(bounds)
     total_v = fsum(item[4] for item in heap)
     total_e = fsum(item[5] for item in heap)
 
@@ -183,15 +191,13 @@ def _adaptive(F, edges: Sequence[float], abs_tol: float, rel_tol: float,
             # interval at floating-point resolution; freeze it
             done.append((lo, hi, v, e))
             continue
-        v1, e1 = _panel(F, lo, mid)
-        v2, e2 = _panel(F, mid, hi)
+        (v1, e1), (v2, e2) = _panel(F, [(lo, mid), (mid, hi)])
         evals += 30
         total_v += (v1 + v2) - v
         total_e += (e1 + e2) - e
         heapq.heappush(heap, (-e1, seq, lo, mid, v1, e1))
-        seq += 1
-        heapq.heappush(heap, (-e2, seq, mid, hi, v2, e2))
-        seq += 1
+        heapq.heappush(heap, (-e2, seq + 1, mid, hi, v2, e2))
+        seq += 2
 
     panels = done + [(lo, hi, v, e) for (_, _, lo, hi, v, e) in heap]
     panels.sort(key=lambda t: t[0])

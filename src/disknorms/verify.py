@@ -14,6 +14,7 @@ a fixed pseudo-random sample of interior points rather than symbolically.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -42,6 +43,7 @@ DEFAULT_KAPPA = 10.0
 _CONFIRMED = "Confirmed"
 _REFUTED = "Refuted"
 _INCONCLUSIVE = "Inconclusive"
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -193,23 +195,28 @@ def verify_lemma_cv(h: Expr, p: float, cfg: Optional[QuadConfig] = None, *,
 def verify_elem_inequality(a: float, b: float, q: float) -> VerificationReport:
     """|a^q - b^q| >= |a - b|^q for a, b > 0 and q > 1.
 
-    Pure arithmetic: margin is zero and equality counts as Confirmed.
+    Pure arithmetic: margin bounds the rounding error of lhs - rhs, and the
+    case is Confirmed when defect >= -margin.  At a == b both sides are
+    exact zeros and the margin is 0.
     """
     if not (a > 0.0 and b > 0.0):
         raise ValueError("requires a > 0 and b > 0")
     if not q > 1.0:
         raise ValueError("requires q > 1")
-    lhs = abs(a ** q - b ** q)
+    aq, bq = a ** q, b ** q
+    lhs = abs(aq - bq)
     rhs = abs(a - b) ** q
     defect = lhs - rhs
+    # powers err by eps, subtractions by eps/2, and a - b by q*eps/2 in rhs
+    margin = 0.0 if a == b else 4.0 * _EPS * (aq + bq + q * rhs)
     if not math.isfinite(defect):
         verdict = _INCONCLUSIVE
     else:
-        verdict = _CONFIRMED if defect >= 0.0 else _REFUTED
+        verdict = _CONFIRMED if defect >= -margin else _REFUTED
     return VerificationReport(
         case_id="lemma-elem",
         inputs={"a": a, "b": b, "q": q},
-        lhs=lhs, rhs=rhs, defect=defect, margin=0.0, verdict=verdict,
+        lhs=lhs, rhs=rhs, defect=defect, margin=margin, verdict=verdict,
     )
 
 

@@ -10,7 +10,7 @@ from disknorms.expr import (Add, Const, EvalDomainError, Mul, Neg,
                             evaluate, exponent_value, parse,
                             substitute_negate, substitute_rotate,
                             substitute_square, to_polynomial, to_string,
-                            BoundaryEvaluator)
+                            BoundaryEvaluator, _affine_parts)
 
 RNG = np.random.default_rng(42)
 POINTS = 0.8 * np.sqrt(RNG.uniform(size=16)) * np.exp(
@@ -255,3 +255,81 @@ def test_near_at_negative_anchor():
     got = abs(complex(ev.near(-1 + 0j, delta, 0.0)))
     assert got == pytest.approx(1.0 / (2.0 * math.sin(delta / 2.0)),
                                 rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# compiled evaluation plan
+
+
+@pytest.mark.parametrize("text,want", [
+    ("1-z", (1 + 0j, -1 + 0j, 1)),
+    ("2*(1-z)/3", (2 / 3 + 0j, -2 / 3 + 0j, 1)),
+    ("1+z^2", (1 + 0j, 1 + 0j, 2)),
+    ("1+z*z", (1 + 0j, 1 + 0j, 2)),
+    ("z^2-i", (-1j, 1 + 0j, 2)),
+])
+def test_affine_recognizer_accepts(text, want):
+    a, b, k = _affine_parts(parse(text), {})
+    assert k == want[2]
+    assert a == pytest.approx(want[0], abs=1e-15)
+    assert b == pytest.approx(want[1], abs=1e-15)
+
+
+@pytest.mark.parametrize("text", ["2*z*z", "(1-z)*(1+z)", "(1-z)/z"])
+def test_affine_recognizer_rejects(text):
+    assert _affine_parts(parse(text), {}) is None
+
+
+def test_integer_exponent_snapping_is_exact():
+    # 4/p within 1e-9 (relative) of 8 is raised to the integer 8, in both
+    # the plain and the anchored path; 1e-6 away it is a real power
+    snapped = BoundaryEvaluator(parse("(1+z)^(4/p)"), {"p": 0.5 + 1e-10})
+    real = BoundaryEvaluator(parse("(1+z)^(4/p)"), {"p": 0.5 + 1e-6})
+    poly = BoundaryEvaluator(parse("(1+z)^8"))
+    delta = np.array([1e-200, -1e-9, 0.3, -2.0])
+    for anchor in (1 + 0j, -1 + 0j, 1j):
+        assert np.array_equal(snapped.near(anchor, delta, 1e-3),
+                              poly.near(anchor, delta, 1e-3))
+        assert not np.array_equal(real.near(anchor, delta, 1e-3),
+                                  poly.near(anchor, delta, 1e-3))
+    assert np.array_equal(snapped.value(POINTS), poly.value(POINTS))
+    rel = np.abs(real.value(POINTS) / poly.value(POINTS) - 1.0)
+    assert float(np.max(rel)) > 1e-7
+
+
+def test_unbound_parameter_raises_on_the_call():
+    ev = BoundaryEvaluator(parse("(1-z)^(-alpha)"))
+    with pytest.raises(EvalDomainError, match="unbound parameter 'alpha'"):
+        ev.value(POINTS)
+    with pytest.raises(EvalDomainError, match="unbound parameter 'alpha'"):
+        ev.near(1 + 0j, 0.1, 0.0)
+
+
+def test_division_by_zero_raises_on_the_call():
+    ev = BoundaryEvaluator(parse("1/(1-z)"))
+    before = ev.near(1 + 0j, 0.1, 0.0)
+    with pytest.raises(EvalDomainError, match="division by zero"):
+        ev.near(1, 0.0, 0.0)
+    # the failed call leaves the evaluator usable
+    assert np.array_equal(ev.near(1 + 0j, 0.1, 0.0), before)
+
+
+def test_principal_branch_violation_raises_on_the_call():
+    ev = BoundaryEvaluator(parse("(z-2)^0.5"))
+    ok = ev.value(np.array([0.5 + 0.1j]))
+    assert close(ok, np.sqrt(np.array([-1.5 + 0.1j])))
+    with pytest.raises(EvalDomainError, match="principal branch"):
+        ev.value(np.array([0.5 + 0.1j, 0.5 + 0j]))
+    with pytest.raises(EvalDomainError, match="principal branch"):
+        ev.near(-1 + 0j, 0.0, 0.5)
+
+
+def test_near_snaps_roundoff_constant_at_rotated_root():
+    # at a root that is not exactly representable, a + b*anchor is only
+    # zero to roundoff; it is snapped to 0 so tiny offsets stay resolved
+    lam = complex(math.cos(0.3), math.sin(0.3))
+    e = substitute_rotate(parse("1/(1-z)"), lam)
+    root = boundary_structure(e).singular[0].root
+    assert 1.0 - lam * root != 0.0
+    got = abs(complex(BoundaryEvaluator(e).near(root, 1e-200, 0.0)))
+    assert got == pytest.approx(1e200, rel=1e-12)

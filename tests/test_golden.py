@@ -1,0 +1,60 @@
+"""Bit-for-bit pins of quadrature and norm results.
+
+The expected strings are the exact reprs these calls have always produced.
+The evaluation plan and the batched panel calls must not move a single
+bit: any change in rounding, bisection order or evaluation count shows
+here, long before it would move a verdict.
+"""
+import numpy as np
+import pytest
+
+from disknorms.bergman import bergman_norm
+from disknorms.expr import parse
+from disknorms.hardy import _integral_means_full, hardy_norm
+from disknorms.quad import QuadConfig, integrate
+
+GOLDEN = [
+    ("integrate x^-1/2, singular left",
+     lambda: integrate(lambda x: x ** -0.5, 0, 1,
+                       QuadConfig(singular_left=True)),
+     "QuadResult(value=1.9999999999999942, abs_err_est=1.0007157529433588e-09,"
+     " evaluations=120, converged=True)"),
+    ("integrate cos",
+     lambda: integrate(np.cos, 0, 3),
+     "QuadResult(value=0.141120008059867, abs_err_est=2.2426505097428162e-14,"
+     " evaluations=45, converged=True)"),
+    ("hardy (1+z)/(1-z), p=0.5",
+     lambda: hardy_norm(parse("(1+z)/(1-z)"), 0.5),
+     "NormResult(space='Hardy', p=0.5, value_p=1.4142135624250958,"
+     " value=2.00000000014708, abs_err_est=3.618766042840589e-09,"
+     " converged=True, divergent=False)"),
+    ("hardy 1/(1-z), p=0.9",
+     lambda: hardy_norm(parse("1/(1-z)"), 0.9),
+     "NormResult(space='Hardy', p=0.9, value_p=3.642429629126842,"
+     " value=4.205019041355531, abs_err_est=1.8580686342306594e-09,"
+     " converged=True, divergent=False)"),
+    ("hardy 1/(1-z^2), p=0.7",
+     lambda: hardy_norm(parse("1/(1-z^2)"), 0.7),
+     "NormResult(space='Hardy', p=0.7, value_p=1.560012164485668,"
+     " value=1.8875441612203552, abs_err_est=6.263071564665231e-09,"
+     " converged=True, divergent=False)"),
+    ("integral means 1/(1-z)^2, p=0.6, r=0.99",
+     lambda: _integral_means_full(parse("1/(1-z)^2"), 0.6, 0.99),
+     "(7.534803012600102, 3.3480549990118366e-09, 602, True)"),
+    ("bergman (1+z)^(4/p), p=0.4",
+     lambda: bergman_norm(parse("(1+z)^(4/p)"), 0.4, env={"p": 0.4}),
+     "NormResult(space='Bergman', p=0.4, value_p=3.3333333333333135,"
+     " value=20.286020648339186, abs_err_est=9.724065346571823e-14,"
+     " converged=True, divergent=False)"),
+    ("bergman 1/(1-z), p=1.5",
+     lambda: bergman_norm(parse("1/(1-z)"), 1.5),
+     "NormResult(space='Bergman', p=1.5, value_p=2.1574104047535045,"
+     " value=1.6696361757231208, abs_err_est=1.0752833665854356e-09,"
+     " converged=True, divergent=False)"),
+]
+
+
+@pytest.mark.parametrize("name,call,expected", GOLDEN,
+                         ids=[g[0] for g in GOLDEN])
+def test_golden_repr(name, call, expected):
+    assert repr(call()) == expected

@@ -5,7 +5,7 @@ import pytest
 
 from disknorms.quad import (NonFiniteSampleError, QuadConfig, QuadResult,
                             integrate, integrate_piecewise, _GK_X, _GK_WK,
-                            _GK_WG)
+                            _GK_WG, _panel)
 
 DEFAULT = QuadConfig()
 
@@ -171,6 +171,34 @@ def test_unflagged_endpoint_blowup_raises_or_flags():
     except NonFiniteSampleError:
         return
     assert (not r.converged) or abs(r.value - 2.0) <= 10.0 * r.abs_err_est
+
+
+def test_sibling_panels_share_one_call():
+    sizes = []
+
+    def f(x):
+        sizes.append(x.size)
+        return np.sqrt(np.abs(x - 0.3))
+
+    r = integrate(f, 0.0, 1.0, DEFAULT)
+    # three initial panels in one call, then both halves of each bisection
+    assert sizes[0] == 45 and set(sizes[1:]) == {30}
+    assert r.evaluations == sum(sizes)
+
+
+def test_batched_panels_match_one_at_a_time():
+    f = lambda x: np.exp(np.sin(7.0 * x)) / (1.1 - x)
+    bounds = [(0.0, 0.25), (0.25, 0.6), (0.6, 1.0)]
+    together = _panel(f, bounds)
+    alone = [_panel(f, [b])[0] for b in bounds]
+    assert together == alone
+
+
+def test_batched_nonfinite_reports_first_bad_node():
+    f = lambda x: np.where(x > 0.75, np.nan, x)
+    with pytest.raises(NonFiniteSampleError) as info:
+        _panel(f, [(0.0, 0.5), (0.5, 1.0)])
+    assert info.value.x == min(x for x in 0.75 + 0.25 * _GK_X if x > 0.75)
 
 
 def test_scalar_only_callables_are_supported():

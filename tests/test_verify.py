@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from disknorms.expr import parse
 from disknorms.verify import (BoundCheck, EpsWindow, IdentityCheck,
@@ -82,6 +82,7 @@ def test_elem_domain_validation():
 
 @given(st.floats(1e-6, 10.0), st.floats(1e-6, 10.0),
        st.floats(1.0, 5.0, exclude_min=True))
+@example(9.0, 2.8985880880490407, 1.0000000000000002)  # defect -8.9e-16
 @settings(max_examples=500)
 def test_elem_random_samples(a, b, q):
     assert verify_elem_inequality(a, b, q).verdict == "Confirmed"
