@@ -51,6 +51,17 @@ GOLDEN = [
      "NormResult(space='Bergman', p=1.5, value_p=2.1574104047535045,"
      " value=1.6696361757231208, abs_err_est=1.0752833665854356e-09,"
      " converged=True, divergent=False)"),
+    # not converged and flagged divergent: the integrate-then-probe path
+    ("hardy 1/(1-z), p=1 (divergent)",
+     lambda: hardy_norm(parse("1/(1-z)"), 1.0),
+     "NormResult(space='Hardy', p=1.0, value_p=205.66323888654443,"
+     " value=205.66323888654443, abs_err_est=2599.130292615642,"
+     " converged=False, divergent=True)"),
+    ("bergman 1/(1-z)^2, p=1 (divergent)",
+     lambda: bergman_norm(parse("1/(1-z)^2"), 1.0),
+     "NormResult(space='Bergman', p=1.0, value_p=298.64291490866515,"
+     " value=298.64291490866515, abs_err_est=3784.4866163946517,"
+     " converged=False, divergent=True)"),
 ]
 
 
