@@ -11,7 +11,8 @@ import pathlib
 import sys
 import time
 
-from disknorms.cli import run_sweep, sweep_csv
+from disknorms.cli import (SWEEP_CASES, plot_csv, run_sweep, sweep_csv,
+                           sweep_exit_code)
 
 # per-case default p-ranges; the large-p case stops at 0.9 because the
 # boundary exponent p*(2+eps) creeps toward 2 and the integrals get slow
@@ -21,7 +22,9 @@ RANGES = {
     "ap-large-p": (0.5, 0.9),
     "ap-small-p": (0.05, 0.49),
 }
-_RANK = {"Confirmed": 0, "Refuted": 1, "Inconclusive": 2}
+if sorted(RANGES) != sorted(SWEEP_CASES):
+    raise RuntimeError(f"RANGES covers {sorted(RANGES)}, but the sweepable "
+                       f"cases are {sorted(SWEEP_CASES)}")
 
 
 def main(argv=None):
@@ -48,16 +51,11 @@ def main(argv=None):
 
         text = sweep_csv(case, rows)
         (args.out_dir / f"{case}.csv").write_text(text)
-        with open(args.out_dir / f"{case}-defect.csv", "w") as fh:
-            fh.write("p,defect\n")
-            for row in rows:
-                if row.defect is not None:
-                    fh.write(f"{row.p:.17g},{row.defect:.17g}\n")
+        (args.out_dir / f"{case}-defect.csv").write_text(plot_csv(rows))
 
         summary = text.strip().splitlines()[-1].lstrip("# ")
         print(f"{case:20s} {elapsed:6.1f}s  {summary}")
-        worst = max([worst] + [_RANK[r.verdict] for r in rows
-                               if r.verdict in _RANK])
+        worst = max(worst, sweep_exit_code(rows))
     return worst
 
 

@@ -8,8 +8,10 @@ with the area measure normalized so the disk has measure 1.  The inner
 circle integral reuses the arc machinery of the hardy module at radius
 1 - gap; the outer radial integral receives gaps directly from the
 singular-endpoint transform, so radii exponentially close to 1 never
-suffer the 1 - r rounding collapse.  For p = 2 the norm is also available
-exactly from Taylor coefficients as sum |a_n|^2/(n+1).
+suffer the 1 - r rounding collapse.  bergman_norm hands this radial
+integral, and a probe that truncates it at 1 - cut, to the norm driver of
+the hardy module.  For p = 2 the norm is also available exactly from
+Taylor coefficients as sum |a_n|^2/(n+1).
 """
 
 from __future__ import annotations
@@ -21,18 +23,12 @@ from typing import Optional
 
 import numpy as np
 
-from .expr import (
-    BoundaryEvaluator,
-    BoundaryStructure,
-    Expr,
-    boundary_structure,
-    check_param_env,
-)
+from .expr import BoundaryEvaluator, BoundaryStructure, Expr
 from .hardy import (
     NormResult,
     _circle_mean_p,
-    _declared_structure,
-    _growth_says_divergent,
+    _ladder_says_divergent,
+    _norm,
     _norm_result,
 )
 from .quad import NonFiniteSampleError, QuadConfig, integrate
@@ -146,42 +142,26 @@ def _radial_divergence_probe(ev: BoundaryEvaluator, p: float,
     if not structure.singular:
         return False
     inner = QuadConfig(abs_tol=1e-7, rel_tol=1e-6, max_evaluations=60000)
-    vals = []
-    for cut in (1e-4, 1e-6, 1e-8):
+
+    def truncated(cut):
         intg = _RadialIntegrand(ev, p, structure, inner)
-        try:
-            r = integrate(intg, 0.0, 1.0 - cut,
-                          QuadConfig(abs_tol=1e-6, rel_tol=1e-4,
-                                     max_evaluations=3000))
-        except (NonFiniteSampleError, InnerIntegralError):
-            return True
-        vals.append(r.value)
-    return _growth_says_divergent(vals)
+        return integrate(intg, 0.0, 1.0 - cut,
+                         QuadConfig(abs_tol=1e-6, rel_tol=1e-4,
+                                    max_evaluations=3000)).value
+
+    return _ladder_says_divergent(
+        truncated, (NonFiniteSampleError, InnerIntegralError))
 
 
 def bergman_norm(f: Expr, p: float, env=None,
                  cfg: Optional[QuadConfig] = None,
                  singular_angles=None) -> NormResult:
     """The A^p quasi-norm of f via the radial-means integral."""
-    cfg = cfg or QuadConfig()
-    p = float(p)
-    if p <= 0.0:
-        raise ValueError("p must be positive")
-    env = check_param_env(env)
-    ev = BoundaryEvaluator(f, env)
-    if singular_angles is None:
-        structure = boundary_structure(f, env)
-    else:
-        structure = _declared_structure(ev, p, singular_angles)
-    try:
+    def radial(ev, p, structure, cfg):
         value, err, conv, _ = _radial_integral(ev, p, structure, cfg)
-    except NonFiniteSampleError:
-        div = _radial_divergence_probe(ev, p, structure)
-        return _norm_result("Bergman", p, math.inf, math.inf, False, div)
-    if conv:
-        return _norm_result("Bergman", p, value, err, True)
-    div = _radial_divergence_probe(ev, p, structure)
-    return _norm_result("Bergman", p, value, err, False, div)
+        return value, err, conv
+    return _norm("Bergman", radial, _radial_divergence_probe, f, p, env, cfg,
+                 singular_angles)
 
 
 def bergman_norm_coeffs(coeffs) -> NormResult:

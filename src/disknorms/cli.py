@@ -16,7 +16,8 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -27,15 +28,58 @@ from .hardy import hardy_norm
 from .quad import QuadConfig
 from .verify import DEFAULT_KAPPA, eps_window
 
-__all__ = ["main", "entry", "run_sweep", "SweepRow", "read_sweep_csv"]
+__all__ = ["main", "entry", "run_sweep", "SweepRow", "read_sweep_csv",
+           "sweep_csv", "plot_csv", "sweep_exit_code", "SWEEP_CASES"]
 
 _EXIT_BY_VERDICT = {"Confirmed": 0, "Refuted": 1, "Inconclusive": 2}
 
-_SWEEP_CASES = ("hp-counterexample", "hp-equality", "ap-large-p",
-                "ap-small-p")
-_VERIFY_CASES = ("lemma-cvh", "lemma-cv", "lemma-elem", "lemma-ap",
-                 "hp-counterexample", "hp-equality", "ap-large-p",
-                 "ap-small-p", "means-monotone", "rotation-invariance")
+
+@dataclass(frozen=True)
+class _Case:
+    """One verification case: the flags it needs, its runner
+    (args, cfg, env) -> VerificationReport and, when it can be swept over
+    p, the names of its f, g and f+g norm sub-results (a g of None means
+    the norm of g equals that of f)."""
+    needs: tuple
+    run: Callable
+    subs: Optional[tuple] = None
+
+
+# The one list of verification cases; the parser, verify and sweep read it.
+# Runners look the builders up in the verify module when they run, so a
+# replaced builder is the one called.
+_CASES = {
+    "lemma-cvh": _Case(("expr", "p"), lambda a, cfg, env:
+        verify_mod.verify_lemma_cvh(parse(a.expr), a.p, cfg, env=env,
+                                    kappa=a.kappa)),
+    "lemma-cv": _Case(("expr", "p"), lambda a, cfg, env:
+        verify_mod.verify_lemma_cv(parse(a.expr), a.p, cfg, env=env,
+                                   kappa=a.kappa)),
+    "lemma-elem": _Case(("a", "b"), lambda a, cfg, env:
+        verify_mod.verify_elem_inequality(a.a, a.b, a.q)),
+    "lemma-ap": _Case(("alpha", "p"), lambda a, cfg, env:
+        verify_mod.verify_lemma_ap(a.alpha, a.p)),
+    "hp-counterexample": _Case(("p",), lambda a, cfg, env:
+        verify_mod.verify_hp_counterexample(a.p, cfg, kappa=a.kappa),
+        ("norm_f", "norm_g", "norm_sum")),
+    "hp-equality": _Case(("p",), lambda a, cfg, env:
+        verify_mod.verify_hp_equality_case(a.p, cfg, kappa=a.kappa),
+        ("norm_h", "norm_k", "norm_sum")),
+    "ap-large-p": _Case(("p", "eps"), lambda a, cfg, env:
+        verify_mod.verify_ap_large_p(a.p, a.eps, cfg, kappa=a.kappa),
+        ("norm_f", "norm_g", "norm_sum")),
+    "ap-small-p": _Case(("p",), lambda a, cfg, env:
+        verify_mod.verify_ap_small_p(a.p, cfg, kappa=a.kappa),
+        ("norm_f", None, "norm_sum")),
+    "means-monotone": _Case(("expr", "p"), lambda a, cfg, env:
+        verify_mod.verify_means_monotone(parse(a.expr), a.p, cfg=cfg,
+                                         env=env, kappa=a.kappa)),
+    "rotation-invariance": _Case(("expr", "p"), lambda a, cfg, env:
+        verify_mod.verify_rotation_invariance(parse(a.expr), a.p, a.angle,
+                                              cfg, space=a.space, env=env,
+                                              kappa=a.kappa)),
+}
+SWEEP_CASES = tuple(name for name, case in _CASES.items() if case.subs)
 
 
 @dataclass(frozen=True)
@@ -85,12 +129,6 @@ def _emit(text: str, out: Optional[str]) -> None:
 # Sweeps
 
 
-def _eps_for(p: float, eps_rule: str) -> float:
-    if eps_rule == "window-midpoint":
-        return eps_window(p).midpoint()
-    return float(eps_rule)
-
-
 def run_sweep(case: str, p_min: float, p_max: float, steps: int,
               eps_rule: str = "window-midpoint",
               cfg: Optional[QuadConfig] = None,
@@ -102,55 +140,40 @@ def run_sweep(case: str, p_min: float, p_max: float, steps: int,
     to ap-large-p: the literal string "window-midpoint" or an explicit
     numeric value.
     """
-    if case not in _SWEEP_CASES:
+    if case not in SWEEP_CASES:
         raise ValueError(f"case {case!r} is not sweepable")
+    spec = _CASES[case]
     if not (0.0 < p_min < p_max):
         raise ValueError("need 0 < p_min < p_max")
     if steps < 2:
         raise ValueError("need steps >= 2")
-    if case == "ap-large-p" and eps_rule != "window-midpoint":
+    if "eps" in spec.needs and eps_rule != "window-midpoint":
         float(eps_rule)  # fail fast on a malformed rule
 
+    f_name, g_name, sum_name = spec.subs
     rows: list[SweepRow] = []
     for p in np.linspace(p_min, p_max, steps):
         p = float(p)
         eps: Optional[float] = None
         try:
-            if case == "hp-counterexample":
-                rep = verify_mod.verify_hp_counterexample(p, cfg, kappa=kappa)
-                names = ("norm_f", "norm_g", "norm_sum")
-            elif case == "hp-equality":
-                rep = verify_mod.verify_hp_equality_case(p, cfg, kappa=kappa)
-                names = ("norm_h", "norm_k", "norm_sum")
-            elif case == "ap-small-p":
-                rep = verify_mod.verify_ap_small_p(p, cfg, kappa=kappa)
-                names = ("norm_f", None, "norm_sum")
-            else:
-                eps = _eps_for(p, eps_rule)
-                rep = verify_mod.verify_ap_large_p(p, eps, cfg, kappa=kappa)
-                names = ("norm_f", "norm_g", "norm_sum")
+            if "eps" in spec.needs:
+                eps = (eps_window(p).midpoint()
+                       if eps_rule == "window-midpoint" else float(eps_rule))
+            rep = spec.run(SimpleNamespace(p=p, eps=eps, kappa=kappa), cfg,
+                           None)
         except ValueError as exc:
             rows.append(SweepRow(p=p, eps=eps, norm_f_p=None, norm_g_p=None,
                                  norm_sum_p=None, defect=None, margin=None,
                                  verdict="SKIPPED", reason=str(exc)))
             continue
         subs = dict(rep.sub_results)
-        norm_f = subs[names[0]].value
-        norm_g = subs[names[1]].value if names[1] else norm_f
-        norm_sum = subs[names[2]].value
+        norm_f = subs[f_name].value
+        norm_g = subs[g_name].value if g_name else norm_f
+        norm_sum = subs[sum_name].value
         rows.append(SweepRow(p=p, eps=eps, norm_f_p=norm_f, norm_g_p=norm_g,
                              norm_sum_p=norm_sum, defect=rep.defect,
                              margin=rep.margin, verdict=rep.verdict))
     return rows
-
-
-def _sweep_columns(case: str) -> list[str]:
-    cols = ["p"]
-    if case == "ap-large-p":
-        cols.append("eps")
-    cols += ["norm_f_p", "norm_g_p", "norm_sum_p", "defect", "margin",
-             "verdict", "reason"]
-    return cols
 
 
 def _summary_counts(rows: Sequence[SweepRow]) -> dict:
@@ -162,7 +185,9 @@ def _summary_counts(rows: Sequence[SweepRow]) -> dict:
 
 def sweep_csv(case: str, rows: Sequence[SweepRow]) -> str:
     """Render sweep rows as CSV with a trailing '#'-comment summary line."""
-    cols = _sweep_columns(case)
+    cols = ["p", *(["eps"] if "eps" in _CASES[case].needs else []),
+            "norm_f_p", "norm_g_p", "norm_sum_p", "defect", "margin",
+            "verdict", "reason"]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(cols)
@@ -175,6 +200,23 @@ def sweep_csv(case: str, rows: Sequence[SweepRow]) -> str:
     counts = _summary_counts(rows)
     buf.write("# " + " ".join(f"{k}={v}" for k, v in counts.items()) + "\n")
     return buf.getvalue()
+
+
+def plot_csv(rows: Sequence[SweepRow]) -> str:
+    """The (p, defect) pairs of the rows that have a defect, as CSV."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["p", "defect"])
+    for row in rows:
+        if row.defect is not None:
+            writer.writerow([_g17(row.p), _g17(row.defect)])
+    return buf.getvalue()
+
+
+def sweep_exit_code(rows: Sequence[SweepRow]) -> int:
+    """The exit code of the worst verdict; SKIPPED rows do not count."""
+    return max((_EXIT_BY_VERDICT[row.verdict] for row in rows
+                if row.verdict in _EXIT_BY_VERDICT), default=0)
 
 
 def read_sweep_csv(text: str) -> list[SweepRow]:
@@ -259,7 +301,7 @@ def _build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_norm)
 
     sp = sub.add_parser("verify", help="run one verification case")
-    sp.add_argument("--case", choices=_VERIFY_CASES, required=True)
+    sp.add_argument("--case", choices=tuple(_CASES), required=True)
     sp.add_argument("--expr", help="function for the expression-driven cases")
     sp.add_argument("--p", type=float)
     sp.add_argument("--eps", type=float)
@@ -279,7 +321,7 @@ def _build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("sweep", help="run a case over a p-grid")
-    sp.add_argument("--case", choices=_SWEEP_CASES, required=True)
+    sp.add_argument("--case", choices=SWEEP_CASES, required=True)
     sp.add_argument("--p-min", type=float, required=True)
     sp.add_argument("--p-max", type=float, required=True)
     sp.add_argument("--steps", type=int, required=True)
@@ -319,12 +361,6 @@ def _env_from(args) -> dict:
     return env
 
 
-def _require(args, parser_hint: str, *names) -> None:
-    missing = [f"--{n}" for n in names if getattr(args, n, None) is None]
-    if missing:
-        raise ValueError(f"{parser_hint} requires {', '.join(missing)}")
-
-
 # ---------------------------------------------------------------------------
 # Subcommand bodies
 
@@ -350,41 +386,17 @@ def _cmd_norm(args) -> int:
 
 
 def _run_case(args):
-    case = args.case
     cfg = _cfg_from(args)
-    kappa = args.kappa
     env = _env_from(args)
-    if case in ("lemma-cvh", "lemma-cv", "means-monotone",
-                "rotation-invariance"):
-        _require(args, case, "expr", "p")
-        f = parse(args.expr)
-        if case == "lemma-cvh":
-            return verify_mod.verify_lemma_cvh(f, args.p, cfg, env=env,
-                                               kappa=kappa)
-        if case == "lemma-cv":
-            return verify_mod.verify_lemma_cv(f, args.p, cfg, env=env,
-                                              kappa=kappa)
-        if case == "means-monotone":
-            return verify_mod.verify_means_monotone(f, args.p, cfg=cfg,
-                                                    env=env, kappa=kappa)
-        return verify_mod.verify_rotation_invariance(
-            f, args.p, args.angle, cfg, space=args.space, env=env,
-            kappa=kappa)
-    if case == "lemma-elem":
-        _require(args, case, "a", "b")
-        return verify_mod.verify_elem_inequality(args.a, args.b, args.q)
-    if case == "lemma-ap":
-        _require(args, case, "alpha", "p")
-        return verify_mod.verify_lemma_ap(args.alpha, args.p)
-    _require(args, case, "p")
-    if case == "hp-counterexample":
-        return verify_mod.verify_hp_counterexample(args.p, cfg, kappa=kappa)
-    if case == "hp-equality":
-        return verify_mod.verify_hp_equality_case(args.p, cfg, kappa=kappa)
-    if case == "ap-small-p":
-        return verify_mod.verify_ap_small_p(args.p, cfg, kappa=kappa)
-    _require(args, case, "eps")
-    return verify_mod.verify_ap_large_p(args.p, args.eps, cfg, kappa=kappa)
+    case = _CASES[args.case]
+    missing = [f"--{n}" for n in case.needs if getattr(args, n) is None]
+    if "--p" in missing:
+        # flags after --p are asked for once it is given: eps's window
+        # depends on p
+        del missing[missing.index("--p") + 1:]
+    if missing:
+        raise ValueError(f"{args.case} requires {', '.join(missing)}")
+    return case.run(args, cfg, env)
 
 
 def _sub_line(name: str, obj) -> str:
@@ -447,19 +459,9 @@ def _cmd_sweep(args) -> int:
         text = sweep_csv(args.case, rows)
     _emit(text, args.out)
     if args.emit_plot_data:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["p", "defect"])
-        for row in rows:
-            if row.defect is not None:
-                writer.writerow([_g17(row.p), _g17(row.defect)])
         with open(args.emit_plot_data, "w") as fh:
-            fh.write(buf.getvalue())
-    worst = 0
-    for row in rows:
-        if row.verdict in _EXIT_BY_VERDICT:
-            worst = max(worst, _EXIT_BY_VERDICT[row.verdict])
-    return worst
+            fh.write(plot_csv(rows))
+    return sweep_exit_code(rows)
 
 
 def _cmd_membership(args) -> int:

@@ -421,7 +421,10 @@ def exponent_value(e: Expr, env: Optional[ParamEnv] = None) -> float:
             return rec(node.num) / d
         if isinstance(node, Pow):
             b, s = rec(node.base), rec(node.exponent)
-            return complex(b) ** complex(s)
+            try:
+                return complex(b) ** complex(s)
+            except (ZeroDivisionError, OverflowError) as exc:
+                raise EvalDomainError(f"power in exponent: {exc}") from None
         raise TypeError(f"not an Expr node: {node!r}")
 
     val = rec(e)
@@ -819,7 +822,7 @@ def _power(node: Pow, env: dict):
     snaps to an integer bypasses the principal branch cut."""
     try:
         s = exponent_value(node.exponent, env)
-    except (ExprError, ArithmeticError):
+    except ExprError:
         # re-resolved, and so raised afresh, on every call that reaches it
         return lambda w: exponent_value(node.exponent, env)
     n = _is_int(s)

@@ -12,6 +12,11 @@ through anchor-offset boundary arithmetic so that samples at angular
 distance far below machine epsilon from a pole stay accurate.  The same
 arc machinery, run at radius 1 - gap, provides the inner circle integrals
 of the Bergman module.
+
+The norm driver _norm serves both spaces: _setup checks p and the
+parameters, compiles f and finds its boundary structure; the space's
+integral runs; and when it does not converge, the space's probe looks for
+divergence along the one truncation ladder, _ladder_says_divergent.
 """
 
 from __future__ import annotations
@@ -241,12 +246,22 @@ def _declared_structure(ev: BoundaryEvaluator, p: float,
 # Divergence probe
 
 
-def _growth_says_divergent(vals) -> bool:
-    """Domain-truncation ladder test: growth above 10% between the deepest
-    two truncations, without geometric decay of the increments, marks the
-    limiting integral divergent.  (A slowly convergent tail also grows,
-    but its increments shrink geometrically along the ladder.)
+def _ladder_says_divergent(truncated, fails) -> bool:
+    """Domain-truncation ladder test of both spaces.
+
+    truncated(cut) is the integral with the singular set shaved out to
+    depth cut, for cut = 1e-4, 1e-6, 1e-8.  An exception of a type in
+    fails, at any rung, marks the limiting integral divergent; so does
+    growth above 10% between the deepest two truncations without geometric
+    decay of the increments.  (A slowly convergent tail also grows, but
+    its increments shrink geometrically along the ladder.)
     """
+    vals = []
+    for cut in (1e-4, 1e-6, 1e-8):
+        try:
+            vals.append(truncated(cut))
+        except fails:
+            return True
     i1, i2, i3 = vals
     if not (math.isfinite(i2) and math.isfinite(i3)):
         return True
@@ -263,8 +278,8 @@ def _divergence_probe(ev: BoundaryEvaluator, p: float,
     if not structure.singular:
         return False
     arcs = _build_arcs(structure)
-    vals = []
-    for cut in (1e-4, 1e-6, 1e-8):
+
+    def truncated(cut):
         pieces = []
         for arc in arcs:
             lo = arc.lo + (cut if arc.left is not None else 0.0)
@@ -276,17 +291,47 @@ def _divergence_probe(ev: BoundaryEvaluator, p: float,
             intg = _ArcIntegrand(ev, p, 0.0, arc)
             sub = QuadConfig(abs_tol=1e-8, rel_tol=1e-5,
                              max_evaluations=40000)
-            try:
-                r = integrate_piecewise(intg, bps, sub)
-            except NonFiniteSampleError:
-                return True
-            pieces.append(r.value)
-        vals.append(fsum(pieces))
-    return _growth_says_divergent(vals)
+            pieces.append(integrate_piecewise(intg, bps, sub).value)
+        return fsum(pieces)
+
+    return _ladder_says_divergent(truncated, NonFiniteSampleError)
 
 
 # ---------------------------------------------------------------------------
 # Public operations
+
+
+def _setup(f: Expr, p: float, env, singular_angles=None):
+    """The checked p and env, the compiled evaluator and the boundary
+    structure: located structurally, or probed at the declared
+    singular_angles.  Returns (p, evaluator, structure)."""
+    p = float(p)
+    if p <= 0.0:
+        raise ValueError("p must be positive")
+    env = check_param_env(env)
+    ev = BoundaryEvaluator(f, env)
+    if singular_angles is None:
+        structure = boundary_structure(f, env)
+    else:
+        structure = _declared_structure(ev, p, singular_angles)
+    return p, ev, structure
+
+
+def _norm(space: str, integral, probe, f: Expr, p: float, env,
+          cfg: Optional[QuadConfig], singular_angles) -> NormResult:
+    """The norm driver of both spaces: integral(ev, p, structure, cfg) ->
+    (value_p, abs_err_est, converged), and, when that does not converge,
+    probe(ev, p, structure) -> divergent."""
+    cfg = cfg or QuadConfig()
+    p, ev, structure = _setup(f, p, env, singular_angles)
+    try:
+        value, err, conv = integral(ev, p, structure, cfg)
+    except NonFiniteSampleError:
+        # samples overflowed despite the depth caps: the boundary blowup is
+        # stronger than modeled; report divergence evidence instead
+        value, err, conv = math.inf, math.inf, False
+    div = False if conv else probe(ev, p, structure)
+    return _norm_result(space, p, value, err, conv, div)
 
 
 def _integral_means_full(f: Expr, p: float, r: float, env=None,
@@ -294,15 +339,10 @@ def _integral_means_full(f: Expr, p: float, r: float, env=None,
                          ) -> tuple[float, float, int, bool]:
     """integral_means plus (error-on-M, evaluations, converged)."""
     cfg = cfg or QuadConfig()
-    p = float(p)
     r = float(r)
-    if p <= 0.0:
-        raise ValueError("p must be positive")
     if not 0.0 < r < 1.0:
         raise ValueError("radius must lie in (0, 1)")
-    env = check_param_env(env)
-    ev = BoundaryEvaluator(f, env)
-    structure = boundary_structure(f, env)
+    p, ev, structure = _setup(f, p, env)
     mean, err, evals, conv = _circle_mean_p(ev, p, structure, 1.0 - r, cfg)
     if mean <= 0.0:
         m_err = err ** (1.0 / p) if err > 0.0 else 0.0
@@ -327,24 +367,8 @@ def hardy_norm(f: Expr, p: float, env=None,
     or z^2).  A non-convergent result is probed for divergence and the
     outcome reported through NormResult.divergent.
     """
-    cfg = cfg or QuadConfig()
-    p = float(p)
-    if p <= 0.0:
-        raise ValueError("p must be positive")
-    env = check_param_env(env)
-    ev = BoundaryEvaluator(f, env)
-    if singular_angles is None:
-        structure = boundary_structure(f, env)
-    else:
-        structure = _declared_structure(ev, p, singular_angles)
-    try:
+    def boundary_mean(ev, p, structure, cfg):
         mean, err, _, conv = _circle_mean_p(ev, p, structure, 0.0, cfg)
-    except NonFiniteSampleError:
-        # samples overflowed despite the depth caps: the boundary blowup is
-        # stronger than modeled; report divergence evidence instead
-        div = _divergence_probe(ev, p, structure)
-        return _norm_result("Hardy", p, math.inf, math.inf, False, div)
-    if conv:
-        return _norm_result("Hardy", p, mean, err, True)
-    div = _divergence_probe(ev, p, structure)
-    return _norm_result("Hardy", p, mean, err, False, div)
+        return mean, err, conv
+    return _norm("Hardy", boundary_mean, _divergence_probe, f, p, env, cfg,
+                 singular_angles)

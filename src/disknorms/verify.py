@@ -10,6 +10,11 @@ and an identity is Confirmed only when the defect stays inside it.
 Closed-form simplifications used by the strict cases (e.g. f + g
 collapsing to a single rational expression) are validated numerically on
 a fixed pseudo-random sample of interior points rather than symbolically.
+
+Every report is built by _report, which forms the defect and the verdict.
+The four triangle cases build f, g = -f(-z) and f + g with _pair, and
+three of them compare ||f+g|| with ||f|| + ||g|| through _triangle; the
+two cases that compare a norm with itself use _same_norm.
 """
 from __future__ import annotations
 
@@ -22,10 +27,10 @@ import numpy as np
 
 from .bergman import (MembershipVerdict, bergman_norm, membership_classify,
                       membership_evidence, _radial_integral)
-from .expr import (Add, BoundaryEvaluator, Const, Expr, Mul, Neg,
-                   boundary_structure, check_param_env, evaluate, parse,
-                   substitute_negate, substitute_rotate, substitute_square)
-from .hardy import NormResult, hardy_norm, _integral_means_full
+from .expr import (Add, Const, Expr, Mul, Neg, check_param_env, evaluate,
+                   parse, substitute_negate, substitute_rotate,
+                   substitute_square)
+from .hardy import NormResult, hardy_norm, _integral_means_full, _setup
 from .quad import QuadConfig, QuadResult
 
 __all__ = [
@@ -106,6 +111,25 @@ def _equality_verdict(defect: float, margin: float) -> str:
     return _CONFIRMED if abs(defect) <= margin else _REFUTED
 
 
+def _report(case_id: str, inputs: dict, lhs: float, rhs: float,
+            margin: float, verdict_fn, subs=()) -> VerificationReport:
+    """The report of one case: defect = lhs - rhs, and the verdict
+    verdict_fn(defect, margin)."""
+    defect = lhs - rhs
+    return VerificationReport(case_id, inputs, lhs, rhs, defect, margin,
+                              verdict_fn(defect, margin), tuple(subs))
+
+
+def _same_norm(case_id: str, inputs: dict, kappa: float, lhs_name: str,
+               lhs: NormResult, rhs_name: str,
+               rhs: NormResult) -> VerificationReport:
+    """Equality of two p-th power norms within kappa times their summed
+    error estimates."""
+    return _report(case_id, inputs, lhs.value_p, rhs.value_p,
+                   kappa * (lhs.abs_err_est + rhs.abs_err_est),
+                   _equality_verdict, ((lhs_name, lhs), (rhs_name, rhs)))
+
+
 def _scaled(e: Expr, scale: float) -> Expr:
     if scale == 1.0:
         return e
@@ -146,16 +170,8 @@ def verify_lemma_cvh(f: Expr, p: float, cfg: Optional[QuadConfig] = None, *,
     """
     composed = hardy_norm(substitute_square(f), p, env=env, cfg=cfg)
     base = hardy_norm(f, p, env=env, cfg=cfg)
-    lhs, rhs = composed.value_p, base.value_p
-    defect = lhs - rhs
-    margin = kappa * (composed.abs_err_est + base.abs_err_est)
-    return VerificationReport(
-        case_id="lemma-cvh",
-        inputs={"p": p, "kappa": kappa},
-        lhs=lhs, rhs=rhs, defect=defect, margin=margin,
-        verdict=_equality_verdict(defect, margin),
-        sub_results=(("norm_composed", composed), ("norm_f", base)),
-    )
+    return _same_norm("lemma-cvh", {"p": p, "kappa": kappa}, kappa,
+                      "norm_composed", composed, "norm_f", base)
 
 
 def verify_lemma_cv(h: Expr, p: float, cfg: Optional[QuadConfig] = None, *,
@@ -167,29 +183,19 @@ def verify_lemma_cv(h: Expr, p: float, cfg: Optional[QuadConfig] = None, *,
     folding the |z|^2 weight into the radial integrand, not by reusing the
     norm routine, so the two sides go through genuinely different code.
     """
-    env_d = check_param_env(env)
+    check_param_env(env)    # a bad parameter is reported before a bad p
     cfg = cfg if cfg is not None else QuadConfig()
     base = bergman_norm(h, p, env=env, cfg=cfg)
-    lhs = base.value_p
-
-    composed = substitute_square(h)
-    ev = BoundaryEvaluator(composed, env_d)
-    structure = boundary_structure(composed, env_d)
+    _, ev, structure = _setup(substitute_square(h), p, env)
     half, err, conv, evals = _radial_integral(ev, p, structure, cfg,
                                               weight_pow=2)
-    rhs = 2.0 * half
-    weighted = QuadResult(value=rhs, abs_err_est=2.0 * err,
+    weighted = QuadResult(value=2.0 * half, abs_err_est=2.0 * err,
                           evaluations=evals, converged=conv)
-
-    defect = lhs - rhs
-    margin = kappa * (base.abs_err_est + weighted.abs_err_est)
-    return VerificationReport(
-        case_id="lemma-cv",
-        inputs={"p": p, "kappa": kappa},
-        lhs=lhs, rhs=rhs, defect=defect, margin=margin,
-        verdict=_equality_verdict(defect, margin),
-        sub_results=(("norm_h", base), ("weighted_integral", weighted)),
-    )
+    return _report("lemma-cv", {"p": p, "kappa": kappa}, base.value_p,
+                   weighted.value,
+                   kappa * (base.abs_err_est + weighted.abs_err_est),
+                   _equality_verdict,
+                   (("norm_h", base), ("weighted_integral", weighted)))
 
 
 def verify_elem_inequality(a: float, b: float, q: float) -> VerificationReport:
@@ -204,20 +210,16 @@ def verify_elem_inequality(a: float, b: float, q: float) -> VerificationReport:
     if not q > 1.0:
         raise ValueError("requires q > 1")
     aq, bq = a ** q, b ** q
-    lhs = abs(aq - bq)
     rhs = abs(a - b) ** q
-    defect = lhs - rhs
     # powers err by eps, subtractions by eps/2, and a - b by q*eps/2 in rhs
     margin = 0.0 if a == b else 4.0 * _EPS * (aq + bq + q * rhs)
-    if not math.isfinite(defect):
-        verdict = _INCONCLUSIVE
-    else:
-        verdict = _CONFIRMED if defect >= -margin else _REFUTED
-    return VerificationReport(
-        case_id="lemma-elem",
-        inputs={"a": a, "b": b, "q": q},
-        lhs=lhs, rhs=rhs, defect=defect, margin=margin, verdict=verdict,
-    )
+
+    def verdict(defect, margin):
+        if not math.isfinite(defect):
+            return _INCONCLUSIVE
+        return _CONFIRMED if defect >= -margin else _REFUTED
+    return _report("lemma-elem", {"a": a, "b": b, "q": q}, abs(aq - bq),
+                   rhs, margin, verdict)
 
 
 def verify_lemma_ap(alpha: float, p: float,
@@ -231,17 +233,11 @@ def verify_lemma_ap(alpha: float, p: float,
     """
     classified = membership_classify(alpha, p)
     evidence = membership_evidence(alpha, p, radii)
-    member = classified.classification == "Member"
-    looks_convergent = evidence.diagnostic == "Convergent"
-    agree = member == looks_convergent
-    defect = classified.product - 2.0
-    return VerificationReport(
-        case_id="lemma-ap",
-        inputs={"alpha": alpha, "p": p},
-        lhs=classified.product, rhs=2.0, defect=defect, margin=0.0,
-        verdict=_CONFIRMED if agree else _REFUTED,
-        sub_results=(("classifier", classified), ("evidence", evidence)),
-    )
+    agree = ((classified.classification == "Member")
+             == (evidence.diagnostic == "Convergent"))
+    return _report("lemma-ap", {"alpha": alpha, "p": p}, classified.product,
+                   2.0, 0.0, lambda d, m: _CONFIRMED if agree else _REFUTED,
+                   (("classifier", classified), ("evidence", evidence)))
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +246,23 @@ def verify_lemma_ap(alpha: float, p: float,
 
 def _norm_margin(kappa: float, *results: NormResult) -> float:
     return kappa * math.fsum(r.value_abs_err for r in results)
+
+
+def _pair(text: str, scale: float, norm_fn, p: float, env, cfg):
+    """f = scale * text, g = -f(-z) and f + g, with norm_fn bound to p,
+    env and cfg.  Returns (f, g, f + g, norm)."""
+    if not scale > 0.0:
+        raise ValueError("scale must be positive")
+    f = _scaled(parse(text), scale)
+    g = Neg(substitute_negate(f))
+    return f, g, Add(f, g), lambda e: norm_fn(e, p, env=env, cfg=cfg)
+
+
+def _triangle(kappa: float, norm_f: NormResult, norm_g: NormResult,
+              norm_sum: NormResult) -> tuple[float, float, float]:
+    """(lhs, rhs, margin) of ||f+g|| against ||f|| + ||g||."""
+    return (norm_sum.value, norm_f.value + norm_g.value,
+            _norm_margin(kappa, norm_sum, norm_f, norm_g))
 
 
 def verify_hp_counterexample(p: float, cfg: Optional[QuadConfig] = None, *,
@@ -266,23 +279,10 @@ def verify_hp_counterexample(p: float, cfg: Optional[QuadConfig] = None, *,
     """
     if not 0.0 < p < 1.0:
         raise ValueError("requires 0 < p < 1")
-    if not scale > 0.0:
-        raise ValueError("scale must be positive")
-    f = _scaled(parse("(1+z)/(1-z)"), scale)
-    g = Neg(substitute_negate(f))
-    total = Add(f, g)
-    closed = _scaled(parse("(4*z)/(1-z^2)"), scale)
-    pole = parse("1/(1-z)")
-
-    norm_f = hardy_norm(f, p, cfg=cfg)
-    norm_g = hardy_norm(g, p, cfg=cfg)
-    norm_sum = hardy_norm(total, p, cfg=cfg)
-    norm_pole = hardy_norm(pole, p, cfg=cfg)
-
-    lhs = norm_sum.value
-    rhs = norm_f.value + norm_g.value
-    defect = lhs - rhs
-    margin = _norm_margin(kappa, norm_sum, norm_f, norm_g)
+    f, g, total, norm = _pair("(1+z)/(1-z)", scale, hardy_norm, p, None, cfg)
+    norm_f, norm_g, norm_sum = norm(f), norm(g), norm(total)
+    norm_pole = norm(parse("1/(1-z)"))
+    lhs, rhs, margin = _triangle(kappa, norm_f, norm_g, norm_sum)
 
     sym_margin = _norm_margin(kappa, norm_f, norm_g)
     sym = BoundCheck("norms of f and g agree", norm_f.value, norm_g.value,
@@ -294,18 +294,16 @@ def verify_hp_counterexample(p: float, cfg: Optional[QuadConfig] = None, *,
     chain = BoundCheck("norm of f+g equals 4*scale*norm of 1/(1-z)",
                        lhs, chain_rhs, chain_margin,
                        abs(lhs - chain_rhs) <= chain_margin)
+    closed = _scaled(parse("(4*z)/(1-z^2)"), scale)
     ident = _identity_check("f + g = 4z/(1-z^2)", total, closed, None)
 
-    return VerificationReport(
-        case_id="hp-counterexample",
-        inputs={"p": p, "kappa": kappa, "scale": scale},
-        lhs=lhs, rhs=rhs, defect=defect, margin=margin,
-        verdict=_strict_verdict(defect, margin),
-        sub_results=(("norm_f", norm_f), ("norm_g", norm_g),
-                     ("norm_sum", norm_sum), ("norm_pole", norm_pole),
-                     ("symmetry", sym), ("closed_form", ident),
-                     ("proof_chain", chain)),
-    )
+    return _report("hp-counterexample",
+                   {"p": p, "kappa": kappa, "scale": scale}, lhs, rhs, margin,
+                   _strict_verdict,
+                   (("norm_f", norm_f), ("norm_g", norm_g),
+                    ("norm_sum", norm_sum), ("norm_pole", norm_pole),
+                    ("symmetry", sym), ("closed_form", ident),
+                    ("proof_chain", chain)))
 
 
 def verify_hp_equality_case(p: float, cfg: Optional[QuadConfig] = None, *,
@@ -318,38 +316,23 @@ def verify_hp_equality_case(p: float, cfg: Optional[QuadConfig] = None, *,
     """
     if not 0.0 < p < 1.0:
         raise ValueError("requires 0 < p < 1")
-    if not scale > 0.0:
-        raise ValueError("scale must be positive")
-    h = _scaled(parse("1/(1-z)"), scale)
-    k = Neg(substitute_negate(h))
-    total = Add(h, k)
-    closed = _scaled(parse("(2*z)/(1-z^2)"), scale)
-
-    norm_h = hardy_norm(h, p, cfg=cfg)
-    norm_k = hardy_norm(k, p, cfg=cfg)
-    norm_sum = hardy_norm(total, p, cfg=cfg)
-
-    lhs = norm_sum.value
-    rhs = norm_h.value + norm_k.value
-    defect = lhs - rhs
-    margin = _norm_margin(kappa, norm_sum, norm_h, norm_k)
+    h, k, total, norm = _pair("1/(1-z)", scale, hardy_norm, p, None, cfg)
+    norm_h, norm_k, norm_sum = norm(h), norm(k), norm(total)
+    lhs, rhs, margin = _triangle(kappa, norm_h, norm_k, norm_sum)
 
     chain_rhs = 2.0 * norm_h.value
     chain_margin = kappa * (norm_sum.value_abs_err
                             + 2.0 * norm_h.value_abs_err)
     chain = BoundCheck("norm of h+k equals 2*norm of h", lhs, chain_rhs,
                        chain_margin, abs(lhs - chain_rhs) <= chain_margin)
+    closed = _scaled(parse("(2*z)/(1-z^2)"), scale)
     ident = _identity_check("h + k = 2z/(1-z^2)", total, closed, None)
 
-    return VerificationReport(
-        case_id="hp-equality",
-        inputs={"p": p, "kappa": kappa, "scale": scale},
-        lhs=lhs, rhs=rhs, defect=defect, margin=margin,
-        verdict=_equality_verdict(defect, margin),
-        sub_results=(("norm_h", norm_h), ("norm_k", norm_k),
-                     ("norm_sum", norm_sum), ("closed_form", ident),
-                     ("proof_chain", chain)),
-    )
+    return _report("hp-equality", {"p": p, "kappa": kappa, "scale": scale},
+                   lhs, rhs, margin, _equality_verdict,
+                   (("norm_h", norm_h), ("norm_k", norm_k),
+                    ("norm_sum", norm_sum), ("closed_form", ident),
+                    ("proof_chain", chain)))
 
 
 # ---------------------------------------------------------------------------
@@ -413,39 +396,27 @@ def verify_ap_large_p(p: float, eps: float,
     window = eps_window(p)
     if not window.contains(eps):
         raise ValueError(f"eps={eps:g} outside admissible window {window}")
-    if not scale > 0.0:
-        raise ValueError("scale must be positive")
     env = {"p": p, "eps": eps}
-    f = _scaled(parse("(1+z)^(2-eps) / (1-z)^(2+eps)"), scale)
-    g = Neg(substitute_negate(f))
-    total = Add(f, g)
-    closed = _scaled(parse("(8*z*(1+z^2)) / (1-z^2)^(2+eps)"), scale)
+    f, g, total, norm = _pair("(1+z)^(2-eps) / (1-z)^(2+eps)", scale,
+                              bergman_norm, p, env, cfg)
 
     member = membership_classify(2.0 + eps, p)
     precondition = BoundCheck("membership exponent product below 2",
                               member.product, 2.0, 0.0,
                               member.classification == "Member")
 
-    norm_f = bergman_norm(f, p, env=env, cfg=cfg)
-    norm_g = bergman_norm(g, p, env=env, cfg=cfg)
-    norm_sum = bergman_norm(total, p, env=env, cfg=cfg)
-
-    lhs = norm_sum.value
-    rhs = norm_f.value + norm_g.value
-    defect = lhs - rhs
-    margin = _norm_margin(kappa, norm_sum, norm_f, norm_g)
+    norm_f, norm_g, norm_sum = norm(f), norm(g), norm(total)
+    lhs, rhs, margin = _triangle(kappa, norm_f, norm_g, norm_sum)
+    closed = _scaled(parse("(8*z*(1+z^2)) / (1-z^2)^(2+eps)"), scale)
     ident = _identity_check("f + g = 8z(1+z^2)/(1-z^2)^(2+eps)",
                             total, closed, env)
 
-    return VerificationReport(
-        case_id="ap-large-p",
-        inputs={"p": p, "eps": eps, "kappa": kappa, "scale": scale},
-        lhs=lhs, rhs=rhs, defect=defect, margin=margin,
-        verdict=_strict_verdict(defect, margin),
-        sub_results=(("membership", member), ("precondition", precondition),
-                     ("norm_f", norm_f), ("norm_g", norm_g),
-                     ("norm_sum", norm_sum), ("closed_form", ident)),
-    )
+    return _report("ap-large-p",
+                   {"p": p, "eps": eps, "kappa": kappa, "scale": scale},
+                   lhs, rhs, margin, _strict_verdict,
+                   (("membership", member), ("precondition", precondition),
+                    ("norm_f", norm_f), ("norm_g", norm_g),
+                    ("norm_sum", norm_sum), ("closed_form", ident)))
 
 
 _SMALL_P_BOUND = 2.0 ** 8 / (15.0 * math.pi)
@@ -466,16 +437,10 @@ def verify_ap_small_p(p: float, cfg: Optional[QuadConfig] = None, *,
     """
     if not 0.0 < p < 0.5:
         raise ValueError("requires 0 < p < 1/2")
-    if not scale > 0.0:
-        raise ValueError("scale must be positive")
-    env = {"p": p}
-    f = _scaled(parse("(1+z)^(4/p)"), scale)
-    g = Neg(substitute_negate(f))
-    total = Add(f, g)
+    f, _, total, norm = _pair("(1+z)^(4/p)", scale, bergman_norm, p,
+                              {"p": p}, cfg)
     c_p = scale ** p
-
-    norm_f = bergman_norm(f, p, env=env, cfg=cfg)
-    norm_sum = bergman_norm(total, p, env=env, cfg=cfg)
+    norm_f, norm_sum = norm(f), norm(total)
 
     exact = (10.0 / 3.0) * c_p
     a_margin = kappa * norm_f.abs_err_est
@@ -484,30 +449,24 @@ def verify_ap_small_p(p: float, cfg: Optional[QuadConfig] = None, *,
                          abs(norm_f.value_p - exact) <= a_margin)
 
     lower = _SMALL_P_BOUND * c_p
-    b_margin = kappa * norm_sum.abs_err_est
+    margin = kappa * norm_sum.abs_err_est
     check_b = BoundCheck("p-th power of norm of f+g at least 2^8/(15*pi)",
-                         norm_sum.value_p, lower, b_margin,
-                         norm_sum.value_p >= lower - b_margin)
+                         norm_sum.value_p, lower, margin,
+                         norm_sum.value_p >= lower - margin)
 
     lhs = norm_sum.value_p
     rhs = 2.0 ** p * (10.0 / 3.0) * c_p
-    defect = lhs - rhs
-    margin = kappa * norm_sum.abs_err_est
     check_c = BoundCheck("p-th power of norm of f+g exceeds 2^p * 10/3",
-                         lhs, rhs, margin, defect > margin)
+                         lhs, rhs, margin, lhs - rhs > margin)
 
     check_d = BoundCheck("2^8/(15*pi) exceeds 2^p * 10/3",
                          lower, rhs, 0.0, lower > rhs)
 
-    return VerificationReport(
-        case_id="ap-small-p",
-        inputs={"p": p, "kappa": kappa, "scale": scale},
-        lhs=lhs, rhs=rhs, defect=defect, margin=margin,
-        verdict=_strict_verdict(defect, margin),
-        sub_results=(("norm_f", norm_f), ("norm_sum", norm_sum),
-                     ("exact_value", check_a), ("lower_bound", check_b),
-                     ("strict_claim", check_c), ("arithmetic", check_d)),
-    )
+    return _report("ap-small-p", {"p": p, "kappa": kappa, "scale": scale},
+                   lhs, rhs, margin, _strict_verdict,
+                   (("norm_f", norm_f), ("norm_sum", norm_sum),
+                    ("exact_value", check_a), ("lower_bound", check_b),
+                    ("strict_claim", check_c), ("arithmetic", check_d)))
 
 
 # ---------------------------------------------------------------------------
@@ -559,18 +518,13 @@ def verify_means_monotone(f: Expr, p: float,
             worst = (gain + pair_margin, means[k + 1], means[k], pair_margin)
 
     all_ok = all(c.passed for _, c in checks)
-    _, lhs, rhs, margin = worst
-    defect = lhs - rhs
-    if not math.isfinite(defect):
-        verdict = _INCONCLUSIVE
-    else:
-        verdict = _CONFIRMED if all_ok else _REFUTED
-    return VerificationReport(
-        case_id="means-monotone",
-        inputs={"p": p, "kappa": kappa},
-        lhs=lhs, rhs=rhs, defect=defect, margin=margin,
-        verdict=verdict, sub_results=tuple(checks),
-    )
+
+    def verdict(defect, margin):
+        if not math.isfinite(defect):
+            return _INCONCLUSIVE
+        return _CONFIRMED if all_ok else _REFUTED
+    return _report("means-monotone", {"p": p, "kappa": kappa}, *worst[1:],
+                   verdict, checks)
 
 
 def verify_rotation_invariance(f: Expr, p: float, angle: float = 0.7,
@@ -584,13 +538,7 @@ def verify_rotation_invariance(f: Expr, p: float, angle: float = 0.7,
     lam = complex(math.cos(angle), math.sin(angle))
     base = norm_fn(f, p, env=env, cfg=cfg)
     rotated = norm_fn(substitute_rotate(f, lam), p, env=env, cfg=cfg)
-    lhs, rhs = rotated.value_p, base.value_p
-    defect = lhs - rhs
-    margin = kappa * (rotated.abs_err_est + base.abs_err_est)
-    return VerificationReport(
-        case_id="rotation-invariance",
-        inputs={"p": p, "angle": angle, "space": space, "kappa": kappa},
-        lhs=lhs, rhs=rhs, defect=defect, margin=margin,
-        verdict=_equality_verdict(defect, margin),
-        sub_results=(("norm_rotated", rotated), ("norm_f", base)),
-    )
+    return _same_norm("rotation-invariance",
+                      {"p": p, "angle": angle, "space": space,
+                       "kappa": kappa},
+                      kappa, "norm_rotated", rotated, "norm_f", base)

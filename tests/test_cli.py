@@ -1,10 +1,15 @@
+import argparse
+import importlib.util
 import json
 import math
+import pathlib
+import re
 
 import pytest
 
-from disknorms.cli import (SweepRow, main, read_sweep_csv, run_sweep,
-                           sweep_csv, _EXIT_BY_VERDICT)
+from disknorms.cli import (SWEEP_CASES, SweepRow, main, plot_csv,
+                           read_sweep_csv, run_sweep, sweep_csv,
+                           _CASES, _EXIT_BY_VERDICT, _build_parser)
 
 
 def _field(out: str, name: str) -> str:
@@ -70,6 +75,14 @@ def test_norm_parse_error_exits_3(capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "disknorms: error:" in err
+
+
+@pytest.mark.parametrize("text", ["(1+z)^(0^(-1))", "(1+z)^(10^400)"])
+def test_norm_exponent_power_error_exits_3(text, capsys):
+    code = main(["norm", "--space", "hardy", "--expr", text, "--p", "1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("disknorms: error:")
 
 
 def test_norm_out_file(tmp_path, capsys):
@@ -277,3 +290,51 @@ def test_cli_is_deterministic(capsys):
     first = capsys.readouterr().out
     main(argv)
     assert capsys.readouterr().out == first
+
+
+# ---------------------------------------------------------------------------
+# one case table
+
+
+_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _case_choices(command: str) -> tuple:
+    parser = _build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return tuple(next(a.choices for a in sub.choices[command]._actions
+                      if a.dest == "case"))
+
+
+def test_readme_lists_exactly_the_table_cases():
+    text = (_ROOT / "README.md").read_text()
+    section = text.split("## Verification cases", 1)[1].split("\n## ", 1)[0]
+    ids = [m.group(1) for m in re.finditer(r"^\| `([a-z-]+)`", section,
+                                           re.MULTILINE)]
+    assert ids == list(_CASES)
+
+
+def test_case_choices_come_from_the_table():
+    assert _case_choices("verify") == tuple(_CASES)
+    assert _case_choices("sweep") == SWEEP_CASES
+    assert SWEEP_CASES == tuple(k for k, c in _CASES.items() if c.subs)
+
+
+def test_sweeps_script_writes_the_sweep_csv(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "run_counterexample_sweeps",
+        _ROOT / "scripts" / "run_counterexample_sweeps.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    code = script.main(["--case", "hp-equality", "--steps", "2",
+                        "--out-dir", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    rows = run_sweep("hp-equality", *script.RANGES["hp-equality"], 2)
+    assert (tmp_path / "hp-equality.csv").read_text() == \
+        sweep_csv("hp-equality", rows)
+    assert (tmp_path / "hp-equality-defect.csv").read_text() == \
+        plot_csv(rows)
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["hp-equality-defect.csv", "hp-equality.csv"]

@@ -99,6 +99,21 @@ def test_exponent_value():
                           {"p": 0.25}) == 16.0
 
 
+@pytest.mark.parametrize("text", ["(1+z)^(0^(-1))", "(1+z)^(10^400)"])
+def test_exponent_power_errors_are_domain_errors(text):
+    # 0 to a negative power and an overflowing power inside an exponent
+    e = parse(text)
+    with pytest.raises(EvalDomainError):
+        exponent_value(e.exponent)
+    with pytest.raises(EvalDomainError):
+        evaluate(e, 0.3)
+    with pytest.raises(EvalDomainError):
+        BoundaryEvaluator(e).value(np.array([0.3 + 0j]))
+    # boundary_structure treats an exponent it cannot resolve as one of
+    # unknown sign, as it does for an unbound parameter
+    assert boundary_structure(e) == boundary_structure(parse("(1+z)^(q)"))
+
+
 # ---------------------------------------------------------------------------
 # substitutions
 

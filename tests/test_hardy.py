@@ -6,8 +6,10 @@ from hypothesis import given, strategies as st
 
 from disknorms.expr import (UnsupportedFormError, parse, substitute_rotate,
                             to_polynomial)
-from disknorms.hardy import NormResult, hardy_norm, integral_means
-from disknorms.quad import QuadConfig
+from disknorms.bergman import InnerIntegralError
+from disknorms.hardy import (NormResult, _ladder_says_divergent, hardy_norm,
+                             integral_means)
+from disknorms.quad import NonFiniteSampleError, QuadConfig
 
 from oracles import circle_mean_p
 
@@ -239,3 +241,33 @@ def test_invalid_p_rejected():
         hardy_norm(parse("z"), 0.0)
     with pytest.raises(ValueError):
         hardy_norm(parse("z"), -1.0)
+
+
+# ---------------------------------------------------------------------------
+# divergence ladder
+
+
+def test_ladder_raise_at_first_rung_is_divergent():
+    cuts = []
+
+    def truncated(cut):
+        cuts.append(cut)
+        raise NonFiniteSampleError("inf sample", 0.0)
+
+    assert _ladder_says_divergent(truncated, NonFiniteSampleError) is True
+    assert cuts == [1e-4]
+
+
+def test_ladder_inner_failure_at_first_rung_is_divergent():
+    def truncated(cut):
+        raise InnerIntegralError(1.0 - cut)
+
+    fails = (NonFiniteSampleError, InnerIntegralError)
+    assert _ladder_says_divergent(truncated, fails) is True
+
+
+def test_ladder_growth_test():
+    values = {1e-4: 1.0, 1e-6: 2.0, 1e-8: 4.0}   # grows without decay
+    assert _ladder_says_divergent(values.get, NonFiniteSampleError) is True
+    values = {1e-4: 1.0, 1e-6: 1.05, 1e-8: 1.06}  # settles
+    assert _ladder_says_divergent(values.get, NonFiniteSampleError) is False
