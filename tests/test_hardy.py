@@ -248,11 +248,14 @@ def test_invalid_p_rejected():
 
 
 def test_ladder_raise_at_first_rung_is_divergent():
+    # later rungs would settle, so only the raise can mark divergence
     cuts = []
 
     def truncated(cut):
         cuts.append(cut)
-        raise NonFiniteSampleError("inf sample", 0.0)
+        if cut == 1e-4:
+            raise NonFiniteSampleError("inf sample", 0.0)
+        return 1.0
 
     assert _ladder_says_divergent(truncated, NonFiniteSampleError) is True
     assert cuts == [1e-4]
@@ -260,7 +263,9 @@ def test_ladder_raise_at_first_rung_is_divergent():
 
 def test_ladder_inner_failure_at_first_rung_is_divergent():
     def truncated(cut):
-        raise InnerIntegralError(1.0 - cut)
+        if cut == 1e-4:
+            raise InnerIntegralError(1.0 - cut)
+        return 1.0
 
     fails = (NonFiniteSampleError, InnerIntegralError)
     assert _ladder_says_divergent(truncated, fails) is True
