@@ -169,6 +169,14 @@ def test_subcritical_not_flagged():
     assert r.converged
 
 
+@pytest.mark.xfail(strict=True, reason="open defect: p*alpha = 400 > 2 makes "
+                   "the norm infinite, but the radial probe's ladder does not "
+                   "flag it")
+def test_far_supercritical_flagged_divergent():
+    r = bergman_norm(parse("1/(1-z)^400"), 1.0)
+    assert r.divergent and not r.converged
+
+
 # ---------------------------------------------------------------------------
 # membership of (1-z)^(-alpha)
 

@@ -62,6 +62,17 @@ def test_norm_divergent_exits_2(capsys):
     assert _field(out, "divergent") == "True"
 
 
+@pytest.mark.xfail(strict=True, reason="open defect: (1-z)^400 underflows "
+                   "to 0 at ordinary boundary nodes, so the evaluator's "
+                   "zero-denominator check exits 3 with 'division by zero'")
+def test_norm_far_divergent_exits_2(capsys):
+    code = main(["norm", "--space", "hardy", "--expr", "1/(1-z)^400",
+                 "--p", "1"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert _field(out, "divergent") == "True"
+
+
 def test_norm_param_binding(capsys):
     code = main(["norm", "--space", "hardy", "--expr", "(1+z)^(q)",
                  "--p", "2", "--param", "q=2"])

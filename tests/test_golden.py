@@ -11,6 +11,7 @@ import pytest
 from disknorms.bergman import bergman_norm
 from disknorms.expr import parse
 from disknorms.hardy import _integral_means_full, hardy_norm
+from disknorms.verify import verify_ap_large_p
 from disknorms.quad import QuadConfig, integrate
 
 GOLDEN = [
@@ -61,6 +62,48 @@ GOLDEN = [
      lambda: bergman_norm(parse("1/(1-z)^2"), 1.0),
      "NormResult(space='Bergman', p=1.0, value_p=298.64291490866515,"
      " value=298.64291490866515, abs_err_est=3784.4866163946517,"
+     " converged=False, divergent=True)"),
+    # radial integrals whose inner circle means run in lockstep
+    ("ap-large-p report, p=0.6, eps=0.7",
+     lambda: verify_ap_large_p(0.6, 0.7),
+     "VerificationReport(case_id='ap-large-p', inputs={'p': 0.6, 'eps': 0.7,"
+     " 'kappa': 10.0, 'scale': 1.0}, lhs=31.39316256700578,"
+     " rhs=21.688232152159422, defect=9.704930414846359,"
+     " margin=1.3765842060742782e-06, verdict='Confirmed', sub_results=("
+     "('membership', MembershipVerdict(alpha=2.7, p=0.6, product=1.62,"
+     " classification='Member', evidence=(), diagnostic=None)),"
+     " ('precondition', BoundCheck(description='membership exponent product"
+     " below 2', lhs=1.62, rhs=2.0, margin=0.0, passed=True)),"
+     " ('norm_f', NormResult(space='Bergman', p=0.6,"
+     " value_p=4.179424599556672, value=10.844116076079711,"
+     " abs_err_est=2.4968432998558307e-09, converged=True, divergent=False)),"
+     " ('norm_g', NormResult(space='Bergman', p=0.6,"
+     " value_p=4.179424599556672, value=10.844116076079711,"
+     " abs_err_est=2.4968432998558307e-09, converged=True, divergent=False)),"
+     " ('norm_sum', NormResult(space='Bergman', p=0.6,"
+     " value_p=7.9086260586535895, value=31.39316256700578,"
+     " abs_err_est=1.754339388972674e-08, converged=True, divergent=False)),"
+     " ('closed_form', IdentityCheck(description='f + g ="
+     " 8z(1+z^2)/(1-z^2)^(2+eps)', max_rel_diff=8.710109486819202e-16,"
+     " tolerance=1e-10, points=64, passed=True))))"),
+    ("bergman 1/(1-z)^2, p=0.9",
+     lambda: bergman_norm(parse("1/(1-z)^2"), 0.9),
+     "NormResult(space='Bergman', p=0.9, value_p=5.072372743896286,"
+     " value=6.075303181429022, abs_err_est=2.7012788032969443e-09,"
+     " converged=True, divergent=False)"),
+    # two singular angles and z^2 leaves
+    ("bergman 8z(1+z^2)/(1-z^2)^(2+eps), p=0.6, eps=0.7",
+     lambda: bergman_norm(parse("(8*z*(1+z^2))/(1-z^2)^(2+eps)"), 0.6,
+                          env={"eps": 0.7}),
+     "NormResult(space='Bergman', p=0.6, value_p=7.908626058653589,"
+     " value=31.393162567005774, abs_err_est=1.7543392908491004e-08,"
+     " converged=True, divergent=False)"),
+    # a finite norm (exact 500) falsely flagged divergent: the radial
+    # integral and the radial probe both run
+    ("bergman 1/(1-z)^2, p=0.999 (false divergence)",
+     lambda: bergman_norm(parse("1/(1-z)^2"), 0.999),
+     "NormResult(space='Bergman', p=0.999, value_p=224.84875421161757,"
+     " value=226.07093495153654, abs_err_est=2531.4972459378646,"
      " converged=False, divergent=True)"),
 ]
 
