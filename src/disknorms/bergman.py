@@ -6,9 +6,10 @@ The A^p quasi-norm is computed from the radial form
 
 with the area measure normalized so the disk has measure 1.  The inner
 circle integral reuses the arc machinery of the hardy module at radius
-1 - gap; the outer radial integral receives gaps directly from the
-singular-endpoint transform, so radii exponentially close to 1 never
-suffer the 1 - r rounding collapse.  bergman_norm hands this radial
+1 - gap, the means at all radii of one outer request run in lockstep
+(hardy._circle_means); the outer radial integral receives gaps directly
+from the singular-endpoint transform, so radii exponentially close to 1
+never suffer the 1 - r rounding collapse.  bergman_norm hands this radial
 integral, and a probe that truncates it at 1 - cut, to the norm driver of
 the hardy module.  For p = 2 the norm is also available exactly from
 Taylor coefficients as sum |a_n|^2/(n+1).
@@ -26,7 +27,7 @@ import numpy as np
 from .expr import BoundaryEvaluator, BoundaryStructure, Expr
 from .hardy import (
     NormResult,
-    _circle_mean_p,
+    _circle_means,
     _ladder_says_divergent,
     _norm,
     _norm_result,
@@ -86,33 +87,30 @@ class _RadialIntegrand:
         self.max_inner_rel = 0.0
         self.inner_converged = True
 
-    def _term(self, r_factor: float, gap: float) -> float:
-        m, e, n, conv = _circle_mean_p(self._ev, self._p, self._st, gap,
-                                       self._inner)
-        self.inner_evals += n
-        if not (math.isfinite(m) and math.isfinite(e)):
-            raise InnerIntegralError(1.0 - gap)
-        if m > 0.0:
-            self.max_inner_rel = max(self.max_inner_rel, e / m)
-        self.inner_converged = self.inner_converged and conv
-        return 2.0 * r_factor * m
+    def _terms(self, radii, gaps):
+        """2 r^{1+k} M_p^p(r) at each radius r = 1 - gap; the inner means
+        run in lockstep, and their bookkeeping is done in radius order."""
+        out = np.empty(len(gaps))
+        means = _circle_means(self._ev, self._p, self._st, gaps, self._inner)
+        for j, (m, e, n, conv) in enumerate(means):
+            self.inner_evals += n
+            if not (math.isfinite(m) and math.isfinite(e)):
+                raise InnerIntegralError(1.0 - gaps[j])
+            if m > 0.0:
+                self.max_inner_rel = max(self.max_inner_rel, e / m)
+            self.inner_converged = self.inner_converged and conv
+            out[j] = 2.0 * radii[j] ** (1 + self._k) * m
+        return out
 
     def values(self, r):
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.empty_like(r)
-        for j, rj in enumerate(r):
-            out[j] = self._term(rj ** (1 + self._k), 1.0 - rj)
-        return out
+        return self._terms(list(r), [1.0 - rj for rj in r])
 
-    def from_left(self, d):
-        return self.values(np.asarray(d, dtype=float))
+    from_left = values      # offsets from the left endpoint 0 are radii
 
     def from_right(self, d):
         d = np.atleast_1d(np.asarray(d, dtype=float))
-        out = np.empty_like(d)
-        for j, dj in enumerate(d):
-            out[j] = self._term((1.0 - dj) ** (1 + self._k), dj)
-        return out
+        return self._terms([1.0 - dj for dj in d], list(d))
 
 
 def _radial_integral(ev: BoundaryEvaluator, p: float,

@@ -11,7 +11,9 @@ singular-endpoint transform from the quad module, and f is evaluated
 through anchor-offset boundary arithmetic so that samples at angular
 distance far below machine epsilon from a pole stay accurate.  The same
 arc machinery, run at radius 1 - gap, provides the inner circle integrals
-of the Bergman module.
+of the Bergman module; _circle_means runs those of many gaps in lockstep,
+each gap with its own bisection, sharing one evaluator call per arc and
+sampling method (values, from_left, from_right) in each round.
 
 The norm driver _norm serves both spaces: _setup checks p and the
 parameters, compiles f and finds its boundary structure; the space's
@@ -21,6 +23,7 @@ divergence along the one truncation ladder, _ladder_says_divergent.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from math import fsum
@@ -38,7 +41,8 @@ from .expr import (
     boundary_structure,
     check_param_env,
 )
-from .quad import NonFiniteSampleError, QuadConfig, integrate_piecewise
+from .quad import (NonFiniteSampleError, QuadConfig, _answer, _drive,
+                   _integrate_piecewise, integrate_piecewise)
 
 __all__ = [
     "NormResult",
@@ -95,7 +99,7 @@ def _norm_result(space: str, p: float, value_p: float, err: float,
 # Circle arcs between singular angles
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)     # hashed by identity: a grouping key
 class _Arc:
     lo: float
     hi: float                       # hi > lo; may exceed 2*pi on the wrap arc
@@ -134,7 +138,8 @@ class _ArcIntegrand:
     angles; this is what lets the singular transform sample at offsets
     like 1e-200.  With gap > 0 the profile flattens at angular scale
     ~gap, which is declared through flat_below so the transform can
-    bound its truncated tail by a single deep sample.
+    bound its truncated tail by a single deep sample.  _circle_means calls
+    the methods of a copy whose gap is an array, one gap per point.
     """
 
     def __init__(self, ev: BoundaryEvaluator, p: float, gap: float, arc: _Arc):
@@ -172,15 +177,9 @@ class _ArcIntegrand:
         return np.abs(w) ** self._p
 
 
-def _circle_mean_p(ev: BoundaryEvaluator, p: float,
-                   structure: BoundaryStructure, gap: float,
-                   cfg: QuadConfig) -> tuple[float, float, int, bool]:
-    """(1/2 pi) int |f((1-gap) e^{i t})|^p dt over the full circle.
-
-    Returns (mean, abs_err_est, evaluations, converged); tolerances in cfg
-    apply to the mean.
-    """
-    arcs = _build_arcs(structure)
+def _circle_mean_steps(ev: BoundaryEvaluator, p: float, arcs: list[_Arc],
+                       gap: float, cfg: QuadConfig):
+    """Step generator of _circle_mean_p over the arcs (see quad._drive)."""
     n = len(arcs)
     budget = max(int(cfg.max_evaluations) // n, 1000)
     # sub-targets at 0.45x so the summed estimates still clear the caller's
@@ -195,7 +194,8 @@ def _circle_mean_p(ev: BoundaryEvaluator, p: float,
                          max_evaluations=budget,
                          singular_left=arc.left is not None,
                          singular_right=arc.right is not None)
-        r = integrate_piecewise(intg, [arc.lo, *arc.kinks, arc.hi], sub)
+        r = yield from _integrate_piecewise(
+            intg, [arc.lo, *arc.kinks, arc.hi], sub)
         vs.append(r.value)
         es.append(r.abs_err_est)
         evals += r.evaluations
@@ -204,6 +204,72 @@ def _circle_mean_p(ev: BoundaryEvaluator, p: float,
     err = fsum(es) / _TWO_PI
     conv = conv and err <= max(cfg.abs_tol, cfg.rel_tol * abs(mean))
     return mean, err, evals, conv
+
+
+def _circle_mean_p(ev: BoundaryEvaluator, p: float,
+                   structure: BoundaryStructure, gap: float,
+                   cfg: QuadConfig) -> tuple[float, float, int, bool]:
+    """(1/2 pi) int |f((1-gap) e^{i t})|^p dt over the full circle.
+
+    Returns (mean, abs_err_est, evaluations, converged); tolerances in cfg
+    apply to the mean.
+    """
+    return _drive(_circle_mean_steps(ev, p, _build_arcs(structure), gap, cfg))
+
+
+def _circle_means(ev: BoundaryEvaluator, p: float,
+                  structure: BoundaryStructure, gaps, cfg: QuadConfig):
+    """Yield _circle_mean_p at each of gaps, in order, run in lockstep
+    (batched as scipy.integrate.quad_vec batches its intervals).  The first
+    failure in gap order is raised where a loop over the gaps would raise
+    it: later gaps are dropped, and a group call that raises is repeated
+    request by request, so that each exception reaches its own gap."""
+    arcs = _build_arcs(structure)
+    steps = [_circle_mean_steps(ev, p, arcs, g, cfg) for g in gaps]
+    requests, means = [None] * len(steps), [None] * len(steps)
+    failed, failure = len(steps), None
+
+    def advance(j, step, *args):
+        nonlocal failed, failure
+        try:
+            requests[j] = step(*args)
+            return
+        except StopIteration as stop:
+            means[j] = stop.value
+        except Exception as ex:
+            if j < failed:
+                failed, failure = j, ex
+        requests[j] = None
+
+    for j, step in enumerate(steps):
+        advance(j, next, step)
+    while any(requests[:failed]):
+        groups: dict = {}
+        for j in range(failed):
+            if requests[j]:
+                fn = requests[j][0]
+                groups.setdefault((fn.__func__, fn.__self__._arc), []).append(j)
+        for (method, _), js in groups.items():
+            if len(js) > 1:
+                xs = [requests[j][1] for j in js]
+                twin = copy.copy(requests[js[0]][0].__self__)
+                twin._gap = np.repeat([gaps[j] for j in js],
+                                      [len(x) for x in xs])
+                try:
+                    y = method(twin, np.concatenate(xs))
+                except Exception:
+                    pass        # served one by one below
+                else:   # 0-d samples (a constant f) go to each gap as they are
+                    ys = ([y] * len(js) if np.ndim(y) == 0 else
+                          np.split(y, np.cumsum([len(x) for x in xs[:-1]])))
+                    for j, yj in zip(js, ys):
+                        advance(j, steps[j].send, yj)
+                    continue
+            for j in js:
+                advance(j, _answer, steps[j], *requests[j])
+    yield from means[:failed]
+    if failure is not None:
+        raise failure
 
 
 # ---------------------------------------------------------------------------

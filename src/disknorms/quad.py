@@ -16,8 +16,12 @@ offsets far below machine epsilon.  Plain callables fall back to f(a + d) /
 f(b - d), with the transform depth capped near roundoff of the endpoint and
 the unreachable tail folded into the error estimate.
 
-Sibling panels (the halves of a bisection, or all initial panels) share
-one integrand call; each panel's sums still use only its own samples.
+Each integrator is a step generator: it yields requests (fn, points), fn
+a method of the integrand, and receives fn(points).  integrate and
+integrate_piecewise serve them one at a time (_drive); hardy._circle_means
+serves many generators at once.  Sibling panels (the halves of a bisection,
+or all initial panels) share one request; each panel's sums still use only
+its own samples.
 """
 from __future__ import annotations
 
@@ -141,15 +145,20 @@ def _as_integrand(f, a: float, b: float):
     return _CallableIntegrand(f, a, b)
 
 
-def _panel(F, bounds: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
-    """(value, error) of each (lo, hi) panel from one call of F on all of
-    their nodes; each panel's sums use its own 15 samples only."""
+def _panels(fn, bounds: Sequence[tuple[float, float]], L: float = 0.0):
+    """Step generator of the (value, error) of each (lo, hi) panel from one
+    request of fn at all of their nodes, each panel summing its own 15
+    samples.  With L > 0 the panels lie in the double-exponential variable
+    w: fn is sampled at the offsets L*exp(-2 sinh w), weighted by dd/dw."""
     halves = [0.5 * (hi - lo) for lo, hi in bounds]
     x = np.concatenate([0.5 * (lo + hi) + h2 * _GK_X
                         for (lo, hi), h2 in zip(bounds, halves)])
-    y = np.asarray(F(x), dtype=float)
+    ph = np.exp(-2.0 * np.sinh(x)) if L else None
+    y = np.asarray((yield fn, L * ph if L else x), dtype=float)
     if y.shape != x.shape:
         y = np.broadcast_to(y, x.shape)
+    if L:
+        y = y * (2.0 * L * np.cosh(x) * ph)
     finite = np.isfinite(y)
     if not finite.all():
         xb = float(x[~finite][0])
@@ -157,15 +166,41 @@ def _panel(F, bounds: Sequence[tuple[float, float]]) -> list[tuple[float, float]
     out = []
     for i, h2 in enumerate(halves):
         yi = y[15 * i:15 * i + 15]
-        vk = h2 * float(_GK_WK @ yi)
-        vg = h2 * float(_GK_WG @ yi)
+        vk = h2 * float(_GK_WK.dot(yi))
+        vg = h2 * float(_GK_WG.dot(yi))
         out.append((vk, _SAFETY * abs(vk - vg)))
     return out
 
 
-def _adaptive(F, edges: Sequence[float], abs_tol: float, rel_tol: float,
-              budget: int):
-    """Largest-error-first bisection over initial panels given by edges.
+def _answer(steps, fn, x):
+    """Serve the request (fn, x) of steps by fn(x), raising its exception
+    where the request was made; returns the next request of steps."""
+    try:
+        y = fn(x)
+    except Exception as ex:
+        return steps.throw(ex)
+    return steps.send(y)
+
+
+def _drive(steps):
+    """Run a step generator to its result, one request at a time."""
+    try:
+        request = next(steps)
+        while True:
+            request = _answer(steps, *request)
+    except StopIteration as stop:
+        return stop.value
+
+
+def _panel(F, bounds: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
+    """(value, error) of each (lo, hi) panel from one call of F."""
+    return _drive(_panels(F, bounds))
+
+
+def _adaptive(fn, edges: Sequence[float], abs_tol: float, rel_tol: float,
+              budget: int, L: float = 0.0):
+    """Step generator of largest-error-first bisection over the initial
+    panels given by edges, sampled by _panels(fn, ..., L).
 
     Returns (value, err, evaluations, converged, panels) with panels a list
     of (lo, hi, value, err) sorted by lo.
@@ -173,7 +208,8 @@ def _adaptive(F, edges: Sequence[float], abs_tol: float, rel_tol: float,
     heap: list = []
     done: list = []
     bounds = list(zip(edges[:-1], edges[1:]))
-    for seq, ((lo, hi), (v, e)) in enumerate(zip(bounds, _panel(F, bounds))):
+    sums = yield from _panels(fn, bounds, L)
+    for seq, ((lo, hi), (v, e)) in enumerate(zip(bounds, sums)):
         heapq.heappush(heap, (-e, seq, lo, hi, v, e))
     seq = len(bounds)
     evals = 15 * len(bounds)
@@ -191,7 +227,7 @@ def _adaptive(F, edges: Sequence[float], abs_tol: float, rel_tol: float,
             # interval at floating-point resolution; freeze it
             done.append((lo, hi, v, e))
             continue
-        (v1, e1), (v2, e2) = _panel(F, [(lo, mid), (mid, hi)])
+        (v1, e1), (v2, e2) = yield from _panels(fn, [(lo, mid), (mid, hi)], L)
         evals += 30
         total_v += (v1 + v2) - v
         total_e += (e1 + e2) - e
@@ -209,16 +245,12 @@ def _adaptive(F, edges: Sequence[float], abs_tol: float, rel_tol: float,
 
 def _singular_side(intg, lo: float, hi: float, side: str, abs_tol: float,
                    rel_tol: float, budget: int):
-    """Integrate [lo, hi] with the singular endpoint on the given side."""
+    """Step generator integrating [lo, hi] with the singular endpoint on
+    the given side."""
     L = hi - lo
-    if side == "left":
-        deep = getattr(intg, "deep_left", False)
-        endpoint = lo
-        eval_off = intg.from_left
-    else:
-        deep = getattr(intg, "deep_right", False)
-        endpoint = hi
-        eval_off = intg.from_right
+    deep = getattr(intg, "deep_" + side, False)
+    endpoint = lo if side == "left" else hi
+    eval_off = getattr(intg, "from_" + side)
 
     floor = 0.0 if deep else 64.0 * _EPS * abs(endpoint)
     s_max = getattr(intg, "offset_blowup", None)
@@ -234,22 +266,14 @@ def _singular_side(intg, lo: float, hi: float, side: str, abs_tol: float,
     if W < 0.5:
         # too shallow for the transform to help; plain refinement
         h = L / 3.0
-        return _adaptive(intg.values, [lo, lo + h, lo + 2 * h, hi],
-                         abs_tol, rel_tol, budget)[:4]
-
-    def F(w):
-        ph = np.exp(-2.0 * np.sinh(w))
-        d = L * ph
-        y = np.asarray(eval_off(d), dtype=float)
-        if y.shape != w.shape:
-            y = np.broadcast_to(y, w.shape)
-        return y * (2.0 * L * np.cosh(w) * ph)
+        return (yield from _adaptive(intg.values, [lo, lo + h, lo + 2 * h, hi],
+                                     abs_tol, rel_tol, budget))[:4]
 
     blockw = min(1.0, W / 3.0)
     edges = sorted({0.0, W - 3.0 * blockw, W - 2.0 * blockw, W - blockw, W})
     try:
-        value, err, evals, converged, panels = _adaptive(
-            F, edges, abs_tol, rel_tol, budget)
+        value, err, evals, converged, panels = yield from _adaptive(
+            eval_off, edges, abs_tol, rel_tol, budget, L)
     except NonFiniteSampleError as ex:
         ex.in_singular_transform = True
         raise
@@ -262,7 +286,7 @@ def _singular_side(intg, lo: float, hi: float, side: str, abs_tol: float,
     tail = None
     if flat > 0.0 and dmin <= flat:
         try:
-            y_end = float(np.asarray(eval_off(np.array([dmin])),
+            y_end = float(np.asarray((yield eval_off, np.array([dmin])),
                                      dtype=float)[0])
             evals += 1
             tail, ok = _SAFETY * abs(y_end) * dmin, True
@@ -312,8 +336,8 @@ def _tail_estimate(panels, W: float, blockw: float, abs_tol: float,
     return s0 * rho / (1.0 - rho), True
 
 
-def integrate(f, a: float, b: float, cfg: Optional[QuadConfig] = None) -> QuadResult:
-    """Integrate f over [a, b] under cfg; see the module docstring."""
+def _integrate(f, a: float, b: float, cfg: Optional[QuadConfig] = None):
+    """Step generator of integrate."""
     cfg = cfg or QuadConfig()
     a = float(a)
     b = float(b)
@@ -325,37 +349,36 @@ def integrate(f, a: float, b: float, cfg: Optional[QuadConfig] = None) -> QuadRe
 
     if not cfg.singular_left and not cfg.singular_right:
         h = (b - a) / 3.0
-        value, err, evals, converged, _ = _adaptive(
+        value, err, evals, converged, _ = yield from _adaptive(
             intg.values, [a, a + h, a + 2.0 * h, b],
             cfg.abs_tol, cfg.rel_tol, cfg.max_evaluations)
     elif cfg.singular_left and cfg.singular_right:
         m = 0.5 * (a + b)
-        v1, e1, n1, c1 = _singular_side(intg, a, m, "left",
-                                        0.5 * cfg.abs_tol, cfg.rel_tol,
-                                        cfg.max_evaluations // 2)
-        v2, e2, n2, c2 = _singular_side(intg, m, b, "right",
-                                        0.5 * cfg.abs_tol, cfg.rel_tol,
-                                        cfg.max_evaluations // 2)
+        v1, e1, n1, c1 = yield from _singular_side(
+            intg, a, m, "left", 0.5 * cfg.abs_tol, cfg.rel_tol,
+            cfg.max_evaluations // 2)
+        v2, e2, n2, c2 = yield from _singular_side(
+            intg, m, b, "right", 0.5 * cfg.abs_tol, cfg.rel_tol,
+            cfg.max_evaluations // 2)
         value, err, evals = v1 + v2, e1 + e2, n1 + n2
         converged = (c1 and c2 and
                      err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)))
     else:
         side = "left" if cfg.singular_left else "right"
-        value, err, evals, converged = _singular_side(
+        value, err, evals, converged = yield from _singular_side(
             intg, a, b, side, cfg.abs_tol, cfg.rel_tol, cfg.max_evaluations)
 
     return QuadResult(float(value), float(err), int(evals), bool(converged))
 
 
-def integrate_piecewise(f, breakpoints: Sequence[float],
-                        cfg: Optional[QuadConfig] = None) -> QuadResult:
-    """Integrate over [breakpoints[0], breakpoints[-1]] split at the interior
-    breakpoints.
+def integrate(f, a: float, b: float, cfg: Optional[QuadConfig] = None) -> QuadResult:
+    """Integrate f over [a, b] under cfg; see the module docstring."""
+    return _drive(_integrate(f, a, b, cfg))
 
-    The config's singular flags apply to the outer endpoints of the overall
-    range; interior breakpoints are plain splits.  The error estimate is the
-    sum of the piece estimates.
-    """
+
+def _integrate_piecewise(f, breakpoints: Sequence[float],
+                         cfg: Optional[QuadConfig] = None):
+    """Step generator of integrate_piecewise."""
     cfg = cfg or QuadConfig()
     bps = [float(t) for t in breakpoints]
     if len(bps) < 2:
@@ -371,10 +394,22 @@ def integrate_piecewise(f, breakpoints: Sequence[float],
                          max_evaluations=sub_budget,
                          singular_left=cfg.singular_left and i == 0,
                          singular_right=cfg.singular_right and i == n - 1)
-        results.append(integrate(f, bps[i], bps[i + 1], sub))
+        results.append((yield from _integrate(f, bps[i], bps[i + 1], sub)))
     value = fsum(r.value for r in results)
     err = fsum(r.abs_err_est for r in results)
     evals = sum(r.evaluations for r in results)
     converged = (all(r.converged for r in results) and
                  err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)))
     return QuadResult(float(value), float(err), int(evals), bool(converged))
+
+
+def integrate_piecewise(f, breakpoints: Sequence[float],
+                        cfg: Optional[QuadConfig] = None) -> QuadResult:
+    """Integrate over [breakpoints[0], breakpoints[-1]] split at the interior
+    breakpoints.
+
+    The config's singular flags apply to the outer endpoints of the overall
+    range; interior breakpoints are plain splits.  The error estimate is the
+    sum of the piece estimates.
+    """
+    return _drive(_integrate_piecewise(f, breakpoints, cfg))

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from disknorms.bergman import (bergman_norm, bergman_norm_coeffs,
                                membership_classify, membership_evidence)
-from disknorms.expr import Add, Const, Mul, Neg, parse, substitute_negate
+from disknorms.expr import (Add, BoundaryEvaluator, Const, Mul, Neg, parse,
+                            substitute_negate)
 from disknorms.hardy import hardy_norm
 from disknorms.quad import QuadConfig
 
@@ -167,6 +168,24 @@ def test_subcritical_not_flagged():
     r = bergman_norm(parse("(1-z)^(-3)"), 0.5)
     assert not r.divergent
     assert r.converged
+
+
+def test_inner_means_share_evaluator_calls(monkeypatch):
+    # one near call per arc side and round of an outer request, not one per
+    # radius: the points are those of the one-radius-at-a-time loop (3,370
+    # calls), and the calls at most a tenth of its count
+    calls, points = [], []
+    near = BoundaryEvaluator.near
+
+    def counted(self, anchor, delta, gap):
+        calls.append(1)
+        points.append(np.size(delta))
+        return near(self, anchor, delta, gap)
+
+    monkeypatch.setattr(BoundaryEvaluator, "near", counted)
+    bergman_norm(parse("1/(1-z)^2"), 0.9)
+    assert sum(points) == 101400
+    assert len(calls) <= 3370 // 10
 
 
 @pytest.mark.xfail(strict=True, reason="open defect: p*alpha = 400 > 2 makes "

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from disknorms.expr import (UnsupportedFormError, parse, substitute_rotate,
+from disknorms import hardy
+from disknorms.expr import (BoundaryStructure, EvalDomainError, SingularPoint,
+                            UnsupportedFormError, parse, substitute_rotate,
                             to_polynomial)
-from disknorms.bergman import InnerIntegralError
+from disknorms.bergman import InnerIntegralError, _RadialIntegrand
 from disknorms.hardy import (NormResult, _ladder_says_divergent, hardy_norm,
                              integral_means)
 from disknorms.quad import NonFiniteSampleError, QuadConfig
@@ -276,3 +278,145 @@ def test_ladder_growth_test():
     assert _ladder_says_divergent(values.get, NonFiniteSampleError) is True
     values = {1e-4: 1.0, 1e-6: 1.05, 1e-8: 1.06}  # settles
     assert _ladder_says_divergent(values.get, NonFiniteSampleError) is False
+
+
+# ---------------------------------------------------------------------------
+# lockstep circle means
+
+# 1e-250 ... 0.9, shuffled: deep gaps cap the transform depth, and every gap
+# above ~1e-280 bounds its tail by the one-sample flat_below request
+_GAPS = [0.5, 1e-250, 0.01, 1e-6, 0.9, 1e-40, 0.1, 1e-120, 1e-3, 1e-12]
+
+
+def _sequential(ev, p, st, gaps, cfg):
+    return [hardy._circle_mean_p(ev, p, st, g, cfg) for g in gaps]
+
+
+def _lockstep(ev, p, st, gaps, cfg):
+    return list(hardy._circle_means(ev, p, st, gaps, cfg))
+
+
+@pytest.mark.parametrize("text,p,env,angles", [
+    ("1/(1-z)^2", 0.6, None, None),                      # a pole
+    ("(8*z*(1+z^2))/(1-z^2)^(2+eps)", 0.6, {"eps": 0.7}, None),  # z^2 leaves
+    ("(1+z)^2/(1-z)", 0.5, None, None),                 # a zero: arc kinks
+    ("1/(1-z)^2", 0.6, None, [0.0, 2.0]),               # declared angles
+    ("(1+z)^(4/p)", 0.4, {"p": 0.4}, None),             # entire
+    ("3", 0.7, None, None),                             # 0-d samples
+], ids=["pole", "z2-leaves", "kinks", "declared", "entire", "constant"])
+def test_lockstep_means_equal_sequential(text, p, env, angles):
+    p, ev, st = hardy._setup(parse(text), p, env, angles)
+    cfg = QuadConfig(abs_tol=1e-11, rel_tol=1e-9, max_evaluations=20000)
+    gaps = _GAPS + [np.float64(0.25), np.float64(1e-9)]
+    assert repr(_lockstep(ev, p, st, gaps, cfg)) == \
+        repr(_sequential(ev, p, st, gaps, cfg))
+
+
+def test_lockstep_covers_plain_refinement_and_one_sample_tail(monkeypatch):
+    # a declared point at 1e-3 with blowup 200: next to it, deep gaps cap
+    # the offsets above the 5e-4 half-arc, so the transform is too shallow
+    # (W < 0.5) and the arc falls back to plain refinement
+    p, ev, _ = hardy._setup(parse("1/(1-z)"), 0.9, None)
+    t = 1e-3
+    st = BoundaryStructure(
+        (SingularPoint(0.0, 1 + 0j, 1.0),
+         SingularPoint(t, complex(math.cos(t), math.sin(t)), 200.0)), ())
+    seen = {"plain": 0, "tail": 0}
+    values, from_left = hardy._ArcIntegrand.values, hardy._ArcIntegrand.from_left
+
+    def spy_values(self, x):
+        seen["plain"] += self._arc.right is not None and self._arc.hi == t
+        return values(self, x)
+
+    def spy_from_left(self, d):
+        seen["tail"] += np.size(d) == 1
+        return from_left(self, d)
+
+    monkeypatch.setattr(hardy._ArcIntegrand, "values", spy_values)
+    monkeypatch.setattr(hardy._ArcIntegrand, "from_left", spy_from_left)
+    cfg = QuadConfig(max_evaluations=6000)
+    assert repr(_lockstep(ev, p, st, _GAPS, cfg)) == \
+        repr(_sequential(ev, p, st, _GAPS, cfg))
+    assert seen["plain"] > 0 and seen["tail"] > 0
+
+
+class _FailingEvaluator:
+    """A BoundaryEvaluator whose near raises EvalDomainError naming the gap
+    at each gap of bad, when it samples next to the root bad[gap] (so on
+    one arc only), whether the points come alone or in a batch."""
+
+    def __init__(self, ev, bad):
+        self._ev = ev
+        self._bad = bad
+        self.value = ev.value
+
+    def near(self, anchor, delta, gap):
+        gap = np.broadcast_to(gap, np.shape(delta))
+        for g, root in self._bad.items():
+            if anchor == root and np.any(gap == g):
+                raise EvalDomainError(f"bad gap {g!r}")
+        return self._ev.near(anchor, delta, gap)
+
+
+def _outcome(call):
+    try:
+        return repr(call())
+    except Exception as ex:
+        return f"{type(ex).__name__}: {ex}"
+
+
+# 1/(1-z^2) has arcs [0, pi] and [pi, 2 pi], sampled in that order: a gap
+# failing next to -1 fails later in the lockstep than one failing next to 1
+@pytest.mark.parametrize("bad", [
+    {1e-6: -1},
+    {0.1: 1, 1e-6: -1},             # the earlier gap fails later
+    {1e-120: 1, 0.01: -1},
+])
+def test_lockstep_raises_first_failure_in_gap_order(bad):
+    p, ev, st = hardy._setup(parse("1/(1-z^2)"), 0.6, None)
+    fev = _FailingEvaluator(ev, bad)
+    cfg = QuadConfig()
+    seq = _outcome(lambda: _sequential(fev, p, st, _GAPS, cfg))
+    assert seq == "EvalDomainError: bad gap " + repr(
+        min(bad, key=_GAPS.index))
+    assert _outcome(lambda: _lockstep(fev, p, st, _GAPS, cfg)) == seq
+
+
+def _radial_sequential(intg, d):
+    """The one-radius-at-a-time loop that _RadialIntegrand.from_right
+    replaces, with its bookkeeping."""
+    out = []
+    for dj in d:
+        m, e, n, conv = hardy._circle_mean_p(intg._ev, intg._p, intg._st, dj,
+                                             intg._inner)
+        if not (math.isfinite(m) and math.isfinite(e)):
+            raise InnerIntegralError(1.0 - dj)
+        out.append(2.0 * (1.0 - dj) * m)
+    return out
+
+
+@pytest.mark.parametrize("bad", [
+    {0.1: 1},
+    {0.1: 1, 1e-40: 1},
+    {0.01: -1, 0.1: 1},             # raises before the non-finite mean
+])
+def test_radial_lockstep_keeps_inner_failure_order(monkeypatch, bad):
+    # gap 1e-6 returns a non-finite mean; each gap of bad raises.  The
+    # first of them in radius order surfaces, as in the sequential loop
+    steps = hardy._circle_mean_steps
+
+    def non_finite_at(ev, p, arcs, gap, cfg):
+        mean, err, evals, conv = yield from steps(ev, p, arcs, gap, cfg)
+        return (math.inf if gap == 1e-6 else mean), err, evals, conv
+
+    monkeypatch.setattr(hardy, "_circle_mean_steps", non_finite_at)
+    p, ev, st = hardy._setup(parse("1/(1-z^2)"), 0.6, None)
+    fev = _FailingEvaluator(ev, bad)
+    intg = _RadialIntegrand(fev, p, st, QuadConfig(abs_tol=1e-9,
+                                                   rel_tol=1e-7))
+    d = np.array(_GAPS)
+    seq = _outcome(lambda: _radial_sequential(intg, d))
+    first = min([1e-6, *bad], key=_GAPS.index)
+    assert seq.startswith("InnerIntegralError" if first == 1e-6
+                          else "EvalDomainError")
+    assert _outcome(lambda: list(intg.from_right(d))) == seq
