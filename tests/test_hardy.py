@@ -283,8 +283,8 @@ def test_ladder_growth_test():
 # ---------------------------------------------------------------------------
 # lockstep circle means
 
-# 1e-250 ... 0.9, shuffled: deep gaps cap the transform depth, and every gap
-# above ~1e-280 bounds its tail by the one-sample flat_below request
+# 1e-250 ... 0.9, shuffled: the deepest gaps cap the transform depth, and
+# the others bound their tail by the one-sample flat_below request
 _GAPS = [0.5, 1e-250, 0.01, 1e-6, 0.9, 1e-40, 0.1, 1e-120, 1e-3, 1e-12]
 
 
@@ -313,16 +313,17 @@ def test_lockstep_means_equal_sequential(text, p, env, angles):
 
 
 def test_lockstep_covers_plain_refinement_and_one_sample_tail(monkeypatch):
-    # a declared point at 1e-3 with blowup 200: next to it, deep gaps cap
-    # the offsets above the 5e-4 half-arc, so the transform is too shallow
-    # (W < 0.5) and the arc falls back to plain refinement
+    # a second singular point at angle 1e-3 with blowup 200: on the arc
+    # between the two, deep gaps cap the offsets above its 5e-4 halves, so
+    # the transform is too shallow (W < 0.5) and plain refinement runs
     p, ev, _ = hardy._setup(parse("1/(1-z)"), 0.9, None)
     t = 1e-3
     st = BoundaryStructure(
         (SingularPoint(0.0, 1 + 0j, 1.0),
          SingularPoint(t, complex(math.cos(t), math.sin(t)), 200.0)), ())
     seen = {"plain": 0, "tail": 0}
-    values, from_left = hardy._ArcIntegrand.values, hardy._ArcIntegrand.from_left
+    values = hardy._ArcIntegrand.values
+    from_left = hardy._ArcIntegrand.from_left
 
     def spy_values(self, x):
         seen["plain"] += self._arc.right is not None and self._arc.hi == t
