@@ -9,6 +9,7 @@ from disknorms.bergman import (bergman_norm, bergman_norm_coeffs,
 from disknorms.expr import (Add, BoundaryEvaluator, Const, Mul, Neg, parse,
                             substitute_negate)
 from disknorms.hardy import hardy_norm
+from disknorms import quad
 from disknorms.quad import QuadConfig
 
 from oracles import disk_integral
@@ -186,6 +187,17 @@ def test_inner_means_share_evaluator_calls(monkeypatch):
     bergman_norm(parse("1/(1-z)^2"), 0.9)
     assert sum(points) == 101400
     assert len(calls) <= 3370 // 10
+
+
+@pytest.mark.xfail(strict=True, reason="node tables are rebuilt per request")
+def test_node_tables_built_once_per_distinct_request():
+    # 3,074 panel requests of 213 distinct (bounds, L): each node table is
+    # built on the first of its requests and looked up after that
+    quad._nodes.cache_clear()
+    bergman_norm(parse("1/(1-z)^2"), 0.9)
+    info = quad._nodes.cache_info()
+    assert (info.misses, info.hits + info.misses) == (213, 3074)
+    assert info.misses <= (info.hits + info.misses) // 10
 
 
 @pytest.mark.xfail(strict=True, reason="open defect: p*alpha = 400 > 2 makes "

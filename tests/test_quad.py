@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from disknorms import quad
 from disknorms.quad import (NonFiniteSampleError, QuadConfig, QuadResult,
                             integrate, integrate_piecewise, _GK_X, _GK_WK,
                             _GK_WG, _panel)
@@ -199,6 +200,88 @@ def test_batched_nonfinite_reports_first_bad_node():
     with pytest.raises(NonFiniteSampleError) as info:
         _panel(f, [(0.0, 0.5), (0.5, 1.0)])
     assert info.value.x == min(x for x in 0.75 + 0.25 * _GK_X if x > 0.75)
+
+
+# ---------------------------------------------------------------------------
+# node tables
+
+# (bounds of one request, L): plain panels, then panels in the
+# double-exponential variable w sampled at offsets L*exp(-2 sinh w)
+_REQUESTS = [
+    ([(0.0, 1.0 / 3.0), (1.0 / 3.0, 2.0 / 3.0), (2.0 / 3.0, 1.0)], 0.0),
+    ([(0.3, 0.3 + 2.0 ** -20), (0.3 + 2.0 ** -20, 0.3 + 2.0 ** -19)], 0.0),
+    ([(0.0, 3.5), (3.5, 4.5), (4.5, 5.5), (5.5, 6.5)], 0.7),
+    ([(5.5, 5.75), (5.75, 6.0)], 1e-3),
+]
+
+
+def _fresh_nodes(bounds, L):
+    """A request's half-widths, nodes, sample points and weights, computed
+    afresh; the weights are None for plain panels."""
+    halves = [0.5 * (hi - lo) for lo, hi in bounds]
+    x = np.concatenate([0.5 * (lo + hi) + h2 * _GK_X
+                        for (lo, hi), h2 in zip(bounds, halves)])
+    if not L:
+        return halves, x, x, None
+    ph = np.exp(-2.0 * np.sinh(x))
+    return halves, x, L * ph, 2.0 * L * np.cosh(x) * ph
+
+
+def _bits(a):
+    return None if a is None else np.asarray(a, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("bounds,L", _REQUESTS)
+def test_panels_sample_and_sum_as_a_fresh_table(bounds, L):
+    seen = []
+
+    def fn(d):
+        seen.append(_bits(d))
+        return np.exp(np.sin(7.0 * d)) / (1.1 + d)
+
+    halves, x, points, weights = _fresh_nodes(bounds, L)
+    y = fn(points) * (weights if L else 1.0)
+    fresh = [(h2 * float(_GK_WK.dot(y[15 * i:15 * i + 15])),
+              h2 * float(_GK_WG.dot(y[15 * i:15 * i + 15])))
+             for i, h2 in enumerate(halves)]
+    fresh = [(vk, 4.0 * abs(vk - vg)) for vk, vg in fresh]
+    for _ in range(2):          # the second request reuses its table
+        assert quad._drive(quad._panels(fn, bounds, L)) == fresh
+    assert seen == [_bits(points)] * 3
+
+
+@pytest.mark.xfail(strict=True, reason="node tables are rebuilt per request")
+@pytest.mark.parametrize("bounds,L", _REQUESTS)
+def test_node_tables_equal_a_fresh_computation_and_are_read_only(bounds, L):
+    table = quad._nodes(tuple(bounds), L)
+    halves, x, points, weights = table
+    assert list(halves) == _fresh_nodes(bounds, L)[0]
+    assert [_bits(a) for a in (x, points, weights)] == \
+        [_bits(a) for a in _fresh_nodes(bounds, L)[1:]]
+    for a in (x, points, weights):
+        assert a is None or not a.flags.writeable
+    assert quad._nodes(tuple(bounds), L) is table
+
+
+@pytest.mark.parametrize("cfg", [DEFAULT, QuadConfig(singular_left=True)],
+                         ids=["plain", "singular"])
+@pytest.mark.parametrize("g", [lambda x: x ** 2,
+                               lambda x: np.sqrt(np.abs(x - 0.3))],
+                         ids=["square", "kink"])
+def test_callable_that_writes_into_its_argument(g, cfg):
+    def mutating(x):
+        x *= 1.0
+        return g(x)
+
+    def clobbering(x):
+        y = g(x)
+        x[:] = np.nan
+        return y
+
+    first = integrate(g, 0.0, 1.0, cfg)
+    assert integrate(mutating, 0.0, 1.0, cfg) == first
+    assert integrate(clobbering, 0.0, 1.0, cfg) == first
+    assert integrate(g, 0.0, 1.0, cfg) == first     # the tables are intact
 
 
 def test_scalar_only_callables_are_supported():
