@@ -25,6 +25,7 @@ its own samples.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -61,6 +62,7 @@ _GK_WG = np.array([d[2] for d in _GK_DATA[:-1]] +
 
 _SAFETY = 4.0
 _W_MAX = 6.5          # exp(-2 sinh 6.5) ~ 1.2e-289, safely above underflow
+_NODE_TABLES = 4096     # node tables kept by _nodes, least recently used out
 
 
 class QuadError(ValueError):
@@ -127,7 +129,7 @@ class _CallableIntegrand:
         return np.array([self._f(float(xi)) for xi in x], dtype=float)
 
     def values(self, x):
-        return self._call(x)
+        return self._call(x.copy())     # x is a shared node table
 
     def from_left(self, d):
         return self._call(self._a + d)
@@ -145,20 +147,37 @@ def _as_integrand(f, a: float, b: float):
     return _CallableIntegrand(f, a, b)
 
 
+@functools.lru_cache(maxsize=_NODE_TABLES)
+def _nodes(bounds: tuple, L: float):
+    """The read-only node table (halves, x, points, weights) of one request
+    of (lo, hi) panels: half-widths, Kronrod nodes x, the points sampled
+    (x itself, or with L > 0 the offsets L*exp(-2 sinh x) of the
+    double-exponential variable x) and the weights dd/dx (None when L == 0).
+    Requests repeat their panels from radius to radius and from norm to
+    norm, so each table is built once and looked up after that."""
+    halves = tuple(0.5 * (hi - lo) for lo, hi in bounds)
+    x = np.concatenate([0.5 * (lo + hi) + h2 * _GK_X
+                        for (lo, hi), h2 in zip(bounds, halves)])
+    points, weights = x, None
+    if L:
+        ph = np.exp(-2.0 * np.sinh(x))
+        points, weights = L * ph, 2.0 * L * np.cosh(x) * ph
+        points.flags.writeable = weights.flags.writeable = False
+    x.flags.writeable = False
+    return halves, x, points, weights
+
+
 def _panels(fn, bounds: Sequence[tuple[float, float]], L: float = 0.0):
     """Step generator of the (value, error) of each (lo, hi) panel from one
     request of fn at all of their nodes, each panel summing its own 15
     samples.  With L > 0 the panels lie in the double-exponential variable
     w: fn is sampled at the offsets L*exp(-2 sinh w), weighted by dd/dw."""
-    halves = [0.5 * (hi - lo) for lo, hi in bounds]
-    x = np.concatenate([0.5 * (lo + hi) + h2 * _GK_X
-                        for (lo, hi), h2 in zip(bounds, halves)])
-    ph = np.exp(-2.0 * np.sinh(x)) if L else None
-    y = np.asarray((yield fn, L * ph if L else x), dtype=float)
+    halves, x, points, weights = _nodes(tuple(bounds), L)
+    y = np.asarray((yield fn, points), dtype=float)
     if y.shape != x.shape:
         y = np.broadcast_to(y, x.shape)
     if L:
-        y = y * (2.0 * L * np.cosh(x) * ph)
+        y = y * weights
     finite = np.isfinite(y)
     if not finite.all():
         xb = float(x[~finite][0])

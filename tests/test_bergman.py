@@ -189,7 +189,6 @@ def test_inner_means_share_evaluator_calls(monkeypatch):
     assert len(calls) <= 3370 // 10
 
 
-@pytest.mark.xfail(strict=True, reason="node tables are rebuilt per request")
 def test_node_tables_built_once_per_distinct_request():
     # 3,074 panel requests of 213 distinct (bounds, L): each node table is
     # built on the first of its requests and looked up after that

@@ -250,7 +250,6 @@ def test_panels_sample_and_sum_as_a_fresh_table(bounds, L):
     assert seen == [_bits(points)] * 3
 
 
-@pytest.mark.xfail(strict=True, reason="node tables are rebuilt per request")
 @pytest.mark.parametrize("bounds,L", _REQUESTS)
 def test_node_tables_equal_a_fresh_computation_and_are_read_only(bounds, L):
     table = quad._nodes(tuple(bounds), L)
