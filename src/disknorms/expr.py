@@ -916,6 +916,12 @@ def _compile(e: Expr, env: dict):
     return build(e)
 
 
+def _shaped(w, shape) -> np.ndarray:
+    """w as an array of the input's shape: a constant gives one number."""
+    w = np.asarray(w)
+    return w if w.shape == shape else np.broadcast_to(w, shape)
+
+
 class BoundaryEvaluator:
     """Evaluator for a fixed expression and parameter binding.
 
@@ -943,7 +949,7 @@ class BoundaryEvaluator:
         return self._plan
 
     def value(self, z: np.ndarray) -> np.ndarray:
-        return np.asarray(self._compiled()[0](z))
+        return _shaped(self._compiled()[0](z), np.shape(z))
 
     def near(self, anchor: complex, delta, gap: float) -> np.ndarray:
         """Evaluate at z = anchor*(1-gap)*e^{i*delta}.
@@ -962,4 +968,4 @@ class BoundaryEvaluator:
         dz = anchor * rel
         # z^2 - anchor^2 = dz (2 anchor + dz)
         sq = (anchor * anchor, dz * (2.0 * anchor + dz)) if squares else ()
-        return np.asarray(near((anchor, dz, *sq)))
+        return _shaped(near((anchor, dz, *sq)), dz.shape)

@@ -259,11 +259,11 @@ def _circle_means(ev: BoundaryEvaluator, p: float,
                     y = method(twin, np.concatenate(xs))
                 except Exception:
                     pass        # served one by one below
-                else:   # 0-d samples (a constant f) go to each gap as they are
-                    ys = ([y] * len(js) if np.ndim(y) == 0 else
-                          np.split(y, np.cumsum([len(x) for x in xs[:-1]])))
-                    for j, yj in zip(js, ys):
-                        advance(j, steps[j].send, yj)
+                else:
+                    hi = 0
+                    for j, x in zip(js, xs):
+                        lo, hi = hi, hi + len(x)
+                        advance(j, steps[j].send, y[lo:hi])
                     continue
             for j in js:
                 advance(j, _answer, steps[j], *requests[j])

@@ -311,3 +311,11 @@ def test_declared_angles_match_detected():
     auto = bergman_norm(f, 1.0)
     declared = bergman_norm(f, 1.0, singular_angles=[0.0])
     assert declared.value_p == pytest.approx(auto.value_p, rel=1e-8)
+
+
+def test_constant_with_declared_angle():
+    # the radial transform bounds its tail by one inner sample of the
+    # constant, and the probe of the declared angle samples it twice
+    r = bergman_norm(parse("1"), 1.0, singular_angles=[0.0])
+    assert r.converged and not r.divergent
+    assert abs(r.value - 1.0) <= r.abs_err_est

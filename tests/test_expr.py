@@ -264,6 +264,19 @@ def test_near_with_radial_gap_only():
     assert got == pytest.approx(1.0 / gap, rel=1e-13)
 
 
+@pytest.mark.parametrize("text", ["3", "2*i - 1", "(1+z)^0"])
+def test_constant_samples_take_the_input_shape(text):
+    ev = BoundaryEvaluator(parse(text))
+    z = np.array([0.3 + 0j, -0.5j, 0.9])
+    gap = np.array([0.0, 1e-3, 0.5])
+    want = evaluate(parse(text), 0.1 + 0j)
+    assert ev.value(z).tolist() == [want] * 3
+    assert ev.near(1 + 0j, np.array([1e-7, -1e-3, 0.2]), gap).tolist() == \
+        [want] * 3
+    assert ev.near(1j, np.array([1e-3, 2e-3]), 0.0).shape == (2,)
+    assert ev.value(0.5 + 0j).shape == ()
+
+
 def test_near_at_negative_anchor():
     ev = BoundaryEvaluator(parse("-1/(1+z)"))
     delta = 1e-40

@@ -203,6 +203,13 @@ def test_declared_angles_match_detected():
     assert declared.value_p == pytest.approx(auto.value_p, rel=1e-9)
 
 
+def test_constant_with_declared_angle():
+    # the probe of a declared angle samples the constant at two offsets
+    r = hardy_norm(parse("1"), 1.0, singular_angles=[0.0])
+    assert r.converged and not r.divergent
+    assert abs(r.value - 1.0) <= r.abs_err_est
+
+
 def test_undetectable_form_needs_declaration():
     # (2 - z - z^2) = (1-z)(2+z) but is not structurally factorable here
     f = parse("(2 - z - z^2)^(-1)")
@@ -302,7 +309,7 @@ def _lockstep(ev, p, st, gaps, cfg):
     ("(1+z)^2/(1-z)", 0.5, None, None),                 # a zero: arc kinks
     ("1/(1-z)^2", 0.6, None, [0.0, 2.0]),               # declared angles
     ("(1+z)^(4/p)", 0.4, {"p": 0.4}, None),             # entire
-    ("3", 0.7, None, None),                             # 0-d samples
+    ("3", 0.7, None, None),                             # a constant
 ], ids=["pole", "z2-leaves", "kinks", "declared", "entire", "constant"])
 def test_lockstep_means_equal_sequential(text, p, env, angles):
     p, ev, st = hardy._setup(parse(text), p, env, angles)
