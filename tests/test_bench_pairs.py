@@ -1,0 +1,70 @@
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_pairs",
+    pathlib.Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+_BETTER = {"wall_ref": "lower", "min_digits": "higher"}
+
+
+def _stdout(wall_ref, digits, digest="ab12", correct=True):
+    """The last lines perfbench/run.py prints for one untraced run."""
+    metrics = {"wall_ref": {"value": wall_ref, "unit": "ref"},
+               "min_digits": {"value": digits, "unit": "digits"}}
+    return "\n".join([
+        f"w wall_s = 1.5 s, cold start = 0.3 s (raw)",
+        f"w wall_ref = {wall_ref:.6g} ref",
+        f"w min_digits = {digits:.6g} digits",
+        "w ops_failed_frac = 0 (0 of 12)",
+        f"w outputs_sha256 = {digest}",
+        json.dumps({"correct": correct, "attempted": 12, "failed": 0,
+                    "metrics": metrics}),
+    ]) + "\n"
+
+
+def _runs(parent, change):
+    return {"parent": [bench_pairs.parse_run(_stdout(*a)) for a in parent],
+            "change": [bench_pairs.parse_run(_stdout(*a)) for a in change]}
+
+
+def test_parse_run_reads_the_json_line_and_the_digest():
+    r = bench_pairs.parse_run(_stdout(101.5, 11.0, digest="f00d"))
+    assert r["digest"] == "f00d"
+    assert r["metrics"]["wall_ref"] == {"value": 101.5, "unit": "ref"}
+    assert (r["correct"], r["attempted"], r["failed"]) == (True, 12, 0)
+
+
+def test_summary_of_four_pairs():
+    runs = _runs(parent=[(100, 11), (104, 11), (96, 12), (108, 11)],
+                 change=[(90, 11), (105, 12), (80, 12), (70, 11)])
+    block = bench_pairs.summarize(runs, _BETTER)
+    wall = block["end_to_end"]["wall_ref"]
+    assert wall["unit"] == "ref"
+    assert (wall["parent_median"], wall["change_median"]) == (102, 85)
+    assert wall["change_frac"] == pytest.approx(85 / 102 - 1.0)
+    assert wall["parent_quartiles"] == [99, 105]    # linear interpolation
+    assert wall["change_quartiles"] == [77.5, 93.75]
+    assert wall["change_wins_of_4_pairs"] == 3      # lower wins
+    assert wall["parent_runs"] == [100, 104, 96, 108]
+    assert wall["change_runs"] == [90, 105, 80, 70]
+    digits = block["end_to_end"]["min_digits"]
+    assert digits["change_wins_of_4_pairs"] == 1    # higher wins, ties none
+    assert block["outputs_sha256"] == {"parent": ["ab12"],
+                                       "change": ["ab12"], "equal": True}
+    assert block["all_runs_correct"] == {"parent": True, "change": True}
+
+
+def test_summary_flags_digests_and_failed_runs():
+    runs = _runs(parent=[(100, 11, "ab12"), (100, 11, "ab12")],
+                 change=[(90, 11, "ab12"), (90, 11, "cd34", False)])
+    block = bench_pairs.summarize(runs, _BETTER)
+    assert block["outputs_sha256"] == {"parent": ["ab12"],
+                                       "change": ["ab12", "cd34"],
+                                       "equal": False}
+    assert block["all_runs_correct"] == {"parent": True, "change": False}
