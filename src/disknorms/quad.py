@@ -21,7 +21,9 @@ a method of the integrand, and receives fn(points).  integrate and
 integrate_piecewise serve them one at a time (_drive); hardy._circle_means
 serves many generators at once.  Sibling panels (the halves of a bisection,
 or all initial panels) share one request; each panel's sums still use only
-its own samples.
+its own samples.  Requests repeat their panels from radius to radius and
+norm to norm, so each distinct request's node table is built once (_nodes)
+and shared read-only; a plain callable receives a copy of its nodes.
 """
 from __future__ import annotations
 
@@ -149,12 +151,10 @@ def _as_integrand(f, a: float, b: float):
 
 @functools.lru_cache(maxsize=_NODE_TABLES)
 def _nodes(bounds: tuple, L: float):
-    """The read-only node table (halves, x, points, weights) of one request
-    of (lo, hi) panels: half-widths, Kronrod nodes x, the points sampled
-    (x itself, or with L > 0 the offsets L*exp(-2 sinh x) of the
-    double-exponential variable x) and the weights dd/dx (None when L == 0).
-    Requests repeat their panels from radius to radius and from norm to
-    norm, so each table is built once and looked up after that."""
+    """Read-only node table (halves, x, points, weights) of one request of
+    (lo, hi) panels: half-widths, Kronrod nodes x, the points sampled (x,
+    or with L > 0 the offsets L*exp(-2 sinh x)) and the weights dd/dx
+    (None when L == 0)."""
     halves = tuple(0.5 * (hi - lo) for lo, hi in bounds)
     x = np.concatenate([0.5 * (lo + hi) + h2 * _GK_X
                         for (lo, hi), h2 in zip(bounds, halves)])
