@@ -34,7 +34,7 @@ def parse_run(stdout: str) -> dict:
     lines = stdout.strip().splitlines()
     result = json.loads(lines[-1])
     for line in lines:
-        name, sep, value = line.partition(" outputs_sha256 = ")
+        _, sep, value = line.partition(" outputs_sha256 = ")
         if sep:
             result["digest"] = value.strip()
     return result
@@ -58,15 +58,14 @@ def summarize(runs: dict, better: dict) -> dict:
     pair i on that side, better[name] is "lower" or "higher"."""
     n = len(runs["parent"])
     block = {"end_to_end": {}}
-    for name, unit in ((k, m["unit"]) for k, m in
-                       runs["change"][0]["metrics"].items()):
+    for name, metric in runs["change"][0]["metrics"].items():
         values = {side: [r["metrics"][name]["value"] for r in runs[side]]
                   for side in SIDES}
         sign = 1.0 if better[name] == "lower" else -1.0
         parent_median = statistics.median(values["parent"])
         change_median = statistics.median(values["change"])
         block["end_to_end"][name] = {
-            "unit": unit,
+            "unit": metric["unit"],
             "parent_median": parent_median,
             "change_median": change_median,
             "change_frac": (change_median / parent_median - 1.0

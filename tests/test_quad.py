@@ -254,9 +254,10 @@ def test_panels_sample_and_sum_as_a_fresh_table(bounds, L):
 def test_node_tables_equal_a_fresh_computation_and_are_read_only(bounds, L):
     table = quad._nodes(tuple(bounds), L)
     halves, x, points, weights = table
-    assert list(halves) == _fresh_nodes(bounds, L)[0]
+    fresh = _fresh_nodes(bounds, L)
+    assert list(halves) == fresh[0]
     assert [_bits(a) for a in (x, points, weights)] == \
-        [_bits(a) for a in _fresh_nodes(bounds, L)[1:]]
+        [_bits(a) for a in fresh[1:]]
     for a in (x, points, weights):
         assert a is None or not a.flags.writeable
     assert quad._nodes(tuple(bounds), L) is table
