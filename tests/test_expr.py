@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from disknorms.expr import (Add, Const, EvalDomainError, Mul, Neg,
+from disknorms.expr import (Add, Const, Div, EvalDomainError, Mul, Neg,
                             NotPolynomialError, ParseError, Pow, Z,
                             boundary_singularities, boundary_structure,
                             evaluate, exponent_value, parse,
@@ -235,6 +235,73 @@ def test_boundary_structure_rotated_root_snaps():
     # singularity where lam*z = 1, i.e. at canonical angle 2*pi - 1
     assert st_.singular[0].angle == pytest.approx(2 * math.pi - 1.0,
                                                   abs=1e-12)
+
+
+_GRID = 12                      # factor roots lie at multiples of 2*pi/12
+_STEP = 2.0 * math.pi / _GRID
+
+
+@st.composite
+def circle_factor_products(draw):
+    """(e, factors): e a product and quotient of 1 to 4 factors
+    (a + b*z^k)^s with |a| = |b|, so that every root lies on the circle;
+    factors lists each one's root grid indices and its exponent in e."""
+    e, factors = None, []
+    for _ in range(draw(st.integers(1, 4))):
+        j, k = draw(st.integers(0, _GRID - 1)), draw(st.sampled_from([1, 2]))
+        s = draw(st.sampled_from([-2.5, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0]))
+        rho = draw(st.sampled_from([0.5, 1.0, 3.0]))
+        # a + b*z^k vanishes where z^k = u, at angles j and j + GRID/2
+        u = complex(math.cos(k * j * _STEP), math.sin(k * j * _STEP))
+        zk = Z() if k == 1 else draw(st.sampled_from(
+            [Pow(Z(), Const(2 + 0j)), Mul(Z(), Z())]))
+        f = Pow(Add(Const(complex(rho)), Mul(Const(-rho * u.conjugate()), zk)),
+                Const(complex(s)))
+        roots = [j] if k == 1 else [j, (j + _GRID // 2) % _GRID]
+        if e is None:
+            e, factors = f, [[roots, s]]
+            continue
+        op, right = draw(st.sampled_from([Mul, Div])), draw(st.booleans())
+        if op is Div and right:
+            s = -s
+        elif op is Div:
+            for fac in factors:
+                fac[1] = -fac[1]
+        e = op(e, f) if right else op(f, e)
+        factors.append([roots, s])
+    return e, factors
+
+
+def _grid_index(angle):
+    i = round(angle / _STEP)
+    assert abs(angle - i * _STEP) < 1e-9
+    return i % _GRID
+
+
+@given(circle_factor_products())
+def test_boundary_structure_of_circle_factor_products(case):
+    e, factors = case
+    blowup, zeros = {}, set()
+    for roots, s in factors:
+        for i in roots:
+            if s < 0:
+                blowup[i] = blowup.get(i, 0.0) - s
+            else:
+                zeros.add(i)
+    zeros = sorted(zeros - set(blowup))
+    st_ = boundary_structure(e)
+    got = {_grid_index(p.angle): p.blowup for p in st_.singular}
+    assert len(got) == len(st_.singular)
+    assert got == pytest.approx(blowup, rel=1e-12)
+    assert [_grid_index(t) for t in st_.zeros] == zeros
+    # anchored evaluation agrees with plain evaluation next to every root
+    ev = BoundaryEvaluator(e)
+    delta = np.array([-1e-3, 1e-3])
+    anchors = [p.root for p in st_.singular] + [
+        complex(math.cos(t), math.sin(t)) for t in st_.zeros]
+    for anchor in anchors:
+        assert close(ev.near(anchor, delta, 0.0),
+                     ev.value(anchor * np.exp(1j * delta)), tol=1e-11)
 
 
 # ---------------------------------------------------------------------------
