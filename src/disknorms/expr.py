@@ -7,11 +7,12 @@ powers, cancellation-safe evaluation near boundary points, structural
 detection of boundary zeros/singularities, Taylor coefficients, and the
 substitutions z -> -z and z -> z^2.
 
-Repeated evaluation goes through BoundaryEvaluator, which compiles its
-expression once into a plan of closures shared by plain and anchored
-evaluation: affine factors a + b*z^k (k = 1, 2) are recognized once, by
-the same recognizer that locates boundary roots, and exponents are
-resolved once.
+Under a parameter binding, an expression is resolved once, bottom up
+(_resolve): each node records its affine parts a + b*z^k (k = 1, 2) when
+it has them, and each power its exponent.  Evaluation and boundary-offset
+evaluation (BoundaryEvaluator, compiled once into closures),
+boundary_structure and to_polynomial all read that form, and none of them
+recognises or resolves anything itself.
 """
 from __future__ import annotations
 
@@ -117,20 +118,17 @@ class Pow:
 Expr = Union[Const, Z, Param, Add, Neg, Mul, Div, Pow]
 
 
-def _contains_z(e: Expr) -> bool:
-    if isinstance(e, Z):
-        return True
+def _kids(e: Expr) -> tuple:
+    """The operands of e in field order, a power's exponent last."""
+    if isinstance(e, (Add, Mul, Div, Pow, Neg, Z)):
+        return tuple(vars(e).values())
     if isinstance(e, (Const, Param)):
-        return False
-    if isinstance(e, Neg):
-        return _contains_z(e.operand)
-    if isinstance(e, (Add, Mul)):
-        return _contains_z(e.left) or _contains_z(e.right)
-    if isinstance(e, Div):
-        return _contains_z(e.num) or _contains_z(e.den)
-    if isinstance(e, Pow):
-        return _contains_z(e.base) or _contains_z(e.exponent)
+        return ()
     raise TypeError(f"not an Expr node: {e!r}")
+
+
+def _contains_z(e: Expr) -> bool:
+    return isinstance(e, Z) or any(_contains_z(k) for k in _kids(e))
 
 
 def check_param_env(env: Optional[ParamEnv]) -> dict:
@@ -462,19 +460,12 @@ def _neg(e: Expr) -> Expr:
 def _substitute_z(e: Expr, repl: Expr) -> Expr:
     if isinstance(e, Z):
         return repl
-    if isinstance(e, (Const, Param)):
-        return e
-    if isinstance(e, Neg):
-        return _neg(_substitute_z(e.operand, repl))
-    if isinstance(e, Add):
-        return Add(_substitute_z(e.left, repl), _substitute_z(e.right, repl))
-    if isinstance(e, Mul):
-        return Mul(_substitute_z(e.left, repl), _substitute_z(e.right, repl))
-    if isinstance(e, Div):
-        return Div(_substitute_z(e.num, repl), _substitute_z(e.den, repl))
-    if isinstance(e, Pow):
+    if isinstance(e, Pow):      # the exponent is z-free and kept as it is
         return Pow(_substitute_z(e.base, repl), e.exponent)
-    raise TypeError(f"not an Expr node: {e!r}")
+    new = [_substitute_z(k, repl) for k in _kids(e)]
+    if isinstance(e, Neg):
+        return _neg(new[0])
+    return type(e)(*new) if new else e
 
 
 def substitute_negate(e: Expr) -> Expr:
@@ -490,6 +481,73 @@ def substitute_square(e: Expr) -> Expr:
 def substitute_rotate(e: Expr, lam: complex) -> Expr:
     """z -> lam*z for a fixed complex constant lam."""
     return _substitute_z(e, Mul(Const(complex(lam)), Z()))
+
+
+# ---------------------------------------------------------------------------
+# The resolved form, read by boundary_structure, to_polynomial and _compile
+
+
+class _Node:
+    """An expression node resolved under one parameter binding."""
+    __slots__ = ("e", "kids", "aff", "s", "n")
+
+    def __init__(self, e: Expr, kids: list):
+        self.e, self.kids, self.s, self.n = e, kids, None, None
+
+
+def _resolve(e: Expr, env: dict) -> _Node:
+    """e resolved once, bottom up: each node holds its expression e, its
+    resolved operands kids (a power's base only), for a power the exponent
+    s and the integer n that _is_int snaps it to (s is None when
+    exponent_value raises), and aff (see _affine).  Never raises an
+    ExprError: the readers raise for what is unresolved, on their call."""
+    kids = _kids(e)
+    node = _Node(e, [_resolve(k, env)
+                     for k in (kids[:1] if isinstance(e, Pow) else kids)])
+    if isinstance(e, Pow):
+        try:
+            node.s = exponent_value(e.exponent, env)
+            node.n = _is_int(node.s)
+        except EvalDomainError:
+            pass
+    node.aff = _affine(node, env)
+    return node
+
+
+def _affine(node: _Node, env: dict):
+    """(a, b, ks) when node.e == a + b*z^k structurally for every k in ks,
+    a nonempty subset of (1, 2); else None.  Built from the operands' aff:
+    a constant or bound parameter is (v, 0, (1, 2)), z is (0, 1, (1,)),
+    and z*z and z^2 are (0, 1, (2,)); Mul scales by an operand with b == 0,
+    the left one first, and Div divides by a nonzero constant."""
+    e = node.e
+    if isinstance(e, Const):
+        return (e.value, 0j, (1, 2))
+    if isinstance(e, Param):
+        return (complex(env[e.name]), 0j, (1, 2)) if e.name in env else None
+    if isinstance(e, Z):
+        return (0j, 1 + 0j, (1,))
+    if (isinstance(e, Pow) and isinstance(e.base, Z) and node.n == 2
+            or isinstance(e, Mul) and isinstance(e.left, Z)
+            and isinstance(e.right, Z)):
+        return (0j, 1 + 0j, (2,))
+    parts = [k.aff for k in node.kids]
+    if isinstance(e, Pow) or None in parts:
+        return None
+    (a, b, ks), (c, d, ls) = parts[0], parts[-1]
+    # the k common to both operands, each of (1,), (2,) and (1, 2)
+    ks = ks if ks == ls or len(ls) == 2 else ls if len(ks) == 2 else ()
+    if not ks:
+        return None
+    if isinstance(e, Neg):
+        return (-a, -b, ks)
+    if isinstance(e, Add):
+        return (a + c, b + d, ks)
+    if isinstance(e, Mul):
+        if b == 0:
+            return (a * c, a * d, ks)
+        return (c * a, c * b, ks) if d == 0 else None
+    return (a / c, b / c, ks) if d == 0 and c != 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -514,61 +572,6 @@ class BoundaryStructure:
         return max((s.blowup for s in self.singular), default=0.0)
 
 
-def _affine_in(e: Expr, env: dict, k: int) -> Optional[tuple[complex, complex]]:
-    """(a, b) when e == a + b*z^k structurally (k = 1 or 2); else None."""
-    if isinstance(e, Const):
-        return (e.value, 0j)
-    if isinstance(e, Param):
-        if e.name in env:
-            return (complex(env[e.name]), 0j)
-        return None
-    if isinstance(e, Z):
-        return (0j, 1 + 0j) if k == 1 else None
-    if isinstance(e, Neg):
-        r = _affine_in(e.operand, env, k)
-        return None if r is None else (-r[0], -r[1])
-    if isinstance(e, Add):
-        l = _affine_in(e.left, env, k)
-        r = _affine_in(e.right, env, k)
-        if l is None or r is None:
-            return None
-        return (l[0] + r[0], l[1] + r[1])
-    if isinstance(e, Mul):
-        if k == 2 and isinstance(e.left, Z) and isinstance(e.right, Z):
-            return (0j, 1 + 0j)
-        l = _affine_in(e.left, env, k)
-        r = _affine_in(e.right, env, k)
-        if l is not None and l[1] == 0:
-            return None if r is None else (l[0] * r[0], l[0] * r[1])
-        if r is not None and r[1] == 0:
-            return None if l is None else (r[0] * l[0], r[0] * l[1])
-        return None
-    if isinstance(e, Div):
-        n = _affine_in(e.num, env, k)
-        d = _affine_in(e.den, env, k)
-        if n is None or d is None or d[1] != 0 or d[0] == 0:
-            return None
-        return (n[0] / d[0], n[1] / d[0])
-    if isinstance(e, Pow) and k == 2 and isinstance(e.base, Z):
-        try:
-            s = exponent_value(e.exponent, env)
-        except EvalDomainError:
-            return None
-        if _is_int(s) == 2:
-            return (0j, 1 + 0j)
-    return None
-
-
-def _affine_parts(e: Expr, env: dict) -> Optional[tuple[complex, complex, int]]:
-    """(a, b, k) when e == a + b*z^k structurally, trying k = 1 before
-    k = 2; else None.  Constants come back as (a, 0, 1)."""
-    for k in (1, 2):
-        ab = _affine_in(e, env, k)
-        if ab is not None:
-            return (ab[0], ab[1], k)
-    return None
-
-
 def _canonical_angle(t: float) -> float:
     t = math.fmod(t, _TWO_PI)
     if t < 0:
@@ -583,18 +586,13 @@ def _circle_roots(a: complex, b: complex, squared: bool) -> list[complex]:
     if b == 0:
         return []
     w = -a / b
-    roots: list[complex] = []
+    if abs(abs(w) - 1.0) > 1e-9:
+        return []
     if squared:
-        if abs(abs(w) - 1.0) > 1e-9:
-            return []
         half = math.atan2(w.imag, w.real) / 2.0
-        for ang in (half, half + math.pi):
-            roots.append(complex(math.cos(ang), math.sin(ang)))
-    else:
-        if abs(abs(w) - 1.0) > 1e-9:
-            return []
-        roots.append(w / abs(w))
-    return roots
+        return [complex(math.cos(ang), math.sin(ang))
+                for ang in (half, half + math.pi)]
+    return [w / abs(w)]
 
 
 def _exact_root(r: complex) -> complex:
@@ -632,60 +630,38 @@ def boundary_structure(e: Expr, env: Optional[ParamEnv] = None) -> BoundaryStruc
         ang = _canonical_angle(math.atan2(root.imag, root.real))
         zeros.append(ang)
 
-    def walk(node: Expr, mult: Optional[float]) -> None:
+    def walk(node: _Node, mult: Optional[float]) -> None:
         # mult: accumulated exponent of the enclosing factor context
         # (None = sign unknown, treated as potentially singular)
-        if isinstance(node, (Const, Param)):
-            return
-        if isinstance(node, Z):
-            return  # root at the origin, never on the circle
-        if isinstance(node, Neg):
-            walk(node.operand, mult)
-            return
-        if isinstance(node, Mul):
-            walk(node.left, mult)
-            walk(node.right, mult)
-            return
-        if isinstance(node, Div):
-            walk(node.num, mult)
-            walk(node.den, None if mult is None else -mult)
-            return
-        if isinstance(node, Pow):
-            try:
-                s = exponent_value(node.exponent, env)
-            except EvalDomainError:
-                s = None
-            if s is None or mult is None:
-                walk(node.base, None)
-            else:
-                walk(node.base, mult * s)
-            return
-        if isinstance(node, Add):
-            aff = _affine_parts(node, env)
-            if aff is not None:
-                roots = _circle_roots(aff[0], aff[1], squared=aff[2] == 2)
-            elif mult is not None and mult > 0:
-                # a sum of terms with nonnegative context: singular
-                # points are contained in the union over the summands
-                walk(node.left, mult)
-                walk(node.right, mult)
-                return
-            else:
-                raise UnsupportedFormError(
-                    "cannot locate boundary zeros of a non-affine "
-                    "denominator factor structurally; pass singular "
-                    "angles explicitly")
-            for r in roots:
+        e, kids = node.e, node.kids
+        if isinstance(e, Pow):
+            walk(kids[0], None if node.s is None or mult is None
+                 else mult * node.s)
+        elif isinstance(e, Div):
+            walk(kids[0], mult)
+            walk(kids[1], None if mult is None else -mult)
+        elif isinstance(e, Add) and node.aff is not None:
+            a, b, ks = node.aff
+            for r in _circle_roots(a, b, squared=ks[0] == 2):
                 if mult is None:
                     add_singular(r, 1.0)
                 elif mult < 0:
                     add_singular(r, -mult)
                 else:
                     add_zero(r)
-            return
-        raise TypeError(f"not an Expr node: {node!r}")
+        elif isinstance(e, Add) and not (mult is not None and mult > 0):
+            raise UnsupportedFormError(
+                "cannot locate boundary zeros of a non-affine "
+                "denominator factor structurally; pass singular "
+                "angles explicitly")
+        else:
+            # a z leaf has its root at the origin, never on the circle; a
+            # sum of terms with positive context has its singular points
+            # in the union over the summands
+            for k in kids:
+                walk(k, mult)
 
-    walk(e, 1.0)
+    walk(_resolve(e, env), 1.0)
     pts = tuple(SingularPoint(ang, root, s)
                 for ang, (root, s) in sorted(singular.items()))
     # drop zeros that coincide with singular angles
@@ -757,58 +733,55 @@ def to_polynomial(e: Expr, env: Optional[ParamEnv] = None) -> TaylorCoeffs:
     """
     env = check_param_env(env)
 
-    def rec(node: Expr) -> list[complex]:
-        if isinstance(node, Const):
-            return [node.value]
-        if isinstance(node, Param):
-            try:
-                return [complex(env[node.name])]
-            except KeyError:
-                raise EvalDomainError(f"unbound parameter {node.name!r}") from None
-        if isinstance(node, Z):
+    def rec(node: _Node) -> list[complex]:
+        e, kids = node.e, node.kids
+        if isinstance(e, (Const, Param)):
+            if node.aff is None:
+                raise EvalDomainError(f"unbound parameter {e.name!r}")
+            return [node.aff[0]]
+        if isinstance(e, Z):
             return [0j, 1 + 0j]
-        if isinstance(node, Neg):
-            return [-c for c in rec(node.operand)]
-        if isinstance(node, Add):
-            l, r = rec(node.left), rec(node.right)
+        if isinstance(e, Neg):
+            return [-c for c in rec(kids[0])]
+        if isinstance(e, Add):
+            l, r = rec(kids[0]), rec(kids[1])
             if len(l) < len(r):
                 l, r = r, l
             out = list(l)
             for k, c in enumerate(r):
                 out[k] += c
             return _poly_trim(out)
-        if isinstance(node, Mul):
-            return _poly_trim(_poly_mul(rec(node.left), rec(node.right)))
-        if isinstance(node, Div):
-            den = _poly_trim(rec(node.den))
+        if isinstance(e, Mul):
+            return _poly_trim(_poly_mul(rec(kids[0]), rec(kids[1])))
+        if isinstance(e, Div):
+            den = _poly_trim(rec(kids[1]))
             if len(den) > 1:
                 raise NotPolynomialError(
                     "division by a non-constant polynomial")
             if den[0] == 0:
                 raise EvalDomainError("division by zero")
-            return [c / den[0] for c in rec(node.num)]
-        if isinstance(node, Pow):
-            s = exponent_value(node.exponent, env)
-            n = _is_int(s)
-            if n is None or n < 0:
-                raise NotPolynomialError(
-                    f"exponent {s} is not a nonnegative integer")
-            base = _poly_trim(rec(node.base))
-            if (len(base) - 1) * n > _MAX_POLY_DEGREE:
-                raise NotPolynomialError("polynomial degree exceeds supported bound")
-            out = [1 + 0j]
-            acc = base
-            k = n
-            while k:
-                if k & 1:
-                    out = _poly_mul(out, acc)
-                k >>= 1
-                if k:
-                    acc = _poly_mul(acc, acc)
-            return _poly_trim(out)
-        raise TypeError(f"not an Expr node: {node!r}")
+            return [c / den[0] for c in rec(kids[0])]
+        if node.s is None:
+            exponent_value(e.exponent, env)   # raises, as it did in _resolve
+        n = node.n
+        if n is None or n < 0:
+            raise NotPolynomialError(
+                f"exponent {node.s} is not a nonnegative integer")
+        base = _poly_trim(rec(kids[0]))
+        if (len(base) - 1) * n > _MAX_POLY_DEGREE:
+            raise NotPolynomialError("polynomial degree exceeds supported bound")
+        out = [1 + 0j]
+        acc = base
+        k = n
+        while k:
+            if k & 1:
+                out = _poly_mul(out, acc)
+            k >>= 1
+            if k:
+                acc = _poly_mul(acc, acc)
+        return _poly_trim(out)
 
-    return TaylorCoeffs(tuple(_poly_trim(rec(e))))
+    return TaylorCoeffs(tuple(_poly_trim(rec(_resolve(e, env)))))
 
 
 # ---------------------------------------------------------------------------
@@ -817,15 +790,13 @@ def to_polynomial(e: Expr, env: Optional[ParamEnv] = None) -> TaylorCoeffs:
 _SNAP = 64.0 * _EPS
 
 
-def _power(node: Pow, env: dict):
-    """w -> w^s with the exponent of node resolved once; an s that _is_int
-    snaps to an integer bypasses the principal branch cut."""
-    try:
-        s = exponent_value(node.exponent, env)
-    except ExprError:
+def _power(node: _Node, env: dict):
+    """w -> w^s with the exponent s resolved in node; an s that _is_int
+    snaps to an integer n bypasses the principal branch cut."""
+    s, n = node.s, node.n
+    if s is None:
         # re-resolved, and so raised afresh, on every call that reaches it
-        return lambda w: exponent_value(node.exponent, env)
-    n = _is_int(s)
+        return lambda w: exponent_value(node.e.exponent, env)
     if n is None:
         def power(w):
             # the branch check can only fire where some imaginary part is 0
@@ -871,49 +842,43 @@ def _affine_leaf(a: complex, b: complex, k: int):
     return leaf
 
 
-def _compile(e: Expr, env: dict):
-    """Compile e once into (value_fn, near_fn, squares).
+_COMBINE = {
+    Z: lambda: lambda z: z,
+    Neg: lambda f: lambda x: -f(x),
+    Add: lambda f, g: lambda x: f(x) + g(x),
+    Mul: lambda f, g: lambda x: f(x) * g(x),
+    Div: _quotient,
+}
+
+
+def _compile(node: _Node, env: dict):
+    """Compile a resolved node into (value_fn, near_fn, squares).
 
     value_fn(z) evaluates node by node, as written.  near_fn(c), with
-    c = (anchor, dz, anchor^2, z^2 - anchor^2), evaluates each maximal
-    affine subexpression a + b*z^k from its (a, b, k), and the nodes above
-    those leaves node by node; squares says whether it reads c[2:].
+    c = (anchor, dz, anchor^2, z^2 - anchor^2), stops at the nodes that have
+    an aff (a, b, ks) and evaluates a + b*z^k there, k = ks[0], and the
+    nodes above them node by node; squares says whether it reads c[2:].
     Unbound parameters and the checks on the samples raise on the call.
     """
-    def build(node):
-        # (value closure, near closure, squares) for node
-        if isinstance(node, Z):
-            return (lambda z: z), _affine_leaf(0j, 1 + 0j, 1), False
-        if isinstance(node, Param) and node.name not in env:
-            def unbound(_):
-                raise EvalDomainError(f"unbound parameter {node.name!r}")
-            return unbound, unbound, False
-        if isinstance(node, (Const, Param)):
-            v = node.value if isinstance(node, Const) else complex(env[node.name])
-            return (lambda z: np.asarray(v)), _affine_leaf(v, 0j, 1), False
-        if isinstance(node, Pow):
-            power = _power(node, env)
-            kids = [build(node.base)]
-            combine = lambda f: lambda x: power(np.asarray(f(x)))
-        elif isinstance(node, Neg):
-            kids, combine = [build(node.operand)], lambda f: lambda x: -f(x)
-        elif isinstance(node, Div):
-            kids, combine = [build(node.num), build(node.den)], _quotient
-        elif isinstance(node, Add):
-            kids = [build(node.left), build(node.right)]
-            combine = lambda f, g: lambda x: f(x) + g(x)
-        elif isinstance(node, Mul):
-            kids = [build(node.left), build(node.right)]
-            combine = lambda f, g: lambda x: f(x) * g(x)
-        else:
-            raise TypeError(f"not an Expr node: {node!r}")
-        val = combine(*(k[0] for k in kids))
-        aff = _affine_parts(node, env)
-        if aff is not None:
-            return val, _affine_leaf(*aff), aff[2] == 2
-        return val, combine(*(k[1] for k in kids)), any(k[2] for k in kids)
-
-    return build(e)
+    e, aff = node.e, node.aff
+    if isinstance(e, Param) and aff is None:
+        def unbound(_):
+            raise EvalDomainError(f"unbound parameter {e.name!r}")
+        return unbound, unbound, False
+    kids = [_compile(k, env) for k in node.kids]
+    if isinstance(e, Pow):
+        power = _power(node, env)
+        combine = lambda f: lambda x: power(np.asarray(f(x)))
+    elif isinstance(e, (Const, Param)):
+        v = aff[0]
+        combine = lambda: lambda z: np.asarray(v)
+    else:
+        combine = _COMBINE[type(e)]
+    val = combine(*(k[0] for k in kids))
+    if aff is not None:
+        a, b, ks = aff
+        return val, _affine_leaf(a, b, ks[0]), ks[0] == 2
+    return val, combine(*(k[1] for k in kids)), any(k[2] for k in kids)
 
 
 def _shaped(w, shape) -> np.ndarray:
@@ -932,10 +897,11 @@ class BoundaryEvaluator:
     below roundoff scale.  This keeps relative accuracy for offsets far
     below machine epsilon, which the singular quadrature transform needs.
 
-    Both methods run one plan, compiled on first use (see _compile):
-    affine leaves carry their (a, b, k) and powers their resolved exponent,
-    and the arithmetic is that of a walk of the tree, operation for
-    operation.
+    Both methods run one plan, compiled on first use from the resolved
+    form of the expression (see _resolve and _compile): near stops at the
+    nodes with affine parts and expands a + b*z^k there, powers carry
+    their resolved exponent, and the arithmetic is that of a walk of the
+    tree, operation for operation.
     """
 
     def __init__(self, e: Expr, env: Optional[ParamEnv] = None):
@@ -945,7 +911,7 @@ class BoundaryEvaluator:
 
     def _compiled(self):
         if self._plan is None:
-            self._plan = _compile(self.expr, self.env)
+            self._plan = _compile(_resolve(self.expr, self.env), self.env)
         return self._plan
 
     def value(self, z: np.ndarray) -> np.ndarray:

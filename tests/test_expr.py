@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from disknorms.expr import (Add, Const, Div, EvalDomainError, Mul, Neg,
-                            NotPolynomialError, ParseError, Pow, Z,
+                            NotPolynomialError, Param, ParseError, Pow, Z,
                             boundary_singularities, boundary_structure,
                             evaluate, exponent_value, parse,
                             substitute_negate, substitute_rotate,
                             substitute_square, to_polynomial, to_string,
-                            BoundaryEvaluator, _affine_parts)
+                            BoundaryEvaluator, _is_int, _resolve)
 
 RNG = np.random.default_rng(42)
 POINTS = 0.8 * np.sqrt(RNG.uniform(size=16)) * np.exp(
@@ -94,8 +94,7 @@ def test_division_by_zero_raises():
 def test_exponent_value():
     e = parse("(1-z)^(-(2+eps))")
     assert exponent_value(e.exponent, {"eps": 0.5}) == -2.5
-    assert exponent_value(parse("4/p").exponent if False else
-                          parse("(1+z)^(4/p)").exponent,
+    assert exponent_value(parse("(1+z)^(4/p)").exponent,
                           {"p": 0.25}) == 16.0
 
 
@@ -362,17 +361,125 @@ def test_near_at_negative_anchor():
     ("1+z^2", (1 + 0j, 1 + 0j, 2)),
     ("1+z*z", (1 + 0j, 1 + 0j, 2)),
     ("z^2-i", (-1j, 1 + 0j, 2)),
+    ("z-z", (0j, 0j, 1)),
+    ("z*z/2", (0j, 0.5 + 0j, 2)),
+    ("z*z - z*z + 1", (1 + 0j, 0j, 2)),
 ])
 def test_affine_recognizer_accepts(text, want):
-    a, b, k = _affine_parts(parse(text), {})
-    assert k == want[2]
+    a, b, ks = _resolve(parse(text), {}).aff
+    assert ks[0] == want[2]
     assert a == pytest.approx(want[0], abs=1e-15)
     assert b == pytest.approx(want[1], abs=1e-15)
 
 
-@pytest.mark.parametrize("text", ["2*z*z", "(1-z)*(1+z)", "(1-z)/z"])
+@pytest.mark.parametrize("text", ["2*z*z", "(1-z)*(1+z)", "(1-z)/z",
+                                  "(z-z)*z^2"])
 def test_affine_recognizer_rejects(text):
-    assert _affine_parts(parse(text), {}) is None
+    assert _resolve(parse(text), {}).aff is None
+
+
+def _affine_in_reference(e, env, k):
+    """The top-down recognizer that _resolve replaced, kept as an oracle:
+    (a, b) when e == a + b*z^k structurally (k = 1 or 2); else None."""
+    if isinstance(e, Const):
+        return (e.value, 0j)
+    if isinstance(e, Param):
+        if e.name in env:
+            return (complex(env[e.name]), 0j)
+        return None
+    if isinstance(e, Z):
+        return (0j, 1 + 0j) if k == 1 else None
+    if isinstance(e, Neg):
+        r = _affine_in_reference(e.operand, env, k)
+        return None if r is None else (-r[0], -r[1])
+    if isinstance(e, Add):
+        l = _affine_in_reference(e.left, env, k)
+        r = _affine_in_reference(e.right, env, k)
+        if l is None or r is None:
+            return None
+        return (l[0] + r[0], l[1] + r[1])
+    if isinstance(e, Mul):
+        if k == 2 and isinstance(e.left, Z) and isinstance(e.right, Z):
+            return (0j, 1 + 0j)
+        l = _affine_in_reference(e.left, env, k)
+        r = _affine_in_reference(e.right, env, k)
+        if l is not None and l[1] == 0:
+            return None if r is None else (l[0] * r[0], l[0] * r[1])
+        if r is not None and r[1] == 0:
+            return None if l is None else (r[0] * l[0], r[0] * l[1])
+        return None
+    if isinstance(e, Div):
+        n = _affine_in_reference(e.num, env, k)
+        d = _affine_in_reference(e.den, env, k)
+        if n is None or d is None or d[1] != 0 or d[0] == 0:
+            return None
+        return (n[0] / d[0], n[1] / d[0])
+    if isinstance(e, Pow) and k == 2 and isinstance(e.base, Z):
+        try:
+            s = exponent_value(e.exponent, env)
+        except EvalDomainError:
+            return None
+        if _is_int(s) == 2:
+            return (0j, 1 + 0j)
+    return None
+
+
+def _affine_parts_reference(e, env):
+    """(a, b, k) from _affine_in_reference, trying k = 1 before k = 2."""
+    for k in (1, 2):
+        ab = _affine_in_reference(e, env, k)
+        if ab is not None:
+            return (ab[0], ab[1], k)
+    return None
+
+
+@st.composite
+def affine_trees(draw, depth=0):
+    """Trees of constants (zero among them), z, the bound parameter p, the
+    unbound q, Neg, Add, Mul, Div, z*z and powers of z and of subtrees."""
+    options = ["const", "z", "p", "q"]
+    if depth < 4:
+        options += ["neg", "add", "mul", "div", "z*z", "z^s", "pow"]
+    kind = draw(st.sampled_from(options))
+    if kind == "const":
+        return Const(draw(st.sampled_from([0j, 1 + 0j, -1 + 0j, 2 + 0j,
+                                           0.5 + 0j, 1j])))
+    if kind in ("p", "q"):
+        return Param(kind)
+    if kind == "z":
+        return Z()
+    if kind == "z*z":
+        return Mul(Z(), Z())
+    if kind == "z^s":
+        return Pow(Z(), draw(st.sampled_from(
+            [Const(2 + 0j), Const(2 + 1e-12 + 0j), Const(1 + 0j),
+             Const(3 + 0j), Param("p"), Param("q")])))
+    sub = affine_trees(depth=depth + 1)
+    if kind == "neg":
+        return Neg(draw(sub))
+    if kind == "pow":
+        return Pow(draw(sub), Const(2 + 0j))
+    return {"add": Add, "mul": Mul, "div": Div}[kind](draw(sub), draw(sub))
+
+
+@given(affine_trees())
+def test_resolve_matches_the_reference_recognizer(e):
+    env = {"p": 2.0}
+
+    def check(node):
+        ref = {k: _affine_in_reference(node.e, env, k) for k in (1, 2)}
+        ks = tuple(k for k in (1, 2) if ref[k] is not None)
+        if not ks:
+            assert node.aff is None
+        else:
+            assert node.aff[2] == ks
+            assert all(node.aff[:2] == ref[k] for k in ks)
+            assert (*node.aff[:2], ks[0]) == _affine_parts_reference(node.e,
+                                                                     env)
+        for kid in node.kids:
+            check(kid)
+
+    check(_resolve(e, env))
 
 
 def test_integer_exponent_snapping_is_exact():
