@@ -175,7 +175,7 @@ def _panels(fn, bounds: Sequence[tuple[float, float]], L: float = 0.0):
     halves, x, points, weights = _nodes(tuple(bounds), L)
     y = np.asarray((yield fn, points), dtype=float)
     if y.shape != x.shape:
-        y = np.broadcast_to(y, x.shape)
+        raise QuadError(f"expected {x.size} samples, one per node, got {y.size}")
     if L:
         y = y * weights
     finite = np.isfinite(y)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from disknorms import quad
-from disknorms.quad import (NonFiniteSampleError, QuadConfig, QuadResult,
-                            integrate, integrate_piecewise, _GK_X, _GK_WK,
-                            _GK_WG, _panel)
+from disknorms.quad import (NonFiniteSampleError, QuadConfig, QuadError,
+                            QuadResult, integrate, integrate_piecewise,
+                            _GK_X, _GK_WK, _GK_WG, _panel)
 
 DEFAULT = QuadConfig()
 
@@ -162,6 +162,18 @@ def test_budget_exhaustion_is_flagged_not_fatal():
 def test_nonfinite_sample_raises():
     with pytest.raises(NonFiniteSampleError):
         integrate(lambda x: np.full_like(x, np.nan), 0.0, 1.0, DEFAULT)
+
+
+def test_wrong_number_of_samples_raises():
+    # an integrand object's samples are not broadcast over the nodes
+    class OneSample:
+        def values(self, x):
+            return np.array([x.sum()])
+        from_left = from_right = values
+
+    with pytest.raises(QuadError, match="expected 45 samples, one per node, "
+                                        "got 1"):
+        integrate(OneSample(), 0.0, 1.0, DEFAULT)
 
 
 def test_unflagged_endpoint_blowup_raises_or_flags():
