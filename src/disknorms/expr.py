@@ -491,62 +491,68 @@ class _Node:
     """An expression node resolved under one parameter binding."""
     __slots__ = ("e", "kids", "aff", "s", "n")
 
-    def __init__(self, e: Expr, kids: list):
-        self.e, self.kids, self.s, self.n = e, kids, None, None
+    def __init__(self, e: Expr, kids: list, aff, s=None, n=None):
+        self.e, self.kids, self.aff, self.s, self.n = e, kids, aff, s, n
+
+
+_Z2 = (0j, 1 + 0j, (2,))        # the aff of z*z and of z^2
 
 
 def _resolve(e: Expr, env: dict) -> _Node:
-    """e resolved once, bottom up: each node holds its expression e, its
-    resolved operands kids (a power's base only), for a power the exponent
-    s and the integer n that _is_int snaps it to (s is None when
-    exponent_value raises), and aff (see _affine).  Never raises an
-    ExprError: the readers raise for what is unresolved, on their call."""
-    kids = _kids(e)
-    node = _Node(e, [_resolve(k, env)
-                     for k in (kids[:1] if isinstance(e, Pow) else kids)])
+    """e resolved once, bottom up, into a _Node: e, its resolved operands
+    kids (a power's base only), aff, and for a power the exponent s and the
+    integer n that _is_int snaps it to (s is None when exponent_value
+    raises).
+
+    aff = (a, b, ks) when e == a + b*z^k structurally for every k in ks, a
+    nonempty subset of (1, 2); else None.  A constant or bound parameter
+    is (v, 0, (1, 2)), z is (0, 1, (1,)), z*z and z^2 are (0, 1, (2,)), and
+    sums, negations, products and quotients combine their operands' aff
+    (_affine).  Never raises an ExprError: the readers raise for what is
+    unresolved, on their call.
+    """
+    if isinstance(e, Const):
+        return _Node(e, [], (e.value, 0j, (1, 2)))
+    if isinstance(e, Z):
+        return _Node(e, [], (0j, 1 + 0j, (1,)))
+    if isinstance(e, Param):
+        bound = e.name in env
+        return _Node(e, [], (complex(env[e.name]), 0j, (1, 2)) if bound else None)
     if isinstance(e, Pow):
+        s = n = None
         try:
-            node.s = exponent_value(e.exponent, env)
-            node.n = _is_int(node.s)
+            s = exponent_value(e.exponent, env)
+            n = _is_int(s)
         except EvalDomainError:
             pass
-    node.aff = _affine(node, env)
-    return node
+        aff = _Z2 if n == 2 and isinstance(e.base, Z) else None
+        return _Node(e, [_resolve(e.base, env)], aff, s, n)
+    kids = [_resolve(k, env) for k in _kids(e)]
+    if isinstance(e, Mul) and isinstance(e.left, Z) and isinstance(e.right, Z):
+        return _Node(e, kids, _Z2)
+    return _Node(e, kids, _affine(e, kids[0].aff, kids[-1].aff))
 
 
-def _affine(node: _Node, env: dict):
-    """(a, b, ks) when node.e == a + b*z^k structurally for every k in ks,
-    a nonempty subset of (1, 2); else None.  Built from the operands' aff:
-    a constant or bound parameter is (v, 0, (1, 2)), z is (0, 1, (1,)),
-    and z*z and z^2 are (0, 1, (2,)); Mul scales by an operand with b == 0,
-    the left one first, and Div divides by a nonzero constant."""
-    e = node.e
-    if isinstance(e, Const):
-        return (e.value, 0j, (1, 2))
-    if isinstance(e, Param):
-        return (complex(env[e.name]), 0j, (1, 2)) if e.name in env else None
-    if isinstance(e, Z):
-        return (0j, 1 + 0j, (1,))
-    if (isinstance(e, Pow) and isinstance(e.base, Z) and node.n == 2
-            or isinstance(e, Mul) and isinstance(e.left, Z)
-            and isinstance(e.right, Z)):
-        return (0j, 1 + 0j, (2,))
-    parts = [k.aff for k in node.kids]
-    if isinstance(e, Pow) or None in parts:
+def _affine(e: Expr, l, r):
+    """The aff of a sum, negation, product or quotient e from the aff l and
+    r of its operands (l is r for a negation), with e's own arithmetic:
+    Mul scales by an operand with b == 0, the left one first, and Div
+    divides by a nonzero constant."""
+    if l is None or r is None:
         return None
-    (a, b, ks), (c, d, ls) = parts[0], parts[-1]
-    # the k common to both operands, each of (1,), (2,) and (1, 2)
+    (a, b, ks), (c, d, ls) = l, r
+    # the k both operands share, each of ks and ls being (1,), (2,) or (1, 2)
     ks = ks if ks == ls or len(ls) == 2 else ls if len(ks) == 2 else ()
     if not ks:
         return None
-    if isinstance(e, Neg):
-        return (-a, -b, ks)
     if isinstance(e, Add):
         return (a + c, b + d, ks)
     if isinstance(e, Mul):
         if b == 0:
             return (a * c, a * d, ks)
         return (c * a, c * b, ks) if d == 0 else None
+    if isinstance(e, Neg):
+        return (-a, -b, ks)
     return (a / c, b / c, ks) if d == 0 and c != 0 else None
 
 
