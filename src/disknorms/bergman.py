@@ -47,11 +47,13 @@ _MEMBERSHIP_BAND = 1e-12
 _OUTER_BUDGET = 6000        # outer radial nodes; each node is an inner mean
 
 
-class InnerIntegralError(RuntimeError):
-    """The inner circle integral failed at some radius."""
+class InnerIntegralError(NonFiniteSampleError):
+    """The inner circle mean at radius is not finite, so the radial
+    integrand's sample there is not: x and radius are that radius."""
 
     def __init__(self, radius: float):
-        super().__init__(f"inner circle integral failed at radius {radius!r}")
+        super().__init__(f"inner circle integral failed at radius {radius!r}",
+                         radius)
         self.radius = radius
 
 
@@ -85,20 +87,18 @@ class _RadialIntegrand:
             self.offset_blowup = None
         self.inner_evals = 0
         self.max_inner_rel = 0.0
-        self.inner_converged = True
 
     def _terms(self, radii, gaps):
         """2 r^{1+k} M_p^p(r) at each radius r = 1 - gap; the inner means
         run in lockstep, and their bookkeeping is done in radius order."""
         out = np.empty(len(gaps))
         means = _circle_means(self._ev, self._p, self._st, gaps, self._inner)
-        for j, (m, e, n, conv) in enumerate(means):
+        for j, (m, e, n, _) in enumerate(means):
             self.inner_evals += n
             if not (math.isfinite(m) and math.isfinite(e)):
                 raise InnerIntegralError(1.0 - gaps[j])
             if m > 0.0:
                 self.max_inner_rel = max(self.max_inner_rel, e / m)
-            self.inner_converged = self.inner_converged and conv
             out[j] = 2.0 * radii[j] ** (1 + self._k) * m
         return out
 
@@ -147,8 +147,7 @@ def _radial_divergence_probe(ev: BoundaryEvaluator, p: float,
                          QuadConfig(abs_tol=1e-6, rel_tol=1e-4,
                                     max_evaluations=3000)).value
 
-    return _ladder_says_divergent(
-        truncated, (NonFiniteSampleError, InnerIntegralError))
+    return _ladder_says_divergent(truncated)
 
 
 def bergman_norm(f: Expr, p: float, env=None,

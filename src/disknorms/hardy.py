@@ -312,12 +312,12 @@ def _declared_structure(ev: BoundaryEvaluator, p: float,
 # Divergence probe
 
 
-def _ladder_says_divergent(truncated, fails) -> bool:
+def _ladder_says_divergent(truncated) -> bool:
     """Domain-truncation ladder test of both spaces.
 
     truncated(cut) is the integral with the singular set shaved out to
-    depth cut, for cut = 1e-4, 1e-6, 1e-8.  An exception of a type in
-    fails, at any rung, marks the limiting integral divergent; so does
+    depth cut, for cut = 1e-4, 1e-6, 1e-8.  A blow-up at any rung
+    (NonFiniteSampleError) marks the limiting integral divergent; so does
     growth above 10% between the deepest two truncations without geometric
     decay of the increments.  (A slowly convergent tail also grows, but
     its increments shrink geometrically along the ladder.)
@@ -326,7 +326,7 @@ def _ladder_says_divergent(truncated, fails) -> bool:
     for cut in (1e-4, 1e-6, 1e-8):
         try:
             vals.append(truncated(cut))
-        except fails:
+        except NonFiniteSampleError:
             return True
     i1, i2, i3 = vals
     if not (math.isfinite(i2) and math.isfinite(i3)):
@@ -360,7 +360,7 @@ def _divergence_probe(ev: BoundaryEvaluator, p: float,
             pieces.append(integrate_piecewise(intg, bps, sub).value)
         return fsum(pieces)
 
-    return _ladder_says_divergent(truncated, NonFiniteSampleError)
+    return _ladder_says_divergent(truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -387,14 +387,14 @@ def _norm(space: str, integral, probe, f: Expr, p: float, env,
           cfg: Optional[QuadConfig], singular_angles) -> NormResult:
     """The norm driver of both spaces: integral(ev, p, structure, cfg) ->
     (value_p, abs_err_est, converged), and, when that does not converge,
-    probe(ev, p, structure) -> divergent."""
+    probe(ev, p, structure) -> divergent.  An integral that blows up
+    (NonFiniteSampleError) is inf and not converged, never an exception."""
     cfg = cfg or QuadConfig()
     p, ev, structure = _setup(f, p, env, singular_angles)
     try:
         value, err, conv = integral(ev, p, structure, cfg)
     except NonFiniteSampleError:
-        # samples overflowed despite the depth caps: the boundary blowup is
-        # stronger than modeled; report divergence evidence instead
+        # samples or inner means overflowed despite the depth caps
         value, err, conv = math.inf, math.inf, False
     div = False if conv else probe(ev, p, structure)
     return _norm_result(space, p, value, err, conv, div)
@@ -410,11 +410,8 @@ def _integral_means_full(f: Expr, p: float, r: float, env=None,
         raise ValueError("radius must lie in (0, 1)")
     p, ev, structure = _setup(f, p, env)
     mean, err, evals, conv = _circle_mean_p(ev, p, structure, 1.0 - r, cfg)
-    if mean <= 0.0:
-        m_err = err ** (1.0 / p) if err > 0.0 else 0.0
-        return 0.0, m_err, evals, conv
-    M = mean ** (1.0 / p)
-    return M, err * M / (p * mean), evals, conv
+    M = _norm_result("Hardy", p, mean, err, conv)
+    return M.value, M.value_abs_err, evals, conv
 
 
 def integral_means(f: Expr, p: float, r: float, env=None,

@@ -72,12 +72,11 @@ class QuadError(ValueError):
 
 
 class NonFiniteSampleError(QuadError):
-    """An interior sample came back nan or inf."""
+    """The integral blew up: its sample at x came back nan or inf."""
 
-    def __init__(self, message: str, x: float, in_singular_transform: bool = False):
+    def __init__(self, message: str, x: float):
         super().__init__(message)
         self.x = x
-        self.in_singular_transform = in_singular_transform
 
 
 @dataclass(frozen=True)
@@ -290,12 +289,8 @@ def _singular_side(intg, lo: float, hi: float, side: str, abs_tol: float,
 
     blockw = min(1.0, W / 3.0)
     edges = sorted({0.0, W - 3.0 * blockw, W - 2.0 * blockw, W - blockw, W})
-    try:
-        value, err, evals, converged, panels = yield from _adaptive(
-            eval_off, edges, abs_tol, rel_tol, budget, L)
-    except NonFiniteSampleError as ex:
-        ex.in_singular_transform = True
-        raise
+    value, err, evals, converged, panels = yield from _adaptive(
+        eval_off, edges, abs_tol, rel_tol, budget, L)
 
     # integrands that flatten below a known offset scale (circle integrals
     # at radius 1-gap flatten at ~gap) admit a direct bound on the

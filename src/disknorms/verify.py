@@ -198,6 +198,13 @@ def verify_lemma_cv(h: Expr, p: float, cfg: Optional[QuadConfig] = None, *,
                    (("norm_h", base), ("weighted_integral", weighted)))
 
 
+def _power(x: float, q: float) -> float:
+    try:
+        return x ** q
+    except OverflowError:   # read as inf: the defect is then Inconclusive
+        return math.inf
+
+
 def verify_elem_inequality(a: float, b: float, q: float) -> VerificationReport:
     """|a^q - b^q| >= |a - b|^q for a, b > 0 and q > 1.
 
@@ -209,8 +216,7 @@ def verify_elem_inequality(a: float, b: float, q: float) -> VerificationReport:
         raise ValueError("requires a > 0 and b > 0")
     if not q > 1.0:
         raise ValueError("requires q > 1")
-    aq, bq = a ** q, b ** q
-    rhs = abs(a - b) ** q
+    aq, bq, rhs = (_power(x, q) for x in (a, b, abs(a - b)))
     # powers err by eps, subtractions by eps/2, and a - b by q*eps/2 in rhs
     margin = 0.0 if a == b else 4.0 * _EPS * (aq + bq + q * rhs)
 

@@ -207,6 +207,39 @@ def test_far_supercritical_flagged_divergent():
     assert r.divergent and not r.converged
 
 
+@pytest.mark.parametrize("norm", [hardy_norm, bergman_norm])
+def test_overflowing_samples_are_not_converged_and_divergent(norm):
+    # p*3 exceeds both critical exponents, so both norms are infinite; the
+    # constant overflows the samples (Hardy) and the inner means (Bergman)
+    r = norm(parse("1e300/(1-z)^3"), 1.0)
+    assert not r.converged and r.divergent
+    assert r.value_p == math.inf
+
+
+# A large constant overflows the deepest samples of finite norms: the depth
+# floor 10^(-280/s) assumes |f| ~ |t|^(-s) with a constant near 1
+
+
+@pytest.mark.xfail(strict=True, reason="open defect: the transform depth "
+                   "ignores the constant 1e200, so samples overflow and the "
+                   "finite norm comes back inf, not converged")
+def test_large_constant_hardy_norm_is_finite():
+    r = hardy_norm(parse("1e200/(1-z)^0.5"), 1.0)
+    exact = 1e200 * math.gamma(0.5) / math.gamma(0.75) ** 2
+    assert r.converged and not r.divergent
+    assert r.value_p == pytest.approx(exact, rel=1e-7)
+
+
+@pytest.mark.xfail(strict=True, reason="open defect: the inner means "
+                   "overflow at the deepest radii, so the finite norm comes "
+                   "back inf and is flagged divergent")
+def test_large_constant_bergman_norm_is_finite():
+    r = bergman_norm(parse("1e300/(1-z)^1.5"), 1.0)
+    exact = 1e300 * math.gamma(0.5) / math.gamma(1.25) ** 2
+    assert r.converged and not r.divergent
+    assert r.value_p == pytest.approx(exact, rel=1e-7)
+
+
 # ---------------------------------------------------------------------------
 # membership of (1-z)^(-alpha)
 

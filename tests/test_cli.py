@@ -62,6 +62,45 @@ def test_norm_divergent_exits_2(capsys):
     assert _field(out, "divergent") == "True"
 
 
+_OVERFLOWING = "1e300/(1-z)^3"     # infinite in both spaces at p = 1
+
+
+def test_norm_with_overflowing_inner_means_exits_2(capsys):
+    code = main(["norm", "--space", "bergman", "--expr", _OVERFLOWING,
+                 "--p", "1"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert _field(out, "converged") == "False"
+    assert _field(out, "divergent") == "True"
+
+
+def test_verify_with_overflowing_inner_means_exits_2(capsys):
+    code = main(["verify", "--case", "rotation-invariance", "--space",
+                 "bergman", "--expr", _OVERFLOWING, "--p", "1"])
+    assert code == 2
+    assert _field(capsys.readouterr().out, "verdict") == "Inconclusive"
+
+
+@pytest.mark.parametrize("text", [_OVERFLOWING, "1e300/(1-z)"])
+def test_lemma_cv_blow_up_exits_3(capsys, text):
+    # lemma-cv integrates outside the norm driver, so a blow-up (an
+    # InnerIntegralError for 1e300/(1-z)) is an error line, not a traceback
+    code = main(["verify", "--case", "lemma-cv", "--expr", text, "--p", "1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert [line for line in err.splitlines()
+            if line.startswith("disknorms: error:")] == err.splitlines()[-1:]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("a,b,q", [("1e200", "1", "2"), ("1e-300", "2", "1e5")])
+def test_elem_overflowing_power_exits_2(capsys, a, b, q):
+    code = main(["verify", "--case", "lemma-elem", "--a", a, "--b", b,
+                 "--q", q])
+    assert code == 2
+    assert _field(capsys.readouterr().out, "verdict") == "Inconclusive"
+
+
 @pytest.mark.xfail(strict=True, reason="open defect: (1-z)^400 underflows "
                    "to 0 at ordinary boundary nodes, so the evaluator's "
                    "zero-denominator check exits 3 with 'division by zero'")

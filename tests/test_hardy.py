@@ -266,7 +266,7 @@ def test_ladder_raise_at_first_rung_is_divergent():
             raise NonFiniteSampleError("inf sample", 0.0)
         return 1.0
 
-    assert _ladder_says_divergent(truncated, NonFiniteSampleError) is True
+    assert _ladder_says_divergent(truncated) is True
     assert cuts == [1e-4]
 
 
@@ -276,15 +276,22 @@ def test_ladder_inner_failure_at_first_rung_is_divergent():
             raise InnerIntegralError(1.0 - cut)
         return 1.0
 
-    fails = (NonFiniteSampleError, InnerIntegralError)
-    assert _ladder_says_divergent(truncated, fails) is True
+    assert _ladder_says_divergent(truncated) is True
+
+
+def test_inner_integral_error_is_a_non_finite_sample_error():
+    # one type for a blown-up integral: the driver and the ladder catch it
+    assert issubclass(InnerIntegralError, NonFiniteSampleError)
+    ex = InnerIntegralError(0.75)
+    assert (ex.radius, ex.x) == (0.75, 0.75)
+    assert str(ex) == "inner circle integral failed at radius 0.75"
 
 
 def test_ladder_growth_test():
     values = {1e-4: 1.0, 1e-6: 2.0, 1e-8: 4.0}   # grows without decay
-    assert _ladder_says_divergent(values.get, NonFiniteSampleError) is True
+    assert _ladder_says_divergent(values.get) is True
     values = {1e-4: 1.0, 1e-6: 1.05, 1e-8: 1.06}  # settles
-    assert _ladder_says_divergent(values.get, NonFiniteSampleError) is False
+    assert _ladder_says_divergent(values.get) is False
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,14 @@ def test_elem_domain_validation():
         verify_elem_inequality(1.0, 0.0, 2.0)
 
 
+@pytest.mark.parametrize("a,b,q", [(1e200, 1.0, 2.0), (1e-300, 2.0, 1e5)])
+def test_elem_overflowing_power_is_inconclusive(a, b, q):
+    # a ** q raises OverflowError for floats; it is read as inf
+    r = verify_elem_inequality(a, b, q)
+    assert r.lhs == math.inf and r.rhs == math.inf
+    assert r.verdict == "Inconclusive"
+
+
 @given(st.floats(1e-6, 10.0), st.floats(1e-6, 10.0),
        st.floats(1.0, 5.0, exclude_min=True))
 @example(9.0, 2.8985880880490407, 1.0000000000000002)  # defect -8.9e-16
