@@ -10,8 +10,9 @@ ones.  --seeds gives one seed per pair, or a first seed that the pairs count
 up from.  The result is the workload's block of a BENCH_*.json: every run of
 each end-to-end metric, the medians, the quartiles (numpy.percentile 25 and
 75), the change's relative move and the pairs it wins (better is read from
-the change's BENCHMARK.json; ties count for neither), whether every run was
-correct, and the distinct outputs_sha256 digests of each side.  With
+the change's BENCHMARK.json; ties count for neither) and a verdict (see
+verdict), whether every run was correct, and the distinct outputs_sha256
+digests of each side.  With
 --trace-seed it adds one ``--trace 1`` run per side and their per-layer
 values.  The block is printed; with --out it is also stored under
 ["workloads"][W] of that JSON file, which is created when missing.
@@ -53,9 +54,36 @@ def run(checkout: pathlib.Path, workload: str, seed: int, seconds: float,
     return result
 
 
-def summarize(runs: dict, better: dict) -> dict:
+def verdict(parent: list, change: list, better: str, bound: float) -> str:
+    """The verdict on one end-to-end metric from its runs in pairs.
+
+    "gain": the change wins at least nine tenths of the pairs (ties count
+    for neither) and its median is better than the parent's by more than
+    the parent's quartile spread.  "regression": its median is worse than
+    the parent's by more than bound, relative to the parent's median.
+    "unresolved": neither, and the parent's quartile spread is wider than
+    bound (relative), unless every change run beats every parent run.
+    Otherwise "within bound"."""
+    sign = 1.0 if better == "lower" else -1.0
+    p, c = statistics.median(parent), statistics.median(change)
+    q1, q3 = np.percentile(parent, [25, 75])
+    wins = sum(sign * (y - x) < 0.0 for x, y in zip(parent, change))
+    if wins >= 0.9 * len(parent) and sign * (p - c) > q3 - q1:
+        return "gain"
+    if sign * (c - p) > bound * abs(p):
+        return "regression"
+    every_run_better = all(sign * (y - x) < 0.0
+                           for x in parent for y in change)
+    if q3 - q1 > bound * abs(p) and not every_run_better:
+        return "unresolved"
+    return "within bound"
+
+
+def summarize(runs: dict, better: dict, bounds: dict = None) -> dict:
     """The end-to-end block of pairs of runs: runs[side][i] is the result of
-    pair i on that side, better[name] is "lower" or "higher"."""
+    pair i on that side, better[name] is "lower" or "higher", and
+    bounds[name], when given, the relative bound of each metric, which
+    adds its verdict."""
     n = len(runs["parent"])
     block = {"end_to_end": {}}
     for name, metric in runs["change"][0]["metrics"].items():
@@ -80,6 +108,9 @@ def summarize(runs: dict, better: dict) -> dict:
             "parent_runs": values["parent"],
             "change_runs": values["change"],
         }
+        if bounds and name in bounds:
+            block["end_to_end"][name]["verdict"] = verdict(
+                values["parent"], values["change"], better[name], bounds[name])
     digests = {side: sorted({r.get("digest") for r in runs[side]})
                for side in SIDES}
     block["outputs_sha256"] = {**digests, "equal": (
@@ -129,6 +160,7 @@ def main(argv=None) -> int:
                  "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
     runs = {side: [] for side in SIDES}
     for i, seed in enumerate(seeds):
@@ -139,7 +171,7 @@ def main(argv=None) -> int:
                   f"correct={result['correct']} wall_ref="
                   f"{result['metrics']['wall_ref']['value']:.6g}",
                   file=sys.stderr, flush=True)
-    block = summarize(runs, better)
+    block = summarize(runs, better, bounds)
     if args.trace_seed is not None:
         block.update(per_layer({
             side: run(checkouts[side], args.workload, args.trace_seed,

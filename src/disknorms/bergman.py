@@ -6,7 +6,7 @@ The A^p quasi-norm is computed from the radial form
 
 with the area measure normalized so the disk has measure 1.  The inner
 circle integral reuses the arc machinery of the hardy module at radius
-1 - gap, the means at all radii of one outer request run in lockstep
+1 - gap, the means at all radii of one outer request run at once
 (hardy._circle_means); the outer radial integral receives gaps directly
 from the singular-endpoint transform, so radii exponentially close to 1
 never suffer the 1 - r rounding collapse.  bergman_norm hands this radial
@@ -52,6 +52,7 @@ class InnerIntegralError(NonFiniteSampleError):
     integrand's sample there is not: x and radius are that radius."""
 
     def __init__(self, radius: float):
+        radius = float(radius)
         super().__init__(f"inner circle integral failed at radius {radius!r}",
                          radius)
         self.radius = radius
@@ -90,7 +91,7 @@ class _RadialIntegrand:
 
     def _terms(self, radii, gaps):
         """2 r^{1+k} M_p^p(r) at each radius r = 1 - gap; the inner means
-        run in lockstep, and their bookkeeping is done in radius order."""
+        run at once, and their bookkeeping is done in radius order."""
         out = np.empty(len(gaps))
         means = _circle_means(self._ev, self._p, self._st, gaps, self._inner)
         for j, (m, e, n, _) in enumerate(means):

@@ -616,9 +616,10 @@ def boundary_structure(e: Expr, env: Optional[ParamEnv] = None) -> BoundaryStruc
     contribute singular points; positive-power factors contribute plain
     zeros (kinks of |e|^p on the circle).  Sums that are not affine in z or
     z^2 are recursed into as sums, except inside a denominator, where their
-    zeros cannot be located structurally (UnsupportedFormError).
+    zeros cannot be located structurally (UnsupportedFormError).  e may
+    also be an evaluator's resolved form (BoundaryEvaluator.resolved).
     """
-    env = check_param_env(env)
+    node = e if isinstance(e, _Node) else _resolve(e, check_param_env(env))
     singular: dict[float, tuple[complex, float]] = {}
     zeros: list[float] = []
 
@@ -667,7 +668,7 @@ def boundary_structure(e: Expr, env: Optional[ParamEnv] = None) -> BoundaryStruc
             for k in kids:
                 walk(k, mult)
 
-    walk(_resolve(e, env), 1.0)
+    walk(node, 1.0)
     pts = tuple(SingularPoint(ang, root, s)
                 for ang, (root, s) in sorted(singular.items()))
     # drop zeros that coincide with singular angles
@@ -913,11 +914,17 @@ class BoundaryEvaluator:
     def __init__(self, e: Expr, env: Optional[ParamEnv] = None):
         self.expr = e
         self.env = check_param_env(env)
-        self._plan = None
+        self._node = self._plan = None
+
+    def resolved(self) -> _Node:
+        """The resolved form, built once for the plan and the structure."""
+        if self._node is None:
+            self._node = _resolve(self.expr, self.env)
+        return self._node
 
     def _compiled(self):
         if self._plan is None:
-            self._plan = _compile(_resolve(self.expr, self.env), self.env)
+            self._plan = _compile(self.resolved(), self.env)
         return self._plan
 
     def value(self, z: np.ndarray) -> np.ndarray:

@@ -11,9 +11,10 @@ singular-endpoint transform from the quad module, and f is evaluated
 through anchor-offset boundary arithmetic so that samples at angular
 distance far below machine epsilon from a pole stay accurate.  The same
 arc machinery, run at radius 1 - gap, provides the inner circle integrals
-of the Bergman module; _circle_means runs those of many gaps in lockstep,
-each gap with its own bisection, sharing one evaluator call per arc and
-sampling method (values, from_left, from_right) in each round.
+of the Bergman module: _circle_means hands the bisections of all gaps,
+arcs, pieces and sides to quad._bisect at once, which samples each arc
+and method (values, from_left, from_right) with one evaluator call per
+round, and finishes each mean as _circle_mean_p does.
 
 The norm driver _norm serves both spaces: _setup checks p and the
 parameters, compiles f and finds its boundary structure; the space's
@@ -23,7 +24,6 @@ divergence along the one truncation ladder, _ladder_says_divergent.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from math import fsum
@@ -41,8 +41,9 @@ from .expr import (
     boundary_structure,
     check_param_env,
 )
-from .quad import (NonFiniteSampleError, QuadConfig, _answer, _drive,
-                   _integrate_piecewise, integrate_piecewise)
+from .quad import (NonFiniteSampleError, QuadConfig, _bisect,
+                   _integrate_piecewise, _side_plan, _singular_side,
+                   integrate_piecewise)
 
 __all__ = [
     "NormResult",
@@ -138,8 +139,8 @@ class _ArcIntegrand:
     angles; this is what lets the singular transform sample at offsets
     like 1e-200.  With gap > 0 the profile flattens at angular scale
     ~gap, which is declared through flat_below so the transform can
-    bound its truncated tail by a single deep sample.  _circle_means calls
-    the methods of a copy whose gap is an array, one gap per point.
+    bound its truncated tail by a single deep sample.  _circle_means
+    samples through one per arc whose gap it sets per point (_sampler).
     """
 
     def __init__(self, ev: BoundaryEvaluator, p: float, gap: float, arc: _Arc):
@@ -177,33 +178,29 @@ class _ArcIntegrand:
         return np.abs(w) ** self._p
 
 
-def _circle_mean_steps(ev: BoundaryEvaluator, p: float, arcs: list[_Arc],
-                       gap: float, cfg: QuadConfig):
-    """Step generator of _circle_mean_p over the arcs (see quad._drive)."""
+def _arcs_mean(ev: BoundaryEvaluator, p: float, arcs: list[_Arc], gap: float,
+               cfg: QuadConfig, run) -> tuple[float, float, int, bool]:
+    """_circle_mean_p over the arcs, each side of each piece of an arc run
+    by run (see quad._integrate)."""
     n = len(arcs)
     budget = max(int(cfg.max_evaluations) // n, 1000)
     # sub-targets at 0.45x so the summed estimates still clear the caller's
     # tolerance (abs and rel parts can both be saturated across pieces)
     raw_abs = 0.45 * cfg.abs_tol * _TWO_PI / n
-    vs, es = [], []
-    evals = 0
-    conv = True
+    results = []
     for arc in arcs:
         intg = _ArcIntegrand(ev, p, gap, arc)
         sub = QuadConfig(abs_tol=raw_abs, rel_tol=0.45 * cfg.rel_tol,
                          max_evaluations=budget,
                          singular_left=arc.left is not None,
                          singular_right=arc.right is not None)
-        r = yield from _integrate_piecewise(
-            intg, [arc.lo, *arc.kinks, arc.hi], sub)
-        vs.append(r.value)
-        es.append(r.abs_err_est)
-        evals += r.evaluations
-        conv = conv and r.converged
-    mean = fsum(vs) / _TWO_PI
-    err = fsum(es) / _TWO_PI
-    conv = conv and err <= max(cfg.abs_tol, cfg.rel_tol * abs(mean))
-    return mean, err, evals, conv
+        results.append(_integrate_piecewise(
+            intg, [arc.lo, *arc.kinks, arc.hi], sub, run))
+    mean = fsum(r.value for r in results) / _TWO_PI
+    err = fsum(r.abs_err_est for r in results) / _TWO_PI
+    conv = (all(r.converged for r in results) and
+            err <= max(cfg.abs_tol, cfg.rel_tol * abs(mean)))
+    return mean, err, sum(r.evaluations for r in results), conv
 
 
 def _circle_mean_p(ev: BoundaryEvaluator, p: float,
@@ -214,62 +211,50 @@ def _circle_mean_p(ev: BoundaryEvaluator, p: float,
     Returns (mean, abs_err_est, evaluations, converged); tolerances in cfg
     apply to the mean.
     """
-    return _drive(_circle_mean_steps(ev, p, _build_arcs(structure), gap, cfg))
+    return _arcs_mean(ev, p, _build_arcs(structure), gap, cfg, _singular_side)
 
 
 def _circle_means(ev: BoundaryEvaluator, p: float,
                   structure: BoundaryStructure, gaps, cfg: QuadConfig):
-    """Yield _circle_mean_p at each of gaps, in order, run in lockstep
-    (batched as scipy.integrate.quad_vec batches its intervals).  The first
-    failure in gap order is raised where a loop over the gaps would raise
-    it: later gaps are dropped, and a group call that raises is repeated
-    request by request, so that each exception reaches its own gap."""
+    """Yield _circle_mean_p at each of gaps, in order, with the bisections
+    of every gap, arc, piece and side run at once by quad._bisect (batched
+    as scipy.integrate.quad_vec batches its intervals).  A first pass over
+    the gaps plans them, and a second finishes them in that order, so the
+    first failure in (gap, arc, piece, side) order is raised where a loop
+    over the gaps would raise it."""
     arcs = _build_arcs(structure)
-    steps = [_circle_mean_steps(ev, p, arcs, g, cfg) for g in gaps]
-    requests, means = [None] * len(steps), [None] * len(steps)
-    failed, failure = len(steps), None
+    fns = {(arc, m): _sampler(_ArcIntegrand(ev, p, 0.0, arc), m)
+           for arc in arcs for m in ("values", "from_left", "from_right")}
+    owners = []
 
-    def advance(j, step, *args):
-        nonlocal failed, failure
-        try:
-            requests[j] = step(*args)
-            return
-        except StopIteration as stop:
-            means[j] = stop.value
-        except Exception as ex:
-            if j < failed:
-                failed, failure = j, ex
-        requests[j] = None
+    def record(intg, *side):
+        plan = _side_plan(intg, *side)
+        owners.append((fns[intg._arc, plan.method], intg._gap, plan))
+        return 0.0, 0.0, 0, True
 
-    for j, step in enumerate(steps):
-        advance(j, next, step)
-    while any(requests[:failed]):
-        groups: dict = {}
-        for j in range(failed):
-            if requests[j]:
-                fn = requests[j][0]
-                groups.setdefault((fn.__func__, fn.__self__._arc), []).append(j)
-        for (method, _), js in groups.items():
-            if len(js) > 1:
-                xs = [requests[j][1] for j in js]
-                twin = copy.copy(requests[js[0]][0].__self__)
-                twin._gap = np.repeat([gaps[j] for j in js],
-                                      [len(x) for x in xs])
-                try:
-                    y = method(twin, np.concatenate(xs))
-                except Exception:
-                    pass        # served one by one below
-                else:
-                    hi = 0
-                    for j, x in zip(js, xs):
-                        lo, hi = hi, hi + len(x)
-                        advance(j, steps[j].send, y[lo:hi])
-                    continue
-            for j in js:
-                advance(j, _answer, steps[j], *requests[j])
-    yield from means[:failed]
-    if failure is not None:
-        raise failure
+    for gap in gaps:
+        _arcs_mean(ev, p, arcs, gap, cfg, record)
+    done, failure = _bisect(owners)
+    steps = iter(zip(owners, done))
+
+    def finish(intg, *side):
+        step = next(steps, None)
+        if step is None:
+            raise failure
+        (*_, plan), (result, y_end) = step
+        return _singular_side(intg, *side, done=(plan, result, y_end))
+
+    for gap in gaps:
+        yield _arcs_mean(ev, p, arcs, gap, cfg, finish)
+
+
+def _sampler(intg: _ArcIntegrand, method: str):
+    """intg's method as quad._bisect calls it, fn(points, gaps), with the
+    gap of each point."""
+    def fn(points, gaps):
+        intg._gap = gaps
+        return getattr(intg, method)(points)
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -369,15 +354,16 @@ def _divergence_probe(ev: BoundaryEvaluator, p: float,
 
 def _setup(f: Expr, p: float, env, singular_angles=None):
     """The checked p and env, the compiled evaluator and the boundary
-    structure: located structurally, or probed at the declared
-    singular_angles.  Returns (p, evaluator, structure)."""
+    structure: located structurally from the evaluator's resolved form, or
+    probed at the declared singular_angles.  Returns (p, evaluator,
+    structure)."""
     p = float(p)
     if p <= 0.0:
         raise ValueError("p must be positive")
     env = check_param_env(env)
     ev = BoundaryEvaluator(f, env)
     if singular_angles is None:
-        structure = boundary_structure(f, env)
+        structure = boundary_structure(ev.resolved())
     else:
         structure = _declared_structure(ev, p, singular_angles)
     return p, ev, structure

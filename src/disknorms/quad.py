@@ -16,14 +16,13 @@ offsets far below machine epsilon.  Plain callables fall back to f(a + d) /
 f(b - d), with the transform depth capped near roundoff of the endpoint and
 the unreachable tail folded into the error estimate.
 
-Each integrator is a step generator: it yields requests (fn, points), fn
-a method of the integrand, and receives fn(points).  integrate and
-integrate_piecewise serve them one at a time (_drive); hardy._circle_means
-serves many generators at once.  Sibling panels (the halves of a bisection,
+A single integral bisects with a heap, one request (fn, points) at a time,
+fn a method of the integrand.  Sibling panels (the halves of a bisection,
 or all initial panels) share one request; each panel's sums still use only
-its own samples.  Requests repeat their panels from radius to radius and
-norm to norm, so each distinct request's node table is built once (_nodes)
-and shared read-only; a plain callable receives a copy of its nodes.
+its own samples.  Each distinct request's node table is built once
+(_nodes) and shared read-only; a plain callable receives a copy of it.
+_bisect runs many bisections at once, with their panels in arrays, each
+in the heap's order and arithmetic, so bit for bit as the heap runs it.
 """
 from __future__ import annotations
 
@@ -148,85 +147,103 @@ def _as_integrand(f, a: float, b: float):
     return _CallableIntegrand(f, a, b)
 
 
+def _node_arrays(lo, hi, L):
+    """Half-widths, Kronrod nodes x (a row per panel), points and weights
+    of the (lo, hi) panels: for L > 0 the offsets L*exp(-2 sinh x) and
+    dd/dx, for L = 0 x and 1 (None if every panel is plain)."""
+    h = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + h[:, None] * _GK_X
+    de = L > 0.0
+    if not de.any():
+        return h, x, x, None
+    xd, Ld = (x, L[:, None]) if de.all() else (x[de], L[de, None])
+    ph = np.exp(-2.0 * np.sinh(xd))
+    points, weights = Ld * ph, 2.0 * Ld * np.cosh(xd) * ph
+    if de.all():
+        return h, x, points, weights
+    mixed = x.copy(), np.ones_like(x)
+    mixed[0][de], mixed[1][de] = points, weights
+    return (h, x, *mixed)
+
+
 @functools.lru_cache(maxsize=_NODE_TABLES)
 def _nodes(bounds: tuple, L: float):
-    """Read-only node table (halves, x, points, weights) of one request of
-    (lo, hi) panels: half-widths, Kronrod nodes x, the points sampled (x,
-    or with L > 0 the offsets L*exp(-2 sinh x)) and the weights dd/dx
-    (None when L == 0)."""
-    halves = tuple(0.5 * (hi - lo) for lo, hi in bounds)
-    x = np.concatenate([0.5 * (lo + hi) + h2 * _GK_X
-                        for (lo, hi), h2 in zip(bounds, halves)])
-    points, weights = x, None
-    if L:
-        ph = np.exp(-2.0 * np.sinh(x))
-        points, weights = L * ph, 2.0 * L * np.cosh(x) * ph
-        points.flags.writeable = weights.flags.writeable = False
-    x.flags.writeable = False
-    return halves, x, points, weights
+    """Read-only _node_arrays of one request of (lo, hi) panels, with the
+    half-widths as floats."""
+    lo, hi = np.array(bounds, dtype=float).T
+    halves, *arrays = _node_arrays(lo, hi, np.full(len(bounds), float(L)))
+    for a in arrays:
+        if a is not None:
+            a.flags.writeable = False
+    return halves.tolist(), *arrays
 
 
-def _panels(fn, bounds: Sequence[tuple[float, float]], L: float = 0.0):
-    """Step generator of the (value, error) of each (lo, hi) panel from one
-    request of fn at all of their nodes, each panel summing its own 15
-    samples.  With L > 0 the panels lie in the double-exponential variable
-    w: fn is sampled at the offsets L*exp(-2 sinh w), weighted by dd/dw."""
-    halves, x, points, weights = _nodes(tuple(bounds), L)
-    y = np.asarray((yield fn, points), dtype=float)
-    if y.shape != x.shape:
+def _samples(y, x, weights=None):
+    """The samples y at the nodes x (a row per panel) times the weights;
+    raises on a wrong count and at the first non-finite one."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (x.size,):
         raise QuadError(f"expected {x.size} samples, one per node, got {y.size}")
-    if L:
-        y = y * weights
+    y = y.reshape(x.shape) if weights is None else y.reshape(x.shape) * weights
     finite = np.isfinite(y)
     if not finite.all():
         xb = float(x[~finite][0])
         raise NonFiniteSampleError(f"non-finite sample at interior node {xb}", xb)
+    return y
+
+
+def _sums(y, h):
+    """(value, error) of the panels of weighted samples y (a row each) and
+    half-widths h: a stacked matmul runs numpy's dot once per row, where a
+    matrix-vector product would change the last bits."""
+    vk = h * np.matmul(y[:, None, :], _GK_WK[:, None])[:, 0, 0]
+    vg = h * np.matmul(y[:, None, :], _GK_WG[:, None])[:, 0, 0]
+    return vk, _SAFETY * np.abs(vk - vg)
+
+
+def _panel(fn, bounds: Sequence[tuple[float, float]], L: float = 0.0):
+    """(value, error) of each (lo, hi) panel of scale L (see _node_arrays)
+    from one call of fn at all of their nodes, each summed by ndarray.dot,
+    as _sums sums it."""
+    halves, x, points, weights = _nodes(tuple(bounds), L)
     out = []
-    for i, h2 in enumerate(halves):
-        yi = y[15 * i:15 * i + 15]
+    for yi, h2 in zip(_samples(fn(points.ravel()), x, weights), halves):
         vk = h2 * float(_GK_WK.dot(yi))
         vg = h2 * float(_GK_WG.dot(yi))
         out.append((vk, _SAFETY * abs(vk - vg)))
     return out
 
 
-def _answer(steps, fn, x):
-    """Serve the request (fn, x) of steps by fn(x), raising its exception
-    where the request was made; returns the next request of steps."""
-    try:
-        y = fn(x)
-    except Exception as ex:
-        return steps.throw(ex)
-    return steps.send(y)
+@dataclass(frozen=True)
+class _Plan:
+    """One bisection; L > 0 for a singular side of depth W (see
+    _singular_side)."""
+    method: str
+    edges: tuple
+    abs_tol: float
+    rel_tol: float
+    budget: int
+    L: float = 0.0
+    W: float = 0.0
+    tail_at: Optional[float] = None
 
 
-def _drive(steps):
-    """Run a step generator to its result, one request at a time."""
-    try:
-        request = next(steps)
-        while True:
-            request = _answer(steps, *request)
-    except StopIteration as stop:
-        return stop.value
+def _result(panels: list, evals: int, plan: _Plan):
+    """(value, err, evaluations, converged, panels sorted by lo)."""
+    panels.sort(key=lambda t: t[0])
+    value = fsum(t[2] for t in panels)
+    err = fsum(t[3] for t in panels)
+    converged = err <= max(plan.abs_tol, plan.rel_tol * abs(value))
+    return value, err, evals, converged, panels
 
 
-def _panel(F, bounds: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
-    """(value, error) of each (lo, hi) panel from one call of F."""
-    return _drive(_panels(F, bounds))
-
-
-def _adaptive(fn, edges: Sequence[float], abs_tol: float, rel_tol: float,
-              budget: int, L: float = 0.0):
-    """Step generator of largest-error-first bisection over the initial
-    panels given by edges, sampled by _panels(fn, ..., L).
-
-    Returns (value, err, evaluations, converged, panels) with panels a list
-    of (lo, hi, value, err) sorted by lo.
-    """
+def _adaptive(fn, plan: _Plan):
+    """The _result of largest-error-first bisection of plan, by heap."""
+    abs_tol, rel_tol, budget = plan.abs_tol, plan.rel_tol, plan.budget
     heap: list = []
     done: list = []
-    bounds = list(zip(edges[:-1], edges[1:]))
-    sums = yield from _panels(fn, bounds, L)
+    bounds = list(zip(plan.edges[:-1], plan.edges[1:]))
+    sums = _panel(fn, bounds, plan.L)
     for seq, ((lo, hi), (v, e)) in enumerate(zip(bounds, sums)):
         heapq.heappush(heap, (-e, seq, lo, hi, v, e))
     seq = len(bounds)
@@ -245,7 +262,7 @@ def _adaptive(fn, edges: Sequence[float], abs_tol: float, rel_tol: float,
             # interval at floating-point resolution; freeze it
             done.append((lo, hi, v, e))
             continue
-        (v1, e1), (v2, e2) = yield from _panels(fn, [(lo, mid), (mid, hi)], L)
+        (v1, e1), (v2, e2) = _panel(fn, [(lo, mid), (mid, hi)], plan.L)
         evals += 30
         total_v += (v1 + v2) - v
         total_e += (e1 + e2) - e
@@ -254,63 +271,194 @@ def _adaptive(fn, edges: Sequence[float], abs_tol: float, rel_tol: float,
         seq += 2
 
     panels = done + [(lo, hi, v, e) for (_, _, lo, hi, v, e) in heap]
-    panels.sort(key=lambda t: t[0])
-    value = fsum(t[2] for t in panels)
-    err = fsum(t[3] for t in panels)
-    converged = err <= max(abs_tol, rel_tol * abs(value))
-    return value, err, evals, converged, panels
+    return _result(panels, evals, plan)
 
 
-def _singular_side(intg, lo: float, hi: float, side: str, abs_tol: float,
-                   rel_tol: float, budget: int):
-    """Step generator integrating [lo, hi] with the singular endpoint on
-    the given side."""
+def _bisect(owners):
+    """Run the bisections of owners, (fn, arg, plan) each, as _adaptive
+    runs each alone, all at once in rounds.  A round takes every running
+    owner's largest-error panel (ties to the lowest seq, as the heap) and
+    samples all halves with one call fn(points, args) per fn, args the
+    points' owners' args; a call that raises is repeated owner by owner.
+    One more round samples the plan.tail_at.  Returns done[j] = [_result,
+    tail sample or None] of the owners before the first that failed, and
+    its exception or None; the owners after it are dropped."""
+    n, fns, errors = len(owners), {}, {}
+    group = np.array([fns.setdefault(fn, len(fns)) for fn, _, _ in owners],
+                     dtype=int)
+    fns, plans = list(fns), [plan for _, _, plan in owners]
+    args, atol, rtol, budget, L = np.array(
+        [(a, p.abs_tol, p.rel_tol, p.budget, p.L) for _, a, p in owners],
+        dtype=float).reshape(n, 5).T
+
+    def call(own, points, x=None, w=None):
+        """The samples at points (a row per entry of own), weighted and
+        checked (_samples) at nodes x, and the owners' exceptions: a group
+        whose call or check fails is sampled again owner by owner."""
+        y, bad, m = np.empty_like(points), {}, points.shape[1]
+
+        def at(r):
+            out = fns[g](points[r].ravel(), np.repeat(args[own[r]], m))
+            if x is None:
+                return np.asarray(out, dtype=float).reshape(-1, m)
+            return _samples(out, x[r], None if w is None else w[r])
+
+        for g in np.unique(group[own]).tolist():
+            rows = group[own] == g
+            try:
+                y[rows] = at(rows)
+            except Exception:
+                for j in np.unique(own[rows]).tolist():
+                    try:
+                        y[own == j] = at(own == j)
+                    except Exception as ex:
+                        bad[j] = ex
+        return y, bad
+
+    def sample(own, lo, hi):
+        """(value, error) of the panels (lo, hi) of the owners own."""
+        h, x, points, w = _node_arrays(lo, hi, L[own])
+        y, bad = call(own, points, x, w)
+        errors.update(bad)
+        return _sums(y, h)
+
+    k = np.array([len(p.edges) - 1 for p in plans], dtype=int)
+    own = np.repeat(np.arange(n), k)
+    lo = np.array([t for p in plans for t in p.edges[:-1]], dtype=float)
+    hi = np.array([t for p in plans for t in p.edges[1:]], dtype=float)
+    v, e = sample(own, lo, hi)
+    P = np.full((4, n, max(16, int(k.max(initial=0)))), np.nan)
+    key = np.full(P.shape[1:], -np.inf)     # the error of each live panel
+    start = np.cumsum(k) - k
+    seq = np.arange(own.size) - np.repeat(start, k)
+    P[:, own, seq], key[own, seq] = (lo, hi, v, e), e     # lo nan: no leaf
+    npan, evals, tv, te = k.copy(), 15 * k, np.zeros(n), np.zeros(n)
+    v, e = v.tolist(), e.tolist()
+    for j, (a, b) in enumerate(zip(start.tolist(), (start + k).tolist())):
+        try:
+            tv[j], te[j] = fsum(v[a:b]), fsum(e[a:b])
+        except (OverflowError, ValueError) as ex:
+            errors.setdefault(j, ex)
+
+    running = np.ones(n, dtype=bool)
+    while True:
+        running &= ((te > np.fmax(atol, rtol * np.abs(tv)))
+                    & (evals + 30 <= budget)
+                    & (np.arange(n) < min(errors, default=n)))
+        o = np.flatnonzero(running)
+        if not o.size:
+            break
+        t = np.argmax(key[o], axis=1)
+        lo, hi = P[0, o, t], P[1, o, t]
+        mid = 0.5 * (lo + hi)
+        stop = key[o, t] <= 0.0             # no panel left, or no error
+        running[o[stop]] = False
+        # a panel at floating-point resolution freezes; the next round
+        # takes the owner's next largest, as the heap does at once
+        frozen = ~stop & ~((lo < mid) & (mid < hi))
+        key[o[frozen], t[frozen]] = -np.inf
+        take = ~stop & ~frozen
+        o, t, lo, mid, hi = o[take], t[take], lo[take], mid[take], hi[take]
+        # an owner whose samples fail joins errors and drops out with its
+        # state as it is; so do all owners after the first that failed
+        v, e = sample(np.repeat(o, 2), np.column_stack([lo, mid]).ravel(),
+                      np.column_stack([mid, hi]).ravel())
+        (v1, v2), (e1, e2) = v.reshape(-1, 2).T, e.reshape(-1, 2).T
+        tv[o] += (v1 + v2) - P[2, o, t]
+        te[o] += (e1 + e2) - P[3, o, t]
+        evals[o] += 30
+        P[0, o, t], key[o, t] = np.nan, -np.inf
+        s = npan[o]
+        npan[o] += 2
+        if npan.max() > key.shape[1]:
+            P = np.concatenate([P, np.full_like(P, np.nan)], axis=2)
+            key = np.concatenate([key, np.full_like(key, -np.inf)], axis=1)
+        P[:, o, s], key[o, s] = (lo, mid, v1, e1), e1
+        P[:, o, s + 1], key[o, s + 1] = (mid, hi, v2, e2), e2
+
+    leaf = ~np.isnan(P[0])
+    P, end = P.transpose(1, 2, 0)[leaf], np.cumsum(leaf.sum(1))  # leaves
+    tails = np.array([j for j in range(min(errors, default=n))
+                      if plans[j].tail_at is not None], dtype=int)
+    y, bad = call(tails, np.array([plans[j].tail_at for j in tails])[:, None])
+    ends = dict(zip(tails.tolist(), y[:, 0].tolist()))
+    done = []
+    for j, a, b in zip(range(min(errors, default=n)), [0, *end], end):
+        try:
+            result = _result(list(map(tuple, P[a:b].tolist())),
+                             int(evals[j]), plans[j])
+        except (OverflowError, ValueError) as ex:
+            errors[j] = ex
+            break
+        if j in bad and not isinstance(bad[j], NonFiniteSampleError):
+            errors[j] = bad[j]      # a blown-up tail is extrapolated instead
+            break
+        done.append([result, None if j in bad else ends.get(j)])
+    failed = min(errors, default=n)
+    return done[:failed], errors.get(failed)
+
+
+def _side_plan(intg, lo: float, hi: float, side: Optional[str],
+               abs_tol: float, rel_tol: float, budget: int) -> _Plan:
+    """The _Plan of [lo, hi] with its singular endpoint on side, "left" or
+    "right"; plain for side None or a transform too shallow to help."""
     L = hi - lo
-    deep = getattr(intg, "deep_" + side, False)
-    endpoint = lo if side == "left" else hi
-    eval_off = getattr(intg, "from_" + side)
-
-    floor = 0.0 if deep else 64.0 * _EPS * abs(endpoint)
-    s_max = getattr(intg, "offset_blowup", None)
-    if s_max is not None and s_max > 0.0:
-        floor = max(floor, 10.0 ** (-280.0 / s_max))
-    if floor > 0.0 and floor < L:
-        W = min(_W_MAX, math.asinh(math.log(L / floor) / 2.0))
-    elif floor >= L:
-        W = 0.0
-    else:
-        W = _W_MAX
-
+    W = 0.0
+    if side is not None:
+        deep = getattr(intg, "deep_" + side, False)
+        endpoint = lo if side == "left" else hi
+        floor = 0.0 if deep else 64.0 * _EPS * abs(endpoint)
+        s_max = getattr(intg, "offset_blowup", None)
+        if s_max is not None and s_max > 0.0:
+            floor = max(floor, 10.0 ** (-280.0 / s_max))
+        if floor > 0.0 and floor < L:
+            W = min(_W_MAX, math.asinh(math.log(L / floor) / 2.0))
+        elif floor <= 0.0:
+            W = _W_MAX
     if W < 0.5:
-        # too shallow for the transform to help; plain refinement
         h = L / 3.0
-        return (yield from _adaptive(intg.values, [lo, lo + h, lo + 2 * h, hi],
-                                     abs_tol, rel_tol, budget))[:4]
-
+        return _Plan("values", (lo, lo + h, lo + 2.0 * h, hi), abs_tol,
+                     rel_tol, budget)
     blockw = min(1.0, W / 3.0)
-    edges = sorted({0.0, W - 3.0 * blockw, W - 2.0 * blockw, W - blockw, W})
-    value, err, evals, converged, panels = yield from _adaptive(
-        eval_off, edges, abs_tol, rel_tol, budget, L)
-
+    edges = tuple(sorted({0.0, W - 3.0 * blockw, W - 2.0 * blockw,
+                          W - blockw, W}))
     # integrands that flatten below a known offset scale (circle integrals
     # at radius 1-gap flatten at ~gap) admit a direct bound on the
     # untransformed remainder; otherwise extrapolate the block decay
     dmin = L * math.exp(-2.0 * math.sinh(W))
     flat = getattr(intg, "flat_below", 0.0) or 0.0
-    tail = None
-    if flat > 0.0 and dmin <= flat:
-        try:
-            y_end = float(np.asarray((yield eval_off, np.array([dmin])),
-                                     dtype=float)[0])
-            evals += 1
-            tail, ok = _SAFETY * abs(y_end) * dmin, True
-        except NonFiniteSampleError:
-            tail = None
-    if tail is None:
-        tail, ok = _tail_estimate(panels, W, blockw, abs_tol, abs(value))
+    return _Plan("from_" + side, edges, abs_tol, rel_tol, budget, L, W,
+                 dmin if flat > 0.0 and dmin <= flat else None)
+
+
+def _singular_side(intg, lo: float, hi: float, side: Optional[str],
+                   abs_tol: float, rel_tol: float, budget: int, done=None):
+    """(value, err, evaluations, converged) of the _side_plan of [lo, hi]
+    run alone by heap, or from done = (that plan, its _result and tail
+    sample) of a run by _bisect; a tail sample of None (none, or blown
+    up) is extrapolated."""
+    if done is None:
+        plan = _side_plan(intg, lo, hi, side, abs_tol, rel_tol, budget)
+        fn = getattr(intg, plan.method)
+        done = [plan, _adaptive(fn, plan), None]
+        if plan.tail_at is not None:
+            try:
+                done[2] = float(np.asarray(fn(np.array([plan.tail_at])),
+                                           dtype=float)[0])
+            except NonFiniteSampleError:
+                pass
+    plan, (value, err, evals, converged, panels), y_end = done
+    if not plan.L:
+        return value, err, evals, converged
+    if y_end is not None:
+        evals += 1
+        tail, ok = _SAFETY * abs(y_end) * plan.tail_at, True
+    else:
+        tail, ok = _tail_estimate(panels, plan.W, min(1.0, plan.W / 3.0),
+                                  plan.abs_tol, abs(value))
     err += tail
     converged = (converged and ok and
-                 err <= max(abs_tol, rel_tol * abs(value)))
+                 err <= max(plan.abs_tol, plan.rel_tol * abs(value)))
     return value, err, evals, converged
 
 
@@ -350,8 +498,11 @@ def _tail_estimate(panels, W: float, blockw: float, abs_tol: float,
     return s0 * rho / (1.0 - rho), True
 
 
-def _integrate(f, a: float, b: float, cfg: Optional[QuadConfig] = None):
-    """Step generator of integrate."""
+
+def _integrate(f, a: float, b: float, cfg: Optional[QuadConfig] = None,
+               run=_singular_side) -> QuadResult:
+    """integrate, each side of it run by run, which takes and returns what
+    _singular_side does."""
     cfg = cfg or QuadConfig()
     a = float(a)
     b = float(b)
@@ -361,38 +512,33 @@ def _integrate(f, a: float, b: float, cfg: Optional[QuadConfig] = None):
         raise ValueError(f"need a < b, got [{a}, {b}]")
     intg = _as_integrand(f, a, b)
 
-    if not cfg.singular_left and not cfg.singular_right:
-        h = (b - a) / 3.0
-        value, err, evals, converged, _ = yield from _adaptive(
-            intg.values, [a, a + h, a + 2.0 * h, b],
-            cfg.abs_tol, cfg.rel_tol, cfg.max_evaluations)
-    elif cfg.singular_left and cfg.singular_right:
+    if cfg.singular_left and cfg.singular_right:
         m = 0.5 * (a + b)
-        v1, e1, n1, c1 = yield from _singular_side(
-            intg, a, m, "left", 0.5 * cfg.abs_tol, cfg.rel_tol,
-            cfg.max_evaluations // 2)
-        v2, e2, n2, c2 = yield from _singular_side(
-            intg, m, b, "right", 0.5 * cfg.abs_tol, cfg.rel_tol,
-            cfg.max_evaluations // 2)
+        half = (0.5 * cfg.abs_tol, cfg.rel_tol, cfg.max_evaluations // 2)
+        v1, e1, n1, c1 = run(intg, a, m, "left", *half)
+        v2, e2, n2, c2 = run(intg, m, b, "right", *half)
         value, err, evals = v1 + v2, e1 + e2, n1 + n2
         converged = (c1 and c2 and
                      err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)))
     else:
-        side = "left" if cfg.singular_left else "right"
-        value, err, evals, converged = yield from _singular_side(
-            intg, a, b, side, cfg.abs_tol, cfg.rel_tol, cfg.max_evaluations)
+        side = ("left" if cfg.singular_left else
+                "right" if cfg.singular_right else None)
+        value, err, evals, converged = run(intg, a, b, side, cfg.abs_tol,
+                                           cfg.rel_tol, cfg.max_evaluations)
 
     return QuadResult(float(value), float(err), int(evals), bool(converged))
 
 
 def integrate(f, a: float, b: float, cfg: Optional[QuadConfig] = None) -> QuadResult:
     """Integrate f over [a, b] under cfg; see the module docstring."""
-    return _drive(_integrate(f, a, b, cfg))
+    return _integrate(f, a, b, cfg)
 
 
 def _integrate_piecewise(f, breakpoints: Sequence[float],
-                         cfg: Optional[QuadConfig] = None):
-    """Step generator of integrate_piecewise."""
+                         cfg: Optional[QuadConfig] = None,
+                         run=_singular_side) -> QuadResult:
+    """integrate_piecewise, each side of each piece run by run (see
+    _integrate)."""
     cfg = cfg or QuadConfig()
     bps = [float(t) for t in breakpoints]
     if len(bps) < 2:
@@ -402,13 +548,11 @@ def _integrate_piecewise(f, breakpoints: Sequence[float],
             raise ValueError("breakpoints must be strictly increasing")
     n = len(bps) - 1
     sub_budget = max(cfg.max_evaluations // n, 300)
-    results = []
-    for i in range(n):
-        sub = QuadConfig(abs_tol=cfg.abs_tol / n, rel_tol=cfg.rel_tol,
-                         max_evaluations=sub_budget,
-                         singular_left=cfg.singular_left and i == 0,
-                         singular_right=cfg.singular_right and i == n - 1)
-        results.append((yield from _integrate(f, bps[i], bps[i + 1], sub)))
+    results = [_integrate(f, bps[i], bps[i + 1], QuadConfig(
+        abs_tol=cfg.abs_tol / n, rel_tol=cfg.rel_tol,
+        max_evaluations=sub_budget, singular_left=cfg.singular_left and i == 0,
+        singular_right=cfg.singular_right and i == n - 1), run)
+        for i in range(n)]
     value = fsum(r.value for r in results)
     err = fsum(r.abs_err_est for r in results)
     evals = sum(r.evaluations for r in results)
@@ -426,4 +570,4 @@ def integrate_piecewise(f, breakpoints: Sequence[float],
     range; interior breakpoints are plain splits.  The error estimate is the
     sum of the piece estimates.
     """
-    return _drive(_integrate_piecewise(f, breakpoints, cfg))
+    return _integrate_piecewise(f, breakpoints, cfg)

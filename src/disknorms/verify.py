@@ -31,7 +31,7 @@ from .expr import (Add, Const, Expr, Mul, Neg, check_param_env, evaluate,
                    parse, substitute_negate, substitute_rotate,
                    substitute_square)
 from .hardy import NormResult, hardy_norm, _integral_means_full, _setup
-from .quad import QuadConfig, QuadResult
+from .quad import NonFiniteSampleError, QuadConfig, QuadResult
 
 __all__ = [
     "VerificationReport", "IdentityCheck", "BoundCheck", "EpsWindow",
@@ -187,8 +187,11 @@ def verify_lemma_cv(h: Expr, p: float, cfg: Optional[QuadConfig] = None, *,
     cfg = cfg if cfg is not None else QuadConfig()
     base = bergman_norm(h, p, env=env, cfg=cfg)
     _, ev, structure = _setup(substitute_square(h), p, env)
-    half, err, conv, evals = _radial_integral(ev, p, structure, cfg,
-                                              weight_pow=2)
+    try:
+        half, err, conv, evals = _radial_integral(ev, p, structure, cfg,
+                                                  weight_pow=2)
+    except NonFiniteSampleError:    # a blow-up: inf, and Inconclusive
+        half, err, conv, evals = math.inf, math.inf, False, 0
     weighted = QuadResult(value=2.0 * half, abs_err_est=2.0 * err,
                           evaluations=evals, converged=conv)
     return _report("lemma-cv", {"p": p, "kappa": kappa}, base.value_p,

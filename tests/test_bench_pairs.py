@@ -68,3 +68,68 @@ def test_summary_flags_digests_and_failed_runs():
                                        "change": ["ab12", "cd34"],
                                        "equal": False}
     assert block["all_runs_correct"] == {"parent": True, "change": False}
+
+
+_BOUNDS = {"wall_ref": 0.15, "min_digits": 0.1}
+
+
+def _verdicts(parent, change):
+    block = bench_pairs.summarize(_runs(parent, change), _BETTER, _BOUNDS)
+    return {name: m["verdict"] for name, m in block["end_to_end"].items()}
+
+
+def test_gain_needs_nine_tenths_of_the_pairs_and_a_clear_median():
+    parent = [(100 + i % 3, 11) for i in range(10)]     # quartiles 100, 102
+    change = [(60 + i % 3, 11) for i in range(10)]
+    assert _verdicts(parent, change) == {"wall_ref": "gain",
+                                         "min_digits": "within bound"}
+    # 8 of 10 pairs won is no gain, though the median moved as far
+    lost = change[:8] + [(105, 11), (105, 11)]
+    assert _verdicts(parent, lost)["wall_ref"] == "within bound"
+
+
+def test_gain_needs_medians_apart_by_more_than_the_parents_spread():
+    parent = [(95, 11), (105, 11)] * 5                  # quartiles 95, 105
+    change = [(92, 11), (102, 11)] * 5                  # wins every pair
+    assert _verdicts(parent, change)["wall_ref"] == "within bound"
+
+
+def test_regression_is_worse_than_the_bound():
+    parent = [(100, 12)] * 10
+    assert _verdicts(parent, [(114, 12)] * 10)["wall_ref"] == "within bound"
+    assert _verdicts(parent, [(116, 12)] * 10)["wall_ref"] == "regression"
+    # higher is better for digits: 10.7 is within 10% of 12, 10.7 not
+    assert _verdicts(parent, [(100, 10.9)] * 10)["min_digits"] == \
+        "within bound"
+    assert _verdicts(parent, [(100, 10.7)] * 10)["min_digits"] == \
+        "regression"
+
+
+def test_spread_wider_than_the_bound_is_unresolved():
+    parent = [(60, 11), (140, 11)] * 5                  # quartiles 60, 140
+    change = [(70, 11), (130, 11)] * 5
+    assert _verdicts(parent, change)["wall_ref"] == "unresolved"
+    # unless every change run beats every parent run
+    assert _verdicts(parent, [(50, 11)] * 10)["wall_ref"] == "within bound"
+
+
+def test_main_adds_the_verdicts_from_the_benchmark_spec(tmp_path, monkeypatch):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
+        "end_to_end": [{"name": "wall_ref", "better": "lower", "bound": 0.15},
+                       {"name": "min_digits", "better": "higher",
+                        "bound": 0.1}]}))
+    walls = iter([100, 60, 60, 100])       # parent first, then change first
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        return bench_pairs.parse_run(_stdout(next(walls), 11.0))
+
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workload", "w", "--pairs", "2", "--seeds", "7",
+                             "--out", str(out)]) == 0
+    block = json.loads(out.read_text())["workloads"]["w"]["end_to_end"]
+    assert block["wall_ref"]["verdict"] == "gain"
+    assert block["min_digits"]["verdict"] == "within bound"

@@ -190,13 +190,29 @@ def test_inner_means_share_evaluator_calls(monkeypatch):
 
 
 def test_node_tables_built_once_per_distinct_request():
-    # 3,074 panel requests of 213 distinct (bounds, L): each node table is
-    # built on the first of its requests and looked up after that
+    # the heap's panel requests, which single integrals make: 98 requests
+    # of 22 distinct (bounds, L) in verify_hp_counterexample(0.5); each node
+    # table is built on the first of its requests and looked up after that
+    from disknorms.verify import verify_hp_counterexample
     quad._nodes.cache_clear()
-    bergman_norm(parse("1/(1-z)^2"), 0.9)
+    verify_hp_counterexample(0.5)
     info = quad._nodes.cache_info()
-    assert (info.misses, info.hits + info.misses) == (213, 3074)
-    assert info.misses <= (info.hits + info.misses) // 10
+    assert (info.misses, info.hits + info.misses) == (22, 98)
+
+
+def test_inner_means_take_one_near_call_per_group_and_round(monkeypatch):
+    # quad._bisect runs every inner bisection of an outer request at once:
+    # one near call per arc side and round, the tails in one more
+    calls = []
+    near = BoundaryEvaluator.near
+
+    def counted(self, anchor, delta, gap):
+        calls.append(np.size(delta))
+        return near(self, anchor, delta, gap)
+
+    monkeypatch.setattr(BoundaryEvaluator, "near", counted)
+    bergman_norm(parse("1/(1-z)^2"), 0.9)
+    assert (len(calls), sum(calls)) == (108, 101400)
 
 
 @pytest.mark.xfail(strict=True, reason="open defect: p*alpha = 400 > 2 makes "

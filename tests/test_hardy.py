@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from disknorms import hardy
+from disknorms import expr, hardy
 from disknorms.expr import (BoundaryStructure, EvalDomainError, SingularPoint,
                             UnsupportedFormError, parse, substitute_rotate,
                             to_polynomial)
-from disknorms.bergman import InnerIntegralError, _RadialIntegrand
+from disknorms.bergman import (InnerIntegralError, _RadialIntegrand,
+                               bergman_norm)
 from disknorms.hardy import (NormResult, _ladder_says_divergent, hardy_norm,
                              integral_means)
 from disknorms.quad import NonFiniteSampleError, QuadConfig
@@ -287,6 +288,23 @@ def test_inner_integral_error_is_a_non_finite_sample_error():
     assert str(ex) == "inner circle integral failed at radius 0.75"
 
 
+@pytest.mark.parametrize("norm", [hardy_norm, bergman_norm])
+def test_norm_resolves_its_expression_once(monkeypatch, norm):
+    # the evaluator keeps its resolved form, and the boundary structure is
+    # read from it
+    f = parse("(1+z)^(2-eps)/(1-z)^(2+eps)")
+    top = []
+    resolve = expr._resolve
+
+    def counted(e, env):
+        top.append(e is f)
+        return resolve(e, env)
+
+    monkeypatch.setattr(expr, "_resolve", counted)
+    norm(f, 0.5, env={"eps": 0.1})
+    assert sum(top) == 1
+
+
 def test_ladder_growth_test():
     values = {1e-4: 1.0, 1e-6: 2.0, 1e-8: 4.0}   # grows without decay
     assert _ladder_says_divergent(values.get) is True
@@ -358,19 +376,37 @@ def test_lockstep_covers_plain_refinement_and_one_sample_tail(monkeypatch):
 class _FailingEvaluator:
     """A BoundaryEvaluator whose near raises EvalDomainError naming the gap
     at each gap of bad, when it samples next to the root bad[gap] (so on
-    one arc only), whether the points come alone or in a batch."""
+    one arc only), whether the points come alone or in a batch.  bad[gap]
+    may instead list (root, side, depth): it then fails only on the side
+    of root that side's sign of delta takes, at |delta| <= depth, and its
+    message names the side.  Every message raised is kept in raised.  At
+    the gap inf_tail, the samples at the one-sample tail come back inf."""
 
-    def __init__(self, ev, bad):
+    def __init__(self, ev, bad, inf_tail=None):
         self._ev = ev
         self._bad = bad
+        self._inf_tail = inf_tail
         self.value = ev.value
+        self.raised = []
 
     def near(self, anchor, delta, gap):
         gap = np.broadcast_to(gap, np.shape(delta))
-        for g, root in self._bad.items():
-            if anchor == root and np.any(gap == g):
-                raise EvalDomainError(f"bad gap {g!r}")
-        return self._ev.near(anchor, delta, gap)
+        for g, spec in self._bad.items():
+            specs = spec if isinstance(spec, list) else [(spec, 0.0, math.inf)]
+            for root, side, depth in specs:
+                if anchor == root and np.any((gap == g) & (side * delta >= 0.0)
+                                             & (np.abs(delta) <= depth)):
+                    self.raised.append(f"bad gap {g!r}" + (
+                        f" on side {side:+g} of {root}" if side else ""))
+                    raise EvalDomainError(self.raised[-1])
+        w = self._ev.near(anchor, delta, gap)
+        return np.where((gap == self._inf_tail) & (np.abs(delta) <= _TAIL),
+                        np.inf, w)
+
+
+# 1.01 times the one-sample tail's offset on the arcs of 1/(1-z^2), which
+# have sides of length pi/2: only that sample comes this close to a root
+_TAIL = 1.01 * 0.5 * math.pi * math.exp(-2.0 * math.sinh(6.5))
 
 
 def _outcome(call):
@@ -386,15 +422,22 @@ def _outcome(call):
     {1e-6: -1},
     {0.1: 1, 1e-6: -1},             # the earlier gap fails later
     {1e-120: 1, 0.01: -1},
+    # both arcs of gap 1e-6 fail next to 1: the later arc [pi, 2 pi] at
+    # once, the earlier arc [0, pi] only at its one-sample tail
+    {1e-6: [(1, 1.0, _TAIL), (1, -1.0, math.inf)]},
 ])
 def test_lockstep_raises_first_failure_in_gap_order(bad):
     p, ev, st = hardy._setup(parse("1/(1-z^2)"), 0.6, None)
     fev = _FailingEvaluator(ev, bad)
     cfg = QuadConfig()
     seq = _outcome(lambda: _sequential(fev, p, st, _GAPS, cfg))
-    assert seq == "EvalDomainError: bad gap " + repr(
-        min(bad, key=_GAPS.index))
+    first = min(bad, key=_GAPS.index)
+    assert seq.startswith(f"EvalDomainError: bad gap {first!r}")
+    fev.raised.clear()
     assert _outcome(lambda: _lockstep(fev, p, st, _GAPS, cfg)) == seq
+    if isinstance(bad[first], list):
+        assert seq.endswith("side +1 of 1")
+        assert fev.raised[0] == f"bad gap {first!r} on side -1 of 1"
 
 
 def _radial_sequential(intg, d):
@@ -415,18 +458,12 @@ def _radial_sequential(intg, d):
     {0.1: 1, 1e-40: 1},
     {0.01: -1, 0.1: 1},             # raises before the non-finite mean
 ])
-def test_radial_lockstep_keeps_inner_failure_order(monkeypatch, bad):
-    # gap 1e-6 returns a non-finite mean; each gap of bad raises.  The
-    # first of them in radius order surfaces, as in the sequential loop
-    steps = hardy._circle_mean_steps
-
-    def non_finite_at(ev, p, arcs, gap, cfg):
-        mean, err, evals, conv = yield from steps(ev, p, arcs, gap, cfg)
-        return (math.inf if gap == 1e-6 else mean), err, evals, conv
-
-    monkeypatch.setattr(hardy, "_circle_mean_steps", non_finite_at)
+def test_radial_lockstep_keeps_inner_failure_order(bad):
+    # gap 1e-6 returns a non-finite mean: its one-sample tails come back
+    # inf, which the tail bound takes as it is; each gap of bad raises.
+    # The first of them in radius order surfaces, as in the sequential loop
     p, ev, st = hardy._setup(parse("1/(1-z^2)"), 0.6, None)
-    fev = _FailingEvaluator(ev, bad)
+    fev = _FailingEvaluator(ev, bad, inf_tail=1e-6)
     intg = _RadialIntegrand(fev, p, st, QuadConfig(abs_tol=1e-9,
                                                    rel_tol=1e-7))
     d = np.array(_GAPS)

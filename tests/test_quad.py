@@ -258,7 +258,7 @@ def test_panels_sample_and_sum_as_a_fresh_table(bounds, L):
              for i, h2 in enumerate(halves)]
     fresh = [(vk, 4.0 * abs(vk - vg)) for vk, vg in fresh]
     for _ in range(2):          # the second request reuses its table
-        assert quad._drive(quad._panels(fn, bounds, L)) == fresh
+        assert quad._panel(fn, bounds, L) == fresh
     assert seen == [_bits(points)] * 3
 
 
@@ -340,3 +340,123 @@ def test_piecewise_outer_singular_flags():
 def test_piecewise_needs_increasing_breakpoints():
     with pytest.raises(ValueError):
         integrate_piecewise(np.exp, [0.0, 0.5, 0.5, 1.0], DEFAULT)
+
+
+# ---------------------------------------------------------------------------
+# array bisection engine
+
+
+def _row_sums(y, h):
+    """The panel sums of _sums, row by row, each with ndarray.dot."""
+    out = []
+    for yi, hi in zip(y, h):
+        vk = hi * float(_GK_WK.dot(yi))
+        vg = hi * float(_GK_WG.dot(yi))
+        out.append((vk, 4.0 * abs(vk - vg)))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 257, 4097])
+@pytest.mark.parametrize("layout", ["contiguous", "misaligned", "strided"])
+def test_stacked_sums_equal_one_dot_per_panel(n, layout):
+    # the engine sums all panels of a round with one stacked matmul; each
+    # must be bit for bit the ndarray.dot of the heap's one-panel sums, or
+    # the engine's results would drift from the heap's
+    rng = np.random.default_rng(n)
+    size = 2 * n * 15 + 1
+    buf = (rng.standard_normal(size)
+           * 10.0 ** rng.uniform(-200.0, 200.0, size))
+    if layout == "contiguous":
+        y = buf[:n * 15].reshape(n, 15)
+    elif layout == "misaligned":
+        y = buf[1:n * 15 + 1].reshape(n, 15)    # one double off alignment
+    else:
+        y = buf[:2 * n * 15].reshape(2 * n, 15)[::2]
+    h = 10.0 ** rng.uniform(-5.0, 1.0, n)
+    vk, e = quad._sums(y, h)
+    assert list(zip(vk.tolist(), e.tolist())) == _row_sums(y, h)
+
+
+def _smooth(x):
+    return np.exp(np.sin(7.0 * x)) / (1.1 - x)
+
+
+_ULP = float(np.spacing(0.5))
+
+
+def _jump(x):
+    # a unit jump at 0.5, cut off 5 ulps later: the panels at the jump
+    # bisect down to one ulp, where they freeze
+    return np.where((x > 0.5) & (x < 0.5 + 5.0 * _ULP), 1.0, 0.0)
+
+
+def _plain(edges, budget=3000, abs_tol=1e-300):
+    return quad._Plan("values", edges, abs_tol, 0.0, budget)
+
+
+_THIRDS = (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
+_DE = quad._side_plan(quad._as_integrand(lambda x: x ** -0.5, 0.0, 1.0),
+                      0.0, 1.0, "left", 1e-13, 1e-8, 20000)
+
+# (fn, plan): smooth, a jump, whose panels reach floating-point resolution
+# and freeze, budgets too small to bisect or for one bisection, mirrored
+# |x| (equal errors, which the lowest seq breaks), and a double-exponential
+# side
+_OWNERS = [
+    (_smooth, _plain(_THIRDS, abs_tol=1e-12)),
+    (_jump, _plain((0.0, 0.5, 0.5 + 4.0 * _ULP, 1.0))),
+    (_smooth, _plain(_THIRDS, budget=50)),
+    (_smooth, _plain(_THIRDS, budget=75)),
+    (np.abs, _plain((-1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0))),
+    (lambda d: d ** -0.5, _DE),
+    (lambda d: np.log(d) ** 2, _DE),
+]
+
+
+def test_engine_cases_cover_freezing_and_ties():
+    _, _, _, _, panels = quad._adaptive(_jump, _OWNERS[1][1])
+    assert any(not lo < 0.5 * (lo + hi) < hi for lo, hi, _, _ in panels)
+    _, _, _, _, panels = quad._adaptive(np.abs, _OWNERS[4][1])
+    errors = [e for *_, e in panels]
+    assert len(set(errors)) < len(errors)
+
+
+@pytest.mark.parametrize("case", range(len(_OWNERS)))
+def test_engine_alone_equals_the_heap(case):
+    fn, plan = _OWNERS[case]
+    done, failure = quad._bisect([(lambda x, _: fn(x), 0.0, plan)])
+    assert failure is None
+    assert repr(done[0][0]) == repr(quad._adaptive(fn, plan))
+
+
+def test_engine_runs_owners_together_as_the_heap_runs_each():
+    # owners sharing an fn are sampled in one call, each point with its
+    # owner's arg; here the arg shifts the integrand
+    calls = []
+
+    def shifted(x, args):
+        calls.append(x.size)
+        return np.sqrt(np.abs(x - args))
+
+    owners = [(lambda x, _, fn=fn: fn(x), 0.0, plan) for fn, plan in _OWNERS]
+    owners += [(shifted, a, _plain(_THIRDS)) for a in (0.2, 0.5, 0.61)]
+    done, failure = quad._bisect(owners)
+    assert failure is None
+    expected = [quad._adaptive(fn, plan) for fn, plan in _OWNERS]
+    expected += [quad._adaptive(lambda x, a=a: np.sqrt(np.abs(x - a)),
+                                _plain(_THIRDS)) for a in (0.2, 0.5, 0.61)]
+    assert [repr(d[0]) for d in done] == [repr(r) for r in expected]
+    assert calls[0] == 3 * 45 and len(calls) < sum(r[2] for r in expected[-3:]) // 30
+
+
+def test_engine_raises_the_first_failure_in_owner_order():
+    # the second owner fails at once, the first only once its bisection
+    # samples past 0.9993 (its initial nodes end at 0.99858); the third,
+    # after both, is dropped
+    late = lambda x, _: np.where(x > 0.9993, np.nan, _smooth(x))
+    owners = [(late, 0.0, _plain(_THIRDS, abs_tol=1e-14)),
+              (lambda x, _: np.full_like(x, np.inf), 0.0, _plain(_THIRDS)),
+              (lambda x, _: _smooth(x), 0.0, _plain(_THIRDS))]
+    done, failure = quad._bisect(owners)
+    assert done == []
+    assert isinstance(failure, NonFiniteSampleError) and failure.x > 0.9993
