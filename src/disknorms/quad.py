@@ -216,8 +216,8 @@ def _panel(fn, bounds: Sequence[tuple[float, float]], L: float = 0.0):
 
 @dataclass(frozen=True)
 class _Plan:
-    """One bisection; L > 0 for a singular side of depth W (see
-    _singular_side)."""
+    """One bisection; L > 0 for a singular side of transform depth W and
+    block width blockw (see _singular_side)."""
     method: str
     edges: tuple
     abs_tol: float
@@ -225,6 +225,7 @@ class _Plan:
     budget: int
     L: float = 0.0
     W: float = 0.0
+    blockw: float = 0.0
     tail_at: Optional[float] = None
 
 
@@ -428,7 +429,7 @@ def _side_plan(intg, lo: float, hi: float, side: Optional[str],
     dmin = L * math.exp(-2.0 * math.sinh(W))
     flat = getattr(intg, "flat_below", 0.0) or 0.0
     return _Plan("from_" + side, edges, abs_tol, rel_tol, budget, L, W,
-                 dmin if flat > 0.0 and dmin <= flat else None)
+                 blockw, dmin if flat > 0.0 and dmin <= flat else None)
 
 
 def _singular_side(intg, lo: float, hi: float, side: Optional[str],
@@ -454,8 +455,8 @@ def _singular_side(intg, lo: float, hi: float, side: Optional[str],
         evals += 1
         tail, ok = _SAFETY * abs(y_end) * plan.tail_at, True
     else:
-        tail, ok = _tail_estimate(panels, plan.W, min(1.0, plan.W / 3.0),
-                                  plan.abs_tol, abs(value))
+        tail, ok = _tail_estimate(panels, plan.W, plan.blockw, plan.abs_tol,
+                                  abs(value))
     err += tail
     converged = (converged and ok and
                  err <= max(plan.abs_tol, plan.rel_tol * abs(value)))
