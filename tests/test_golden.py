@@ -12,7 +12,12 @@ from disknorms.bergman import bergman_norm
 from disknorms.expr import parse
 from disknorms.hardy import _integral_means_full, hardy_norm
 from disknorms.verify import verify_ap_large_p
-from disknorms.quad import QuadConfig, integrate
+from disknorms.quad import QuadConfig, integrate, integrate_piecewise
+
+
+def _two_ended(x):
+    return x ** -0.5 + (1.0 - x) ** -0.25
+
 
 GOLDEN = [
     ("integrate x^-1/2, singular left",
@@ -24,6 +29,36 @@ GOLDEN = [
      lambda: integrate(np.cos, 0, 3),
      "QuadResult(value=0.141120008059867, abs_err_est=2.2426505097428162e-14,"
      " evaluations=45, converged=True)"),
+    # both ends singular: the budget halves per side, rounding down (719
+    # gives 359 a side, one bisection short of what 720 gives)
+    ("integrate x^-1/2 + (1-x)^-1/4, both ends singular",
+     lambda: integrate(_two_ended, 0, 1,
+                       QuadConfig(singular_left=True, singular_right=True,
+                                  max_evaluations=20001)),
+     "QuadResult(value=3.333333333278384, abs_err_est=1.4654168020779423e-09,"
+     " evaluations=240, converged=True)"),
+    ("integrate x^-1/2 + (1-x)^-1/4, both ends singular, odd budget spent",
+     lambda: integrate(_two_ended, 0, 1,
+                       QuadConfig(abs_tol=1e-300, rel_tol=0.0,
+                                  singular_left=True, singular_right=True,
+                                  max_evaluations=719)),
+     "QuadResult(value=3.33333333327843, abs_err_est=9.388986839437559e-10,"
+     " evaluations=660, converged=False)"),
+    # the singular flags act on the outer pieces only
+    ("integrate_piecewise x^-1/2 + (1-x)^-1/4 over 4 pieces",
+     lambda: integrate_piecewise(_two_ended, [0.0, 0.25, 0.5, 0.75, 1.0],
+                                 QuadConfig(singular_left=True,
+                                            singular_right=True)),
+     "QuadResult(value=3.333333333278432, abs_err_est=1.0421709843445624e-09,"
+     " evaluations=300, converged=True)"),
+    # 1000 evaluations over 5 pieces: each piece gets the floor of 300
+    ("integrate_piecewise sqrt|sin 40x|, per-piece budget floor",
+     lambda: integrate_piecewise(
+         lambda x: np.sqrt(np.abs(np.sin(40.0 * x))),
+         [0.0, 0.2, 0.4, 0.6, 0.8, 1.0],
+         QuadConfig(abs_tol=1e-14, max_evaluations=1000)),
+     "QuadResult(value=0.7662724966830428, abs_err_est=0.0017701198352618516,"
+     " evaluations=1425, converged=False)"),
     ("hardy (1+z)/(1-z), p=0.5",
      lambda: hardy_norm(parse("(1+z)/(1-z)"), 0.5),
      "NormResult(space='Hardy', p=0.5, value_p=1.4142135624250958,"

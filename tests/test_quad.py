@@ -342,6 +342,23 @@ def test_piecewise_needs_increasing_breakpoints():
         integrate_piecewise(np.exp, [0.0, 0.5, 0.5, 1.0], DEFAULT)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: integrate_piecewise(np.exp, [0.0]),
+     "breakpoints must include both interval endpoints"),
+    (lambda: integrate_piecewise(np.exp, [0.0, 0.5, 0.5, 1.0]),
+     "breakpoints must be strictly increasing"),
+    (lambda: integrate_piecewise(np.exp, [0.0, math.nan, 1.0]),
+     "breakpoints must be strictly increasing"),
+    (lambda: integrate_piecewise(np.exp, [0.0, math.inf]),
+     "interval endpoints must be finite"),
+    (lambda: integrate(np.exp, 1, 0), "need a < b, got [1.0, 0.0]"),
+], ids=["one-breakpoint", "repeated", "nan", "inf", "reversed"])
+def test_bad_intervals_raise_their_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # array bisection engine
 
