@@ -12,10 +12,10 @@ each end-to-end metric, the medians, the quartiles (numpy.percentile 25 and
 75), the change's relative move and the pairs it wins (better is read from
 the change's BENCHMARK.json; ties count for neither) and a verdict (see
 verdict), whether every run was correct, and the distinct outputs_sha256
-digests of each side.  With
---trace-seed it adds one ``--trace 1`` run per side and their per-layer
-values.  The block is printed; with --out it is also stored under
-["workloads"][W] of that JSON file, which is created when missing.
+digests of each side.  With --trace-seed it adds one ``--trace 1`` run per
+side, their per-layer values and the names of the per-layer counts that
+differ (counts_differ).  The block is printed; with --out it is also stored
+under ["workloads"][W] of that JSON file, which is created when missing.
 """
 import argparse
 import json
@@ -121,13 +121,19 @@ def summarize(runs: dict, better: dict, bounds: dict = None) -> dict:
 
 
 def per_layer(traced: dict) -> dict:
-    """The per-layer values of one traced run per side, side by side."""
+    """The per-layer values of one traced run per side, side by side, and
+    counts_differ: the names of the metrics of unit count whose values
+    differ between the sides."""
     names = traced["change"]["metrics"]
+    layers = {name: {"unit": names[name]["unit"],
+                     **{side: traced[side]["metrics"][name]["value"]
+                        for side in SIDES}}
+              for name in names}
     return {
-        "per_layer": {name: {"unit": names[name]["unit"],
-                             **{side: traced[side]["metrics"][name]["value"]
-                                for side in SIDES}}
-                      for name in names},
+        "per_layer": layers,
+        "counts_differ": [name for name, m in layers.items()
+                          if m["unit"] == "count"
+                          and m["parent"] != m["change"]],
         "traced_failed_of_attempted": {
             side: [traced[side]["failed"], traced[side]["attempted"]]
             for side in SIDES},

@@ -195,10 +195,9 @@ def _classify(product: float) -> str:
 
 def membership_classify(alpha: float, p: float) -> MembershipVerdict:
     """Rule-based classification of (1-z)^{-alpha} in A^p by p*alpha vs 2."""
-    alpha = float(alpha)
-    p = float(p)
-    if alpha <= 0.0 or p <= 0.0:
-        raise ValueError("need alpha > 0 and p > 0")
+    alpha, p = float(alpha), float(p)
+    if not (0.0 < alpha < math.inf and 0.0 < p < math.inf):
+        raise ValueError("need finite alpha > 0 and p > 0")
     prod = p * alpha
     return MembershipVerdict(alpha, p, prod, _classify(prod))
 

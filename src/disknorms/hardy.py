@@ -11,10 +11,11 @@ singular-endpoint transform from the quad module, and f is evaluated
 through anchor-offset boundary arithmetic so that samples at angular
 distance far below machine epsilon from a pole stay accurate.  The same
 arc machinery, run at radius 1 - gap, provides the inner circle integrals
-of the Bergman module: _circle_means hands the bisections of all gaps,
-arcs, pieces and sides to quad._bisect at once, which samples each arc
-and method (values, from_left, from_right) with one evaluator call per
-round, and finishes each mean as _circle_mean_p does.
+of the Bergman module.  The arcs' pieces and sides are planned once
+(_arc_pieces); _circle_mean_p runs each side by heap, and _circle_means
+hands the sides of all gaps to quad._bisect at once, which samples each
+arc and method (values, from_left, from_right) with one evaluator call
+per round.  Both finish each mean through the same sums (_arcs_mean).
 
 The norm driver _norm serves both spaces: _setup checks p and the
 parameters, compiles f and finds its boundary structure; the space's
@@ -41,8 +42,8 @@ from .expr import (
     boundary_structure,
     check_param_env,
 )
-from .quad import (NonFiniteSampleError, QuadConfig, _bisect,
-                   _integrate_piecewise, _side_plan, _singular_side,
+from .quad import (NonFiniteSampleError, QuadConfig, _bisect, _finish_side,
+                   _pieces, _piecewise, _side_plan, _singular_side, _total,
                    integrate_piecewise)
 
 __all__ = [
@@ -140,7 +141,7 @@ class _ArcIntegrand:
     like 1e-200.  With gap > 0 the profile flattens at angular scale
     ~gap, which is declared through flat_below so the transform can
     bound its truncated tail by a single deep sample.  _circle_means
-    samples through one per arc whose gap it sets per point (_sampler).
+    samples each arc through one whose gap it sets per point (_sampler).
     """
 
     def __init__(self, ev: BoundaryEvaluator, p: float, gap: float, arc: _Arc):
@@ -178,74 +179,69 @@ class _ArcIntegrand:
         return np.abs(w) ** self._p
 
 
-def _arcs_mean(ev: BoundaryEvaluator, p: float, arcs: list[_Arc], gap: float,
-               cfg: QuadConfig, run) -> tuple[float, float, int, bool]:
-    """_circle_mean_p over the arcs, each side of each piece of an arc run
-    by run (see quad._integrate)."""
+def _arc_pieces(arcs: list[_Arc], cfg: QuadConfig) -> list:
+    """(arc, QuadConfig, quad._pieces) of each arc under the mean's cfg.
+    Sub-targets at 0.45x keep the summed estimates within the caller's
+    tolerance (abs and rel parts can both saturate across pieces)."""
     n = len(arcs)
     budget = max(int(cfg.max_evaluations) // n, 1000)
-    # sub-targets at 0.45x so the summed estimates still clear the caller's
-    # tolerance (abs and rel parts can both be saturated across pieces)
     raw_abs = 0.45 * cfg.abs_tol * _TWO_PI / n
-    results = []
-    for arc in arcs:
-        intg = _ArcIntegrand(ev, p, gap, arc)
-        sub = QuadConfig(abs_tol=raw_abs, rel_tol=0.45 * cfg.rel_tol,
-                         max_evaluations=budget,
-                         singular_left=arc.left is not None,
-                         singular_right=arc.right is not None)
-        results.append(_integrate_piecewise(
-            intg, [arc.lo, *arc.kinks, arc.hi], sub, run))
-    mean = fsum(r.value for r in results) / _TWO_PI
-    err = fsum(r.abs_err_est for r in results) / _TWO_PI
-    conv = (all(r.converged for r in results) and
-            err <= max(cfg.abs_tol, cfg.rel_tol * abs(mean)))
-    return mean, err, sum(r.evaluations for r in results), conv
+    subs = [QuadConfig(abs_tol=raw_abs, rel_tol=0.45 * cfg.rel_tol,
+                       max_evaluations=budget, singular_left=arc.left is not None,
+                       singular_right=arc.right is not None) for arc in arcs]
+    return [(arc, sub, _pieces([arc.lo, *arc.kinks, arc.hi], sub))
+            for arc, sub in zip(arcs, subs)]
+
+
+def _arcs_mean(plans: list, cfg: QuadConfig, results):
+    """(mean, abs_err_est, evaluations, converged) of the _arc_pieces plans
+    from results, an iterator over the results of their sides in order."""
+    return _total([_piecewise(pieces, sub, results) for _, sub, pieces in plans],
+                  cfg, scale=_TWO_PI)
 
 
 def _circle_mean_p(ev: BoundaryEvaluator, p: float,
                    structure: BoundaryStructure, gap: float,
                    cfg: QuadConfig) -> tuple[float, float, int, bool]:
-    """(1/2 pi) int |f((1-gap) e^{i t})|^p dt over the full circle.
-
-    Returns (mean, abs_err_est, evaluations, converged); tolerances in cfg
-    apply to the mean.
-    """
-    return _arcs_mean(ev, p, _build_arcs(structure), gap, cfg, _singular_side)
+    """(mean, abs_err_est, evaluations, converged) of the mean
+    (1/2 pi) int |f((1-gap) e^{i t})|^p dt over the full circle, with
+    cfg's tolerances on the mean."""
+    plans = _arc_pieces(_build_arcs(structure), cfg)
+    intgs = [_ArcIntegrand(ev, p, gap, arc) for arc, _, _ in plans]
+    return _arcs_mean(plans, cfg, (
+        _singular_side(intg, *side) for intg, (_, _, pieces) in zip(intgs, plans)
+        for _, sides in pieces for side in sides))
 
 
 def _circle_means(ev: BoundaryEvaluator, p: float,
                   structure: BoundaryStructure, gaps, cfg: QuadConfig):
     """Yield _circle_mean_p at each of gaps, in order, with the bisections
     of every gap, arc, piece and side run at once by quad._bisect (batched
-    as scipy.integrate.quad_vec batches its intervals).  A first pass over
-    the gaps plans them, and a second finishes them in that order, so the
-    first failure in (gap, arc, piece, side) order is raised where a loop
-    over the gaps would raise it."""
-    arcs = _build_arcs(structure)
-    fns = {(arc, m): _sampler(_ArcIntegrand(ev, p, 0.0, arc), m)
-           for arc in arcs for m in ("values", "from_left", "from_right")}
-    owners = []
-
-    def record(intg, *side):
-        plan = _side_plan(intg, *side)
-        owners.append((fns[intg._arc, plan.method], intg._gap, plan))
-        return 0.0, 0.0, 0, True
-
+    as scipy.integrate.quad_vec batches its intervals); each gap only adds
+    its _side_plans.  The means finish in gap order, so the first failure
+    in (gap, arc, piece, side) order is raised where a gap loop raises it."""
+    plans = _arc_pieces(_build_arcs(structure), cfg)
+    fns, owners = {}, []
     for gap in gaps:
-        _arcs_mean(ev, p, arcs, gap, cfg, record)
+        for arc, _, pieces in plans:
+            intg = _ArcIntegrand(ev, p, gap, arc)
+            for _, sides in pieces:
+                for side in sides:
+                    plan = _side_plan(intg, *side)
+                    # the arc's first integrand samples it at every gap
+                    fn = fns.setdefault((arc, plan.method),
+                                        _sampler(intg, plan.method))
+                    owners.append((fn, gap, plan))
     done, failure = _bisect(owners)
-    steps = iter(zip(owners, done))
 
-    def finish(intg, *side):
-        step = next(steps, None)
-        if step is None:
-            raise failure
-        (*_, plan), (result, y_end) = step
-        return _singular_side(intg, *side, done=(plan, result, y_end))
+    def results():
+        for (*_, plan), (result, y_end) in zip(owners, done):
+            yield _finish_side(plan, result, y_end)
+        raise failure
 
-    for gap in gaps:
-        yield _arcs_mean(ev, p, arcs, gap, cfg, finish)
+    finished = results()
+    for _ in gaps:
+        yield _arcs_mean(plans, cfg, finished)
 
 
 def _sampler(intg: _ArcIntegrand, method: str):
@@ -281,12 +277,10 @@ def _probe_strength(ev: BoundaryEvaluator, root: complex, p: float) -> float:
 def _declared_structure(ev: BoundaryEvaluator, p: float,
                         angles) -> BoundaryStructure:
     pts = []
-    seen: list[float] = []
     for t in angles:
         ang = _canonical_angle(float(t))
-        if any(abs(ang - u) < 1e-12 for u in seen):
+        if any(abs(ang - s.angle) < 1e-12 for s in pts):
             continue
-        seen.append(ang)
         root = _exact_root(complex(math.cos(ang), math.sin(ang)))
         pts.append(SingularPoint(ang, root, _probe_strength(ev, root, p)))
     pts.sort(key=lambda s: s.angle)
@@ -329,6 +323,7 @@ def _divergence_probe(ev: BoundaryEvaluator, p: float,
     if not structure.singular:
         return False
     arcs = _build_arcs(structure)
+    sub = QuadConfig(abs_tol=1e-8, rel_tol=1e-5, max_evaluations=40000)
 
     def truncated(cut):
         pieces = []
@@ -340,8 +335,6 @@ def _divergence_probe(ev: BoundaryEvaluator, p: float,
             bps = [lo, *(t for t in arc.kinks if lo + 1e-9 < t < hi - 1e-9),
                    hi]
             intg = _ArcIntegrand(ev, p, 0.0, arc)
-            sub = QuadConfig(abs_tol=1e-8, rel_tol=1e-5,
-                             max_evaluations=40000)
             pieces.append(integrate_piecewise(intg, bps, sub).value)
         return fsum(pieces)
 
@@ -358,8 +351,8 @@ def _setup(f: Expr, p: float, env, singular_angles=None):
     probed at the declared singular_angles.  Returns (p, evaluator,
     structure)."""
     p = float(p)
-    if p <= 0.0:
-        raise ValueError("p must be positive")
+    if not 0.0 < p < math.inf:
+        raise ValueError(f"p must be positive and finite, got {p}")
     env = check_param_env(env)
     ev = BoundaryEvaluator(f, env)
     if singular_angles is None:

@@ -16,19 +16,24 @@ offsets far below machine epsilon.  Plain callables fall back to f(a + d) /
 f(b - d), with the transform depth capped near roundoff of the endpoint and
 the unreachable tail folded into the error estimate.
 
-A single integral bisects with a heap, one request (fn, points) at a time,
-fn a method of the integrand.  Sibling panels (the halves of a bisection,
-or all initial panels) share one request; each panel's sums still use only
-its own samples.  Each distinct request's node table is built once
-(_nodes) and shared read-only; a plain callable receives a copy of it.
-_bisect runs many bisections at once, with their panels in arrays, each
-in the heap's order and arithmetic, so bit for bit as the heap runs it.
+An integral is planned as data: _pieces and _sides give its pieces and
+their sides, (lo, hi, side, tolerances, budget) each.  A single integral
+bisects each side by heap (_singular_side), one request (fn, points) at a
+time, fn a method of the integrand; sibling panels (the halves of a
+bisection, or all initial panels) share one request, and each panel's sums
+use only its own samples.  Each distinct request's node table is built
+once (_nodes) and shared read-only; a plain callable receives a copy of
+it.  _bisect runs many bisections at once, with their panels in arrays,
+each in the heap's order and arithmetic, so bit for bit as the heap runs
+it.  Either way _finish_side adds each side's tail, and _total sums the
+sides, pieces and means and checks their convergence.
 """
 from __future__ import annotations
 
 import functools
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from math import fsum
 from typing import Optional, Sequence
@@ -104,10 +109,6 @@ class QuadResult:
 
 
 class _CallableIntegrand:
-    deep_left = False
-    deep_right = False
-    offset_blowup = None
-
     def __init__(self, f, a: float, b: float):
         self._f = f
         self._a = a
@@ -432,23 +433,26 @@ def _side_plan(intg, lo: float, hi: float, side: Optional[str],
                  blockw, dmin if flat > 0.0 and dmin <= flat else None)
 
 
-def _singular_side(intg, lo: float, hi: float, side: Optional[str],
-                   abs_tol: float, rel_tol: float, budget: int, done=None):
-    """(value, err, evaluations, converged) of the _side_plan of [lo, hi]
-    run alone by heap, or from done = (that plan, its _result and tail
-    sample) of a run by _bisect; a tail sample of None (none, or blown
-    up) is extrapolated."""
-    if done is None:
-        plan = _side_plan(intg, lo, hi, side, abs_tol, rel_tol, budget)
-        fn = getattr(intg, plan.method)
-        done = [plan, _adaptive(fn, plan), None]
-        if plan.tail_at is not None:
-            try:
-                done[2] = float(np.asarray(fn(np.array([plan.tail_at])),
-                                           dtype=float)[0])
-            except NonFiniteSampleError:
-                pass
-    plan, (value, err, evals, converged, panels), y_end = done
+def _singular_side(intg, *side):
+    """(value, err, evaluations, converged) of the _side_plan of a side
+    (_sides) run alone by heap (_finish_side)."""
+    plan = _side_plan(intg, *side)
+    fn = getattr(intg, plan.method)
+    result, y_end = _adaptive(fn, plan), None
+    if plan.tail_at is not None:
+        try:
+            y_end = float(np.asarray(fn(np.array([plan.tail_at])),
+                                     dtype=float)[0])
+        except NonFiniteSampleError:
+            pass
+    return _finish_side(plan, result, y_end)
+
+
+def _finish_side(plan: _Plan, result, y_end: Optional[float]):
+    """(value, err, evaluations, converged) of a side from its plan, the
+    _result of its bisection (by heap or by _bisect) and its tail sample
+    y_end, which, when None (none, or blown up), is extrapolated."""
+    value, err, evals, converged, panels = result
     if not plan.L:
         return value, err, evals, converged
     if y_end is not None:
@@ -499,76 +503,79 @@ def _tail_estimate(panels, W: float, blockw: float, abs_tol: float,
     return s0 * rho / (1.0 - rho), True
 
 
-
-def _integrate(f, a: float, b: float, cfg: Optional[QuadConfig] = None,
-               run=_singular_side) -> QuadResult:
-    """integrate, each side of it run by run, which takes and returns what
-    _singular_side does."""
-    cfg = cfg or QuadConfig()
-    a = float(a)
-    b = float(b)
+def _sides(a: float, b: float, cfg: QuadConfig) -> list:
+    """The sides of [a, b] under cfg as _side_plan takes them, (lo, hi,
+    side, abs_tol, rel_tol, budget) each: [a, b], or its halves with half
+    of abs_tol and of the budget (rounded down) when cfg flags both ends."""
+    a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("interval endpoints must be finite")
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
-    intg = _as_integrand(f, a, b)
-
+    if not math.isfinite(abs(a) + abs(b)):   # bounds b - a and a + b
+        raise ValueError(f"interval too wide, |a| + |b| overflows: [{a}, {b}]")
     if cfg.singular_left and cfg.singular_right:
         m = 0.5 * (a + b)
         half = (0.5 * cfg.abs_tol, cfg.rel_tol, cfg.max_evaluations // 2)
-        v1, e1, n1, c1 = run(intg, a, m, "left", *half)
-        v2, e2, n2, c2 = run(intg, m, b, "right", *half)
-        value, err, evals = v1 + v2, e1 + e2, n1 + n2
-        converged = (c1 and c2 and
-                     err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)))
-    else:
-        side = ("left" if cfg.singular_left else
-                "right" if cfg.singular_right else None)
-        value, err, evals, converged = run(intg, a, b, side, cfg.abs_tol,
-                                           cfg.rel_tol, cfg.max_evaluations)
+        return [(a, m, "left", *half), (m, b, "right", *half)]
+    side = ("left" if cfg.singular_left else
+            "right" if cfg.singular_right else None)
+    return [(a, b, side, cfg.abs_tol, cfg.rel_tol, cfg.max_evaluations)]
 
-    return QuadResult(float(value), float(err), int(evals), bool(converged))
+
+def _pieces(breakpoints: Sequence[float], cfg: QuadConfig) -> list:
+    """The pieces of the breakpoints under cfg, (QuadConfig, _sides) each:
+    each of n pieces has abs_tol / n and the budget / n, at least 300, and
+    cfg's singular flags apply to the outer ends only."""
+    bps = [float(t) for t in breakpoints]
+    if len(bps) < 2:
+        raise ValueError("breakpoints must include both interval endpoints")
+    if not all(t0 < t1 for t0, t1 in zip(bps, bps[1:])):
+        raise ValueError("breakpoints must be strictly increasing")
+    n = len(bps) - 1
+    subs = [QuadConfig(abs_tol=cfg.abs_tol / n, rel_tol=cfg.rel_tol,
+                       max_evaluations=max(cfg.max_evaluations // n, 300),
+                       singular_left=cfg.singular_left and i == 0,
+                       singular_right=cfg.singular_right and i == n - 1)
+            for i in range(n)]
+    return [(sub, _sides(lo, hi, sub)) for sub, lo, hi in zip(subs, bps, bps[1:])]
+
+
+# the sides of one piece add by +: an overflow gives inf, where fsum raises
+_plus = functools.partial(functools.reduce, operator.add)
+
+
+def _total(parts, cfg: QuadConfig, add=fsum, scale: float = 1.0):
+    """(value, err, evaluations, converged) of parts, each such a tuple:
+    values and errors summed by add, over scale, and checked against cfg."""
+    values, errs, evals, convs = zip(*parts)
+    value, err = add(values) / scale, add(errs) / scale
+    converged = all(convs) and err <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
+    return float(value), float(err), int(sum(evals)), bool(converged)
+
+
+def _piecewise(pieces: list, cfg: QuadConfig, results):
+    """The _total of pieces under cfg from results, their sides' in order."""
+    return _total([_total([next(results) for _ in sides], sub, _plus)
+                   for sub, sides in pieces], cfg)
 
 
 def integrate(f, a: float, b: float, cfg: Optional[QuadConfig] = None) -> QuadResult:
     """Integrate f over [a, b] under cfg; see the module docstring."""
-    return _integrate(f, a, b, cfg)
-
-
-def _integrate_piecewise(f, breakpoints: Sequence[float],
-                         cfg: Optional[QuadConfig] = None,
-                         run=_singular_side) -> QuadResult:
-    """integrate_piecewise, each side of each piece run by run (see
-    _integrate)."""
     cfg = cfg or QuadConfig()
-    bps = [float(t) for t in breakpoints]
-    if len(bps) < 2:
-        raise ValueError("breakpoints must include both interval endpoints")
-    for t0, t1 in zip(bps[:-1], bps[1:]):
-        if not t0 < t1:
-            raise ValueError("breakpoints must be strictly increasing")
-    n = len(bps) - 1
-    sub_budget = max(cfg.max_evaluations // n, 300)
-    results = [_integrate(f, bps[i], bps[i + 1], QuadConfig(
-        abs_tol=cfg.abs_tol / n, rel_tol=cfg.rel_tol,
-        max_evaluations=sub_budget, singular_left=cfg.singular_left and i == 0,
-        singular_right=cfg.singular_right and i == n - 1), run)
-        for i in range(n)]
-    value = fsum(r.value for r in results)
-    err = fsum(r.abs_err_est for r in results)
-    evals = sum(r.evaluations for r in results)
-    converged = (all(r.converged for r in results) and
-                 err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)))
-    return QuadResult(float(value), float(err), int(evals), bool(converged))
+    sides = _sides(a, b, cfg)
+    intg = _as_integrand(f, float(a), float(b))
+    return QuadResult(*_total([_singular_side(intg, *side) for side in sides],
+                              cfg, _plus))
 
 
 def integrate_piecewise(f, breakpoints: Sequence[float],
                         cfg: Optional[QuadConfig] = None) -> QuadResult:
-    """Integrate over [breakpoints[0], breakpoints[-1]] split at the interior
-    breakpoints.
-
-    The config's singular flags apply to the outer endpoints of the overall
-    range; interior breakpoints are plain splits.  The error estimate is the
-    sum of the piece estimates.
-    """
-    return _integrate_piecewise(f, breakpoints, cfg)
+    """Integrate f over [breakpoints[0], breakpoints[-1]] in pieces split at
+    the interior breakpoints, plain joins, under cfg (see _pieces); the
+    error estimate is the sum of the piece estimates."""
+    cfg = cfg or QuadConfig()
+    pieces = _pieces(breakpoints, cfg)
+    intg = _as_integrand(f, float(breakpoints[0]), float(breakpoints[-1]))
+    return QuadResult(*_piecewise(pieces, cfg, (
+        _singular_side(intg, *side) for _, sides in pieces for side in sides)))

@@ -133,3 +133,30 @@ def test_main_adds_the_verdicts_from_the_benchmark_spec(tmp_path, monkeypatch):
     block = json.loads(out.read_text())["workloads"]["w"]["end_to_end"]
     assert block["wall_ref"]["verdict"] == "gain"
     assert block["min_digits"]["verdict"] == "within bound"
+
+
+def _traced(values, digest="ab12"):
+    """A traced run's result with per-layer metrics name: (value, unit)."""
+    return {"correct": True, "attempted": 12, "failed": 0, "digest": digest,
+            "metrics": {name: {"value": v, "unit": u}
+                        for name, (v, u) in values.items()}}
+
+
+def test_per_layer_lists_the_counts_that_differ():
+    parent = {"quad.panel.calls": (120, "count"),
+              "quad.panel.self_s": (0.5, "s"),
+              "expr.near.points": (3000, "count"),
+              "trace.spans": (900, "count"),
+              "quad.integrate.converged_frac": (0.5, "frac")}
+    change = {**parent, "quad.panel.self_s": (0.4, "s"),
+              "trace.spans": (910, "count"),
+              "quad.integrate.converged_frac": (0.75, "frac")}
+    block = bench_pairs.per_layer({"parent": _traced(parent),
+                                   "change": _traced(change)})
+    # seconds and fractions may move; only counts are listed
+    assert block["counts_differ"] == ["trace.spans"]
+    assert block["per_layer"]["trace.spans"] == {
+        "unit": "count", "parent": 900, "change": 910}
+    same = bench_pairs.per_layer({"parent": _traced(parent),
+                                  "change": _traced(parent)})
+    assert same["counts_differ"] == []

@@ -280,6 +280,21 @@ def test_classify_validates_inputs():
             membership_classify(*bad)
 
 
+@pytest.mark.parametrize("alpha,p", [(1.0, math.nan), (math.nan, 1.0),
+                                     (math.inf, 1.0), (1.0, math.inf)])
+def test_classify_and_evidence_reject_non_finite_inputs(alpha, p):
+    # a nan product compared false with 2 and classified NonMember
+    for call in (membership_classify, membership_evidence):
+        with pytest.raises(ValueError, match="need finite alpha > 0"):
+            call(alpha, p)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf])
+def test_bergman_norm_rejects_non_finite_p(p):
+    with pytest.raises(ValueError, match="p must be positive and finite"):
+        bergman_norm(parse("1+z"), p)
+
+
 def test_evidence_anchor_values():
     # truncated disk integrals of |1-z|^{-1}, checked against a 4000^2
     # polar Riemann sum

@@ -133,6 +133,27 @@ def test_norm_exponent_power_error_exits_3(text, capsys):
     assert err.startswith("disknorms: error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["membership", "--alpha", "1", "--p", "nan"],
+    ["membership", "--alpha", "nan", "--p", "1"],
+    ["membership", "--alpha", "inf", "--p", "1"],
+    ["membership", "--alpha", "1", "--p", "inf", "--evidence"],
+    ["verify", "--case", "lemma-ap", "--alpha", "1", "--p", "nan"],
+    ["verify", "--case", "lemma-ap", "--alpha", "inf", "--p", "1"],
+    ["norm", "--space", "hardy", "--expr", "1/(1-z)", "--p", "nan"],
+    ["norm", "--space", "hardy", "--expr", "1+z", "--p", "inf"],
+    ["norm", "--space", "bergman", "--expr", "1/(1-z)", "--p", "nan"],
+    ["norm", "--space", "bergman", "--expr", "1+z", "--p", "inf"],
+], ids=lambda argv: " ".join(argv))
+def test_non_finite_p_or_alpha_exits_3(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("disknorms: error:")
+    assert captured.err.count("\n") == 1
+
+
 def test_norm_out_file(tmp_path, capsys):
     target = tmp_path / "norm.txt"
     code = main(["norm", "--space", "hardy", "--expr", "z", "--p", "2",

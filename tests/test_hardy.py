@@ -119,6 +119,17 @@ def test_integral_means_validates_inputs():
         integral_means(f, 0.0, 0.5)
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("text", ["1/(1-z)", "1+z"])
+def test_norm_and_means_reject_non_finite_p(text, p):
+    # nan gave a NormResult with p=nan and divergent=True, inf on 1+z the
+    # value 1.0
+    with pytest.raises(ValueError, match="p must be positive and finite"):
+        hardy_norm(parse(text), p)
+    with pytest.raises(ValueError, match="p must be positive and finite"):
+        integral_means(parse(text), p, 0.5)
+
+
 def test_norm_is_supremum_of_means():
     # boundary norm dominates the means and is approached as r -> 1
     f = parse("1/(1-z)")
@@ -371,6 +382,36 @@ def test_lockstep_covers_plain_refinement_and_one_sample_tail(monkeypatch):
     assert repr(_lockstep(ev, p, st, _GAPS, cfg)) == \
         repr(_sequential(ev, p, st, _GAPS, cfg))
     assert seen["plain"] > 0 and seen["tail"] > 0
+
+
+def test_lockstep_plans_each_arc_once_per_call(monkeypatch):
+    # the arcs' pieces and sides are planned once per call, and each gap
+    # builds one integrand per arc for its side plans, which also sample
+    p, ev, st = hardy._setup(parse("1/(1-z^2)"), 0.6, None)
+    built = {"configs": 0, "integrands": 0}
+    post_init = QuadConfig.__post_init__
+    arc_init = hardy._ArcIntegrand.__init__
+
+    def count_config(self):
+        built["configs"] += 1
+        post_init(self)
+
+    def count_integrand(self, *args):
+        built["integrands"] += 1
+        arc_init(self, *args)
+
+    monkeypatch.setattr(QuadConfig, "__post_init__", count_config)
+    monkeypatch.setattr(hardy._ArcIntegrand, "__init__", count_integrand)
+    cfg = QuadConfig()
+    counts = []
+    for gaps in (_GAPS[:1], _GAPS):
+        built.update(configs=0, integrands=0)
+        _lockstep(ev, p, st, gaps, cfg)
+        counts.append(dict(built))
+    arcs = len(hardy._build_arcs(st))
+    assert arcs == 2
+    assert counts[1]["integrands"] <= len(_GAPS) * arcs
+    assert counts[1]["configs"] == counts[0]["configs"] > 0
 
 
 class _FailingEvaluator:

@@ -301,6 +301,17 @@ def test_scalar_only_callables_are_supported():
     assert r.value == pytest.approx(math.e - 1.0, rel=1e-10)
 
 
+@pytest.mark.parametrize("a,b", [(-1e308, 1e308), (1e308, 1.7e308)])
+def test_interval_whose_width_or_midpoint_overflows_is_rejected(a, b):
+    # b - a (or a + b, which the midpoints need) overflowed to inf, and the
+    # nodes came out nan
+    for cfg in (DEFAULT, QuadConfig(singular_left=True, singular_right=True)):
+        with pytest.raises(ValueError, match="interval too wide"):
+            integrate(np.exp, a, b, cfg)
+        with pytest.raises(ValueError, match="interval too wide"):
+            integrate_piecewise(np.exp, [a, b], cfg)
+
+
 def test_reversed_interval_rejected():
     with pytest.raises(ValueError):
         integrate(np.exp, 1.0, 0.0, DEFAULT)
