@@ -15,7 +15,8 @@ of the Bergman module.  The arcs' pieces and sides are planned once
 (_arc_pieces); _circle_mean_p runs each side by heap, and _circle_means
 hands the sides of all gaps to quad._bisect at once, which samples each
 arc and method (values, from_left, from_right) with one evaluator call
-per round.  Both finish each mean through the same sums (_arcs_mean).
+per round.  Both finish each mean through the same sums (_arcs_mean); when
+_bisect raises, _circle_means reruns its gaps through _circle_mean_p.
 
 The norm driver _norm serves both spaces: _setup checks p and the
 parameters, compiles f and finds its boundary structure; the space's
@@ -218,8 +219,9 @@ def _circle_means(ev: BoundaryEvaluator, p: float,
     """Yield _circle_mean_p at each of gaps, in order, with the bisections
     of every gap, arc, piece and side run at once by quad._bisect (batched
     as scipy.integrate.quad_vec batches its intervals); each gap only adds
-    its _side_plans.  The means finish in gap order, so the first failure
-    in (gap, arc, piece, side) order is raised where a gap loop raises it."""
+    its _side_plans.  When _bisect raises, the gaps run one at a time
+    through _circle_mean_p instead, so a failure is raised where, and as,
+    the gap loop raises it."""
     plans = _arc_pieces(_build_arcs(structure), cfg)
     fns, owners = {}, []
     for gap in gaps:
@@ -232,16 +234,14 @@ def _circle_means(ev: BoundaryEvaluator, p: float,
                     fn = fns.setdefault((arc, plan.method),
                                         _sampler(intg, plan.method))
                     owners.append((fn, gap, plan))
-    done, failure = _bisect(owners)
-
-    def results():
-        for (*_, plan), (result, y_end) in zip(owners, done):
-            yield _finish_side(plan, result, y_end)
-        raise failure
-
-    finished = results()
-    for _ in gaps:
-        yield _arcs_mean(plans, cfg, finished)
+    try:
+        done = _bisect(owners)
+    except Exception:
+        means = (_circle_mean_p(ev, p, structure, gap, cfg) for gap in gaps)
+    else:
+        finished = (_finish_side(plan, *d) for (*_, plan), d in zip(owners, done))
+        means = (_arcs_mean(plans, cfg, finished) for _ in gaps)
+    yield from means
 
 
 def _sampler(intg: _ArcIntegrand, method: str):

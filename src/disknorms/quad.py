@@ -25,8 +25,9 @@ use only its own samples.  Each distinct request's node table is built
 once (_nodes) and shared read-only; a plain callable receives a copy of
 it.  _bisect runs many bisections at once, with their panels in arrays,
 each in the heap's order and arithmetic, so bit for bit as the heap runs
-it.  Either way _finish_side adds each side's tail, and _total sums the
-sides, pieces and means and checks their convergence.
+it; the first exception it meets propagates, and the caller reruns the
+bisections by heap.  Either way _finish_side adds each side's tail, and
+_total sums the sides, pieces and means and checks their convergence.
 """
 from __future__ import annotations
 
@@ -281,11 +282,11 @@ def _bisect(owners):
     runs each alone, all at once in rounds.  A round takes every running
     owner's largest-error panel (ties to the lowest seq, as the heap) and
     samples all halves with one call fn(points, args) per fn, args the
-    points' owners' args; a call that raises is repeated owner by owner.
-    One more round samples the plan.tail_at.  Returns done[j] = [_result,
-    tail sample or None] of the owners before the first that failed, and
-    its exception or None; the owners after it are dropped."""
-    n, fns, errors = len(owners), {}, {}
+    points' owners' args.  One more round samples the plan.tail_at.
+    Returns [_result, tail sample or None] of each owner; the first
+    exception of a call, a _samples check or an fsum propagates, and the
+    caller reruns the owners one at a time."""
+    n, fns = len(owners), {}
     group = np.array([fns.setdefault(fn, len(fns)) for fn, _, _ in owners],
                      dtype=int)
     fns, plans = list(fns), [plan for _, _, plan in owners]
@@ -294,35 +295,20 @@ def _bisect(owners):
         dtype=float).reshape(n, 5).T
 
     def call(own, points, x=None, w=None):
-        """The samples at points (a row per entry of own), weighted and
-        checked (_samples) at nodes x, and the owners' exceptions: a group
-        whose call or check fails is sampled again owner by owner."""
-        y, bad, m = np.empty_like(points), {}, points.shape[1]
-
-        def at(r):
-            out = fns[g](points[r].ravel(), np.repeat(args[own[r]], m))
-            if x is None:
-                return np.asarray(out, dtype=float).reshape(-1, m)
-            return _samples(out, x[r], None if w is None else w[r])
-
+        """The samples at points (a row per entry of own), one call per fn,
+        weighted and checked (_samples) at nodes x when given."""
+        y, m = np.empty_like(points), points.shape[1]
         for g in np.unique(group[own]).tolist():
-            rows = group[own] == g
-            try:
-                y[rows] = at(rows)
-            except Exception:
-                for j in np.unique(own[rows]).tolist():
-                    try:
-                        y[own == j] = at(own == j)
-                    except Exception as ex:
-                        bad[j] = ex
-        return y, bad
+            r = group[own] == g
+            out = fns[g](points[r].ravel(), np.repeat(args[own[r]], m))
+            y[r] = (np.asarray(out, dtype=float).reshape(-1, m) if x is None
+                    else _samples(out, x[r], None if w is None else w[r]))
+        return y
 
     def sample(own, lo, hi):
         """(value, error) of the panels (lo, hi) of the owners own."""
         h, x, points, w = _node_arrays(lo, hi, L[own])
-        y, bad = call(own, points, x, w)
-        errors.update(bad)
-        return _sums(y, h)
+        return _sums(call(own, points, x, w), h)
 
     k = np.array([len(p.edges) - 1 for p in plans], dtype=int)
     own = np.repeat(np.arange(n), k)
@@ -334,19 +320,15 @@ def _bisect(owners):
     start = np.cumsum(k) - k
     seq = np.arange(own.size) - np.repeat(start, k)
     P[:, own, seq], key[own, seq] = (lo, hi, v, e), e     # lo nan: no leaf
-    npan, evals, tv, te = k.copy(), 15 * k, np.zeros(n), np.zeros(n)
     v, e = v.tolist(), e.tolist()
-    for j, (a, b) in enumerate(zip(start.tolist(), (start + k).tolist())):
-        try:
-            tv[j], te[j] = fsum(v[a:b]), fsum(e[a:b])
-        except (OverflowError, ValueError) as ex:
-            errors.setdefault(j, ex)
+    tv, te = np.array([(fsum(v[a:b]), fsum(e[a:b])) for a, b in zip(
+        start.tolist(), (start + k).tolist())]).reshape(n, 2).T
+    npan = k.copy()                 # an owner's evaluations are 15 * npan
 
     running = np.ones(n, dtype=bool)
     while True:
         running &= ((te > np.fmax(atol, rtol * np.abs(tv)))
-                    & (evals + 30 <= budget)
-                    & (np.arange(n) < min(errors, default=n)))
+                    & (15 * npan + 30 <= budget))
         o = np.flatnonzero(running)
         if not o.size:
             break
@@ -361,14 +343,11 @@ def _bisect(owners):
         key[o[frozen], t[frozen]] = -np.inf
         take = ~stop & ~frozen
         o, t, lo, mid, hi = o[take], t[take], lo[take], mid[take], hi[take]
-        # an owner whose samples fail joins errors and drops out with its
-        # state as it is; so do all owners after the first that failed
         v, e = sample(np.repeat(o, 2), np.column_stack([lo, mid]).ravel(),
                       np.column_stack([mid, hi]).ravel())
         (v1, v2), (e1, e2) = v.reshape(-1, 2).T, e.reshape(-1, 2).T
         tv[o] += (v1 + v2) - P[2, o, t]
         te[o] += (e1 + e2) - P[3, o, t]
-        evals[o] += 30
         P[0, o, t], key[o, t] = np.nan, -np.inf
         s = npan[o]
         npan[o] += 2
@@ -380,24 +359,13 @@ def _bisect(owners):
 
     leaf = ~np.isnan(P[0])
     P, end = P.transpose(1, 2, 0)[leaf], np.cumsum(leaf.sum(1))  # leaves
-    tails = np.array([j for j in range(min(errors, default=n))
-                      if plans[j].tail_at is not None], dtype=int)
-    y, bad = call(tails, np.array([plans[j].tail_at for j in tails])[:, None])
+    tails = np.array([j for j, p in enumerate(plans) if p.tail_at is not None],
+                     dtype=int)
+    y = call(tails, np.array([plans[j].tail_at for j in tails])[:, None])
     ends = dict(zip(tails.tolist(), y[:, 0].tolist()))
-    done = []
-    for j, a, b in zip(range(min(errors, default=n)), [0, *end], end):
-        try:
-            result = _result(list(map(tuple, P[a:b].tolist())),
-                             int(evals[j]), plans[j])
-        except (OverflowError, ValueError) as ex:
-            errors[j] = ex
-            break
-        if j in bad and not isinstance(bad[j], NonFiniteSampleError):
-            errors[j] = bad[j]      # a blown-up tail is extrapolated instead
-            break
-        done.append([result, None if j in bad else ends.get(j)])
-    failed = min(errors, default=n)
-    return done[:failed], errors.get(failed)
+    return [[_result(list(map(tuple, P[a:b].tolist())), 15 * int(npan[j]),
+                     plans[j]), ends.get(j)]
+            for j, a, b in zip(range(n), [0, *end], end)]
 
 
 def _side_plan(intg, lo: float, hi: float, side: Optional[str],

@@ -339,14 +339,20 @@ def _lockstep(ev, p, st, gaps, cfg):
     return list(hardy._circle_means(ev, p, st, gaps, cfg))
 
 
-@pytest.mark.parametrize("text,p,env,angles", [
+# (text, p, env, declared angles) of means that the lockstep runs without
+# a failure
+_MEANS = [
     ("1/(1-z)^2", 0.6, None, None),                      # a pole
     ("(8*z*(1+z^2))/(1-z^2)^(2+eps)", 0.6, {"eps": 0.7}, None),  # z^2 leaves
     ("(1+z)^2/(1-z)", 0.5, None, None),                 # a zero: arc kinks
     ("1/(1-z)^2", 0.6, None, [0.0, 2.0]),               # declared angles
     ("(1+z)^(4/p)", 0.4, {"p": 0.4}, None),             # entire
     ("3", 0.7, None, None),                             # a constant
-], ids=["pole", "z2-leaves", "kinks", "declared", "entire", "constant"])
+]
+_MEANS_IDS = ["pole", "z2-leaves", "kinks", "declared", "entire", "constant"]
+
+
+@pytest.mark.parametrize("text,p,env,angles", _MEANS, ids=_MEANS_IDS)
 def test_lockstep_means_equal_sequential(text, p, env, angles):
     p, ev, st = hardy._setup(parse(text), p, env, angles)
     cfg = QuadConfig(abs_tol=1e-11, rel_tol=1e-9, max_evaluations=20000)
@@ -459,14 +465,17 @@ def _outcome(call):
 
 # 1/(1-z^2) has arcs [0, pi] and [pi, 2 pi], sampled in that order: a gap
 # failing next to -1 fails later in the lockstep than one failing next to 1
-@pytest.mark.parametrize("bad", [
+_GAP_FAILURES = [
     {1e-6: -1},
     {0.1: 1, 1e-6: -1},             # the earlier gap fails later
     {1e-120: 1, 0.01: -1},
     # both arcs of gap 1e-6 fail next to 1: the later arc [pi, 2 pi] at
     # once, the earlier arc [0, pi] only at its one-sample tail
     {1e-6: [(1, 1.0, _TAIL), (1, -1.0, math.inf)]},
-])
+]
+
+
+@pytest.mark.parametrize("bad", _GAP_FAILURES)
 def test_lockstep_raises_first_failure_in_gap_order(bad):
     p, ev, st = hardy._setup(parse("1/(1-z^2)"), 0.6, None)
     fev = _FailingEvaluator(ev, bad)
@@ -494,11 +503,14 @@ def _radial_sequential(intg, d):
     return out
 
 
-@pytest.mark.parametrize("bad", [
+_RADIAL_FAILURES = [
     {0.1: 1},
     {0.1: 1, 1e-40: 1},
     {0.01: -1, 0.1: 1},             # raises before the non-finite mean
-])
+]
+
+
+@pytest.mark.parametrize("bad", _RADIAL_FAILURES)
 def test_radial_lockstep_keeps_inner_failure_order(bad):
     # gap 1e-6 returns a non-finite mean: its one-sample tails come back
     # inf, which the tail bound takes as it is; each gap of bad raises.
@@ -513,3 +525,51 @@ def test_radial_lockstep_keeps_inner_failure_order(bad):
     assert seq.startswith("InnerIntegralError" if first == 1e-6
                           else "EvalDomainError")
     assert _outcome(lambda: list(intg.from_right(d))) == seq
+
+
+def _spied_reruns(monkeypatch, call):
+    """The calls of hardy._circle_mean_p that call makes, which in
+    _circle_means are its reruns of the gap loop."""
+    reruns = []
+    mean = hardy._circle_mean_p
+
+    def spy(*args):
+        reruns.append(args[3])
+        return mean(*args)
+
+    monkeypatch.setattr(hardy, "_circle_mean_p", spy)
+    _outcome(call)
+    return reruns
+
+
+@pytest.mark.parametrize("text,p,env,angles", _MEANS, ids=_MEANS_IDS)
+def test_lockstep_without_failure_never_reruns(monkeypatch, text, p, env,
+                                               angles):
+    # the lockstep's means equal the gap loop's (above) because the engine
+    # computes them, not because a failure sent them through the loop
+    p, ev, st = hardy._setup(parse(text), p, env, angles)
+    cfg = QuadConfig(abs_tol=1e-11, rel_tol=1e-9, max_evaluations=20000)
+    gaps = _GAPS + [np.float64(0.25), np.float64(1e-9)]
+    assert _spied_reruns(
+        monkeypatch, lambda: _lockstep(ev, p, st, gaps, cfg)) == []
+
+
+@pytest.mark.parametrize("radial,bad",
+                         [(False, bad) for bad in _GAP_FAILURES]
+                         + [(True, bad) for bad in _RADIAL_FAILURES])
+def test_lockstep_failure_reruns_the_gaps_in_order(monkeypatch, radial, bad):
+    # on a failure the gaps rerun one at a time, in order, and stop at the
+    # first that raises (or, radially, at the first non-finite mean)
+    p, ev, st = hardy._setup(parse("1/(1-z^2)"), 0.6, None)
+    if radial:
+        fev = _FailingEvaluator(ev, bad, inf_tail=1e-6)
+        intg = _RadialIntegrand(fev, p, st, QuadConfig(abs_tol=1e-9,
+                                                       rel_tol=1e-7))
+        call = lambda: list(intg.from_right(np.array(_GAPS)))
+        last = min([1e-6, *bad], key=_GAPS.index)
+    else:
+        fev = _FailingEvaluator(ev, bad)
+        call = lambda: _lockstep(fev, p, st, _GAPS, QuadConfig())
+        last = min(bad, key=_GAPS.index)
+    reruns = _spied_reruns(monkeypatch, call)
+    assert reruns == _GAPS[:_GAPS.index(last) + 1]

@@ -452,8 +452,7 @@ def test_engine_cases_cover_freezing_and_ties():
 @pytest.mark.parametrize("case", range(len(_OWNERS)))
 def test_engine_alone_equals_the_heap(case):
     fn, plan = _OWNERS[case]
-    done, failure = quad._bisect([(lambda x, _: fn(x), 0.0, plan)])
-    assert failure is None
+    done = quad._bisect([(lambda x, _: fn(x), 0.0, plan)])
     assert repr(done[0][0]) == repr(quad._adaptive(fn, plan))
 
 
@@ -468,8 +467,7 @@ def test_engine_runs_owners_together_as_the_heap_runs_each():
 
     owners = [(lambda x, _, fn=fn: fn(x), 0.0, plan) for fn, plan in _OWNERS]
     owners += [(shifted, a, _plain(_THIRDS)) for a in (0.2, 0.5, 0.61)]
-    done, failure = quad._bisect(owners)
-    assert failure is None
+    done = quad._bisect(owners)
     expected = [quad._adaptive(fn, plan) for fn, plan in _OWNERS]
     expected += [quad._adaptive(lambda x, a=a: np.sqrt(np.abs(x - a)),
                                 _plain(_THIRDS)) for a in (0.2, 0.5, 0.61)]
@@ -477,14 +475,23 @@ def test_engine_runs_owners_together_as_the_heap_runs_each():
     assert calls[0] == 3 * 45 and len(calls) < sum(r[2] for r in expected[-3:]) // 30
 
 
-def test_engine_raises_the_first_failure_in_owner_order():
-    # the second owner fails at once, the first only once its bisection
-    # samples past 0.9993 (its initial nodes end at 0.99858); the third,
-    # after both, is dropped
-    late = lambda x, _: np.where(x > 0.9993, np.nan, _smooth(x))
-    owners = [(late, 0.0, _plain(_THIRDS, abs_tol=1e-14)),
-              (lambda x, _: np.full_like(x, np.inf), 0.0, _plain(_THIRDS)),
-              (lambda x, _: _smooth(x), 0.0, _plain(_THIRDS))]
-    done, failure = quad._bisect(owners)
-    assert done == []
-    assert isinstance(failure, NonFiniteSampleError) and failure.x > 0.9993
+def test_engine_propagates_the_first_exception_it_meets():
+    # the first owner fails only once its bisection samples past 0.9993
+    # (its initial nodes end at 0.99858), the second at once: its inf
+    # samples raise in the first round, and the third is never sampled.
+    # Which owner's failure a caller sees is the caller's job
+    # (hardy._circle_means reruns its owners one at a time)
+    calls = []
+
+    def log(name, fn):
+        return lambda x, _: calls.append(name) or fn(x)
+
+    late = lambda x: np.where(x > 0.9993, np.nan, _smooth(x))
+    owners = [(log("late", late), 0.0, _plain(_THIRDS, abs_tol=1e-14)),
+              (log("inf", lambda x: np.full_like(x, np.inf)), 0.0,
+               _plain(_THIRDS)),
+              (log("smooth", _smooth), 0.0, _plain(_THIRDS))]
+    with pytest.raises(NonFiniteSampleError) as info:
+        quad._bisect(owners)
+    assert calls == ["late", "inf"]
+    assert info.value.x == pytest.approx((1.0 + _GK_X[0]) / 6.0)  # 1st node
