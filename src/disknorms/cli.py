@@ -26,7 +26,7 @@ from .bergman import bergman_norm, membership_classify, membership_evidence
 from .expr import ExprError, PARAM_NAMES, parse
 from .hardy import hardy_norm
 from .quad import QuadConfig
-from .verify import DEFAULT_KAPPA, eps_window
+from .verify import DEFAULT_KAPPA, _check_inputs, eps_window
 
 __all__ = ["main", "entry", "run_sweep", "SweepRow", "read_sweep_csv",
            "sweep_csv", "plot_csv", "sweep_exit_code", "SWEEP_CASES"]
@@ -136,19 +136,20 @@ def run_sweep(case: str, p_min: float, p_max: float, steps: int,
     """Evaluate one verification case over a p-grid.
 
     Grid points that violate the case's precondition produce SKIPPED rows
-    with a reason instead of aborting the sweep.  eps_rule applies only
-    to ap-large-p: the literal string "window-midpoint" or an explicit
-    numeric value.
+    with a reason instead of aborting the sweep; bad sweep inputs and a bad
+    kappa raise before the grid.  eps_rule applies only to ap-large-p: the
+    literal string "window-midpoint" or an explicit numeric value.
     """
     if case not in SWEEP_CASES:
         raise ValueError(f"case {case!r} is not sweepable")
     spec = _CASES[case]
-    if not (0.0 < p_min < p_max):
-        raise ValueError("need 0 < p_min < p_max")
+    if not (0.0 < p_min < p_max < math.inf):
+        raise ValueError("need 0 < p_min < p_max < inf")
     if steps < 2:
         raise ValueError("need steps >= 2")
     if "eps" in spec.needs and eps_rule != "window-midpoint":
         float(eps_rule)  # fail fast on a malformed rule
+    _check_inputs(kappa=kappa)
 
     f_name, g_name, sum_name = spec.subs
     rows: list[SweepRow] = []

@@ -95,6 +95,22 @@ class VerificationReport:
     sub_results: tuple = field(default_factory=tuple)
 
 
+# the bound of each checked input: (lo, strict) for x > lo, else x >= lo
+_BOUNDS = {"kappa": (0.0, False), "scale": (0.0, True), "a": (0.0, True),
+           "b": (0.0, True), "q": (1.0, True), "angle": (-math.inf, False)}
+
+
+def _check_inputs(**inputs) -> None:
+    """Raise ValueError naming the first of inputs that is not a finite
+    number within its _BOUNDS; every case calls it before any norm."""
+    for name, x in inputs.items():
+        lo, strict = _BOUNDS[name]
+        if not (math.isfinite(x) and (x > lo if strict else x >= lo)):
+            bound = "" if lo == -math.inf else (
+                f" and {'>' if strict else '>='} {lo:g}")
+            raise ValueError(f"{name} must be finite{bound}, got {x}")
+
+
 def _strict_verdict(defect: float, margin: float) -> str:
     if not (math.isfinite(defect) and math.isfinite(margin)):
         return _INCONCLUSIVE
@@ -168,6 +184,7 @@ def verify_lemma_cvh(f: Expr, p: float, cfg: Optional[QuadConfig] = None, *,
     claim is exact equality, so the verdict is Confirmed when the defect
     stays within the error margin.
     """
+    _check_inputs(kappa=kappa)
     composed = hardy_norm(substitute_square(f), p, env=env, cfg=cfg)
     base = hardy_norm(f, p, env=env, cfg=cfg)
     return _same_norm("lemma-cvh", {"p": p, "kappa": kappa}, kappa,
@@ -184,6 +201,7 @@ def verify_lemma_cv(h: Expr, p: float, cfg: Optional[QuadConfig] = None, *,
     norm routine, so the two sides go through genuinely different code.
     """
     check_param_env(env)    # a bad parameter is reported before a bad p
+    _check_inputs(kappa=kappa)
     cfg = cfg if cfg is not None else QuadConfig()
     base = bergman_norm(h, p, env=env, cfg=cfg)
     _, ev, structure = _setup(substitute_square(h), p, env)
@@ -215,10 +233,7 @@ def verify_elem_inequality(a: float, b: float, q: float) -> VerificationReport:
     case is Confirmed when defect >= -margin.  At a == b both sides are
     exact zeros and the margin is 0.
     """
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError("requires a > 0 and b > 0")
-    if not q > 1.0:
-        raise ValueError("requires q > 1")
+    _check_inputs(a=a, b=b, q=q)
     aq, bq, rhs = (_power(x, q) for x in (a, b, abs(a - b)))
     # powers err by eps, subtractions by eps/2, and a - b by q*eps/2 in rhs
     margin = 0.0 if a == b else 4.0 * _EPS * (aq + bq + q * rhs)
@@ -260,8 +275,6 @@ def _norm_margin(kappa: float, *results: NormResult) -> float:
 def _pair(text: str, scale: float, norm_fn, p: float, env, cfg):
     """f = scale * text, g = -f(-z) and f + g, with norm_fn bound to p,
     env and cfg.  Returns (f, g, f + g, norm)."""
-    if not scale > 0.0:
-        raise ValueError("scale must be positive")
     f = _scaled(parse(text), scale)
     g = Neg(substitute_negate(f))
     return f, g, Add(f, g), lambda e: norm_fn(e, p, env=env, cfg=cfg)
@@ -288,6 +301,7 @@ def verify_hp_counterexample(p: float, cfg: Optional[QuadConfig] = None, *,
     """
     if not 0.0 < p < 1.0:
         raise ValueError("requires 0 < p < 1")
+    _check_inputs(kappa=kappa, scale=scale)
     f, g, total, norm = _pair("(1+z)/(1-z)", scale, hardy_norm, p, None, cfg)
     norm_f, norm_g, norm_sum = norm(f), norm(g), norm(total)
     norm_pole = norm(parse("1/(1-z)"))
@@ -325,6 +339,7 @@ def verify_hp_equality_case(p: float, cfg: Optional[QuadConfig] = None, *,
     """
     if not 0.0 < p < 1.0:
         raise ValueError("requires 0 < p < 1")
+    _check_inputs(kappa=kappa, scale=scale)
     h, k, total, norm = _pair("1/(1-z)", scale, hardy_norm, p, None, cfg)
     norm_h, norm_k, norm_sum = norm(h), norm(k), norm(total)
     lhs, rhs, margin = _triangle(kappa, norm_h, norm_k, norm_sum)
@@ -405,6 +420,7 @@ def verify_ap_large_p(p: float, eps: float,
     window = eps_window(p)
     if not window.contains(eps):
         raise ValueError(f"eps={eps:g} outside admissible window {window}")
+    _check_inputs(kappa=kappa, scale=scale)
     env = {"p": p, "eps": eps}
     f, g, total, norm = _pair("(1+z)^(2-eps) / (1-z)^(2+eps)", scale,
                               bergman_norm, p, env, cfg)
@@ -446,6 +462,7 @@ def verify_ap_small_p(p: float, cfg: Optional[QuadConfig] = None, *,
     """
     if not 0.0 < p < 0.5:
         raise ValueError("requires 0 < p < 1/2")
+    _check_inputs(kappa=kappa, scale=scale)
     f, _, total, norm = _pair("(1+z)^(4/p)", scale, bergman_norm, p,
                               {"p": p}, cfg)
     c_p = scale ** p
@@ -505,6 +522,7 @@ def verify_means_monotone(f: Expr, p: float,
         raise ValueError("radii must lie in (0, 1)")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
+    _check_inputs(kappa=kappa)
 
     means, errs = [], []
     for r in radii:
@@ -543,6 +561,7 @@ def verify_rotation_invariance(f: Expr, p: float, angle: float = 0.7,
     """Quasi-norms are invariant under the rotation f(z) -> f(e^{i*angle} z)."""
     if space not in ("hardy", "bergman"):
         raise ValueError("space must be 'hardy' or 'bergman'")
+    _check_inputs(angle=angle, kappa=kappa)
     norm_fn = hardy_norm if space == "hardy" else bergman_norm
     lam = complex(math.cos(angle), math.sin(angle))
     base = norm_fn(f, p, env=env, cfg=cfg)

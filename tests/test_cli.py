@@ -154,6 +154,39 @@ def test_non_finite_p_or_alpha_exits_3(argv, capsys):
     assert captured.err.count("\n") == 1
 
 
+_SWEEP_RANGE = "need 0 < p_min < p_max < inf"
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("verify --case hp-equality --p 0.5 --kappa -1", "kappa must be finite"),
+    ("verify --case hp-equality --p 0.5 --kappa nan", "kappa must be finite"),
+    ("verify --case hp-counterexample --p 0.5 --kappa inf",
+     "kappa must be finite"),
+    ("verify --case lemma-elem --a 2 --b 1 --q inf", "q must be finite"),
+    ("verify --case lemma-elem --a inf --b 1", "a must be finite"),
+    ("verify --case lemma-elem --a 2 --b nan", "b must be finite"),
+    ("verify --case rotation-invariance --expr 1/(1-z) --p 0.5 --angle nan",
+     "angle must be finite"),
+    ("sweep --case hp-counterexample --p-min 0.5 --p-max inf --steps 3",
+     _SWEEP_RANGE),
+    ("sweep --case hp-counterexample --p-min nan --p-max 0.9 --steps 3",
+     _SWEEP_RANGE),
+    ("sweep --case hp-equality --p-min 0.3 --p-max 0.5 --steps 2 --kappa nan",
+     "kappa must be finite"),
+    ("sweep --case ap-small-p --p-min 0.2 --p-max 0.3 --steps 2 --kappa -1",
+     "kappa must be finite"),
+])
+def test_bad_case_numbers_exit_3(argv, message, capsys):
+    # a bad kappa no longer fills a sweep with SKIPPED rows, and p_max =
+    # inf no longer makes a grid of nan and inf
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith(f"disknorms: error: {message}")
+    assert captured.err.count("\n") == 1
+
+
 def test_norm_out_file(tmp_path, capsys):
     target = tmp_path / "norm.txt"
     code = main(["norm", "--space", "hardy", "--expr", "z", "--p", "2",

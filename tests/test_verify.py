@@ -1,8 +1,12 @@
+import dataclasses
+import importlib.util
 import math
+import pathlib
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from disknorms import verify as verify_mod
 from disknorms.expr import parse
 from disknorms.verify import (BoundCheck, EpsWindow, IdentityCheck,
                               VerificationReport, eps_window,
@@ -108,6 +112,30 @@ def test_lemma_ap_agreement(alpha, p):
     assert r.lhs == pytest.approx(alpha * p, rel=1e-15)
     names = [n for n, _ in r.sub_results]
     assert names == ["classifier", "evidence"]
+
+
+def _membership_grid():
+    spec = importlib.util.spec_from_file_location(
+        "membership_grid", pathlib.Path(__file__).resolve().parent.parent
+        / "scripts" / "membership_grid.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def test_membership_grid_takes_the_lemma_ap_verdict(monkeypatch, capsys):
+    # p*alpha = 2 is a Boundary point, which must look divergent: a
+    # Convergent diagnostic there is a disagreement, and the script exits 1
+    script = _membership_grid()
+    argv = ["--alphas", "4", "--ps", "0.5"]
+    assert script.main(argv) == 0
+    evidence = verify_mod.membership_evidence
+    monkeypatch.setattr(verify_mod, "membership_evidence", lambda *a: (
+        dataclasses.replace(evidence(*a), diagnostic="Convergent")))
+    assert script.main(argv) == 1
+    out = capsys.readouterr().out
+    assert "Boundary       Convergent" in out
+    assert out.endswith("# 1 points, 1 classifier/evidence disagreements\n")
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +337,49 @@ def test_kappa_scales_margin():
 def test_huge_kappa_gives_inconclusive():
     r = verify_hp_counterexample(0.5, kappa=1e12)
     assert r.verdict == "Inconclusive"
+
+
+_POLE = parse("1/(1-z)")
+
+# (input, case called with that input x): every case's kappa, the
+# triangle cases' scale, lemma-elem's a, b and q, and the rotation angle
+_CHECKED = [
+    ("kappa", lambda x: verify_lemma_cvh(_POLE, 0.5, kappa=x)),
+    ("kappa", lambda x: verify_lemma_cv(_POLE, 1.0, kappa=x)),
+    ("kappa", lambda x: verify_hp_counterexample(0.5, kappa=x)),
+    ("kappa", lambda x: verify_hp_equality_case(0.5, kappa=x)),
+    ("kappa", lambda x: verify_ap_large_p(0.6, 5.0 / 6.0, kappa=x)),
+    ("kappa", lambda x: verify_ap_small_p(0.25, kappa=x)),
+    ("kappa", lambda x: verify_means_monotone(_POLE, 0.5, kappa=x)),
+    ("kappa", lambda x: verify_rotation_invariance(_POLE, 0.5, kappa=x)),
+    ("scale", lambda x: verify_hp_counterexample(0.5, scale=x)),
+    ("scale", lambda x: verify_hp_equality_case(0.5, scale=x)),
+    ("scale", lambda x: verify_ap_large_p(0.6, 5.0 / 6.0, scale=x)),
+    ("scale", lambda x: verify_ap_small_p(0.25, scale=x)),
+    ("a", lambda x: verify_elem_inequality(x, 1.0, 2.0)),
+    ("b", lambda x: verify_elem_inequality(2.0, x, 2.0)),
+    ("q", lambda x: verify_elem_inequality(2.0, 1.0, x)),
+    ("angle", lambda x: verify_rotation_invariance(_POLE, 0.5, angle=x)),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("name,case", _CHECKED,
+                         ids=[f"{i}-{name}" for i, (name, _) in
+                              enumerate(_CHECKED)])
+def test_bad_numbers_are_rejected_before_any_norm(monkeypatch, name, case,
+                                                  bad):
+    if name == "angle" and bad == -1.0:
+        bad = -math.inf                 # any finite angle is valid
+    for fn in ("hardy_norm", "bergman_norm", "_radial_integral",
+               "_integral_means_full", "membership_classify"):
+        monkeypatch.setattr(verify_mod, fn, _not_called)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        case(bad)
+
+
+def _not_called(*args, **kwargs):
+    raise AssertionError("a norm was computed before the inputs were checked")
 
 
 def test_reports_are_immutable():
