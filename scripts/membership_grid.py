@@ -3,28 +3,21 @@
 
 For every (alpha, p) on the grid this prints the rule-based classification
 (p*alpha vs 2) next to the numerical growth diagnostic obtained from
-truncated integrals over disks of radius 1 - 2^-k.  Exit status is 0 when
-the diagnostic agrees with the classifier at every non-Boundary point,
-1 otherwise.
+truncated integrals over disks of radius 1 - 2^-k.  Each point's verdict
+is verify_lemma_ap's: the diagnostic must be Convergent exactly at the
+Member points, so a Boundary point must look divergent.  Exit status is 0
+when every point is Confirmed, 1 otherwise.
 """
 import argparse
 import dataclasses
 import json
 import sys
 
-from disknorms.bergman import membership_evidence
+from disknorms.verify import verify_lemma_ap
 
 
 def _floats(text):
     return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _agrees(classification, diagnostic):
-    if classification == "Member":
-        return diagnostic == "Convergent"
-    if classification == "NonMember":
-        return diagnostic.startswith("Divergent")
-    return True  # Boundary points carry no convergence claim
 
 
 def main(argv=None):
@@ -39,8 +32,9 @@ def main(argv=None):
                     help="emit the full evidence records as JSON")
     args = ap.parse_args(argv)
 
-    verdicts = [membership_evidence(alpha, p)
-                for alpha in args.alphas for p in args.ps]
+    reports = [verify_lemma_ap(alpha, p)
+               for alpha in args.alphas for p in args.ps]
+    verdicts = [dict(r.sub_results)["evidence"] for r in reports]
 
     if args.json:
         print(json.dumps([dataclasses.asdict(v) for v in verdicts],
@@ -53,8 +47,7 @@ def main(argv=None):
             print(f"{v.alpha:7.3g} {v.p:6.3g} {v.product:8.4g}  "
                   f"{v.classification:<14} {v.diagnostic:<14} {last:12.6g}")
 
-    disagreements = [v for v in verdicts
-                     if not _agrees(v.classification, v.diagnostic)]
+    disagreements = [r for r in reports if r.verdict != "Confirmed"]
     print(f"# {len(verdicts)} points, "
           f"{len(disagreements)} classifier/evidence disagreements")
     return 1 if disagreements else 0
