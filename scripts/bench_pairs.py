@@ -165,6 +165,10 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent.resolve(),
                  "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in spec["workloads"]]
+    if args.workload not in names:
+        ap.error(f"--workload {args.workload!r} is not in the change's "
+                 f"BENCHMARK.json: {', '.join(names)}")
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 

@@ -113,13 +113,20 @@ def test_spread_wider_than_the_bound_is_unresolved():
     assert _verdicts(parent, [(50, 11)] * 10)["wall_ref"] == "within bound"
 
 
-def test_main_adds_the_verdicts_from_the_benchmark_spec(tmp_path, monkeypatch):
+def _checkouts(tmp_path):
+    """A parent and a change checkout, with the change's BENCHMARK.json."""
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "w"}, {"name": "bergman-pole"}],
         "end_to_end": [{"name": "wall_ref", "better": "lower", "bound": 0.15},
                        {"name": "min_digits", "better": "higher",
                         "bound": 0.1}]}))
+    return [str(tmp_path / "parent"), str(tmp_path / "change")]
+
+
+def test_main_adds_the_verdicts_from_the_benchmark_spec(tmp_path, monkeypatch):
+    checkouts = _checkouts(tmp_path)
     walls = iter([100, 60, 60, 100])       # parent first, then change first
 
     def fake_run(checkout, workload, seed, seconds, trace):
@@ -127,12 +134,26 @@ def test_main_adds_the_verdicts_from_the_benchmark_spec(tmp_path, monkeypatch):
 
     monkeypatch.setattr(bench_pairs, "run", fake_run)
     out = tmp_path / "BENCH.json"
-    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
-                             "--workload", "w", "--pairs", "2", "--seeds", "7",
-                             "--out", str(out)]) == 0
+    assert bench_pairs.main([*checkouts, "--workload", "w", "--pairs", "2",
+                             "--seeds", "7", "--out", str(out)]) == 0
     block = json.loads(out.read_text())["workloads"]["w"]["end_to_end"]
     assert block["wall_ref"]["verdict"] == "gain"
     assert block["min_digits"]["verdict"] == "within bound"
+
+
+def test_main_rejects_a_workload_the_spec_does_not_list(tmp_path, monkeypatch,
+                                                        capsys):
+    def no_run(*args):
+        raise AssertionError("a run started for an unknown workload")
+
+    monkeypatch.setattr(bench_pairs, "run", no_run)
+    with pytest.raises(SystemExit) as info:
+        bench_pairs.main([*_checkouts(tmp_path), "--workload", "bergman_pole",
+                          "--pairs", "2", "--seeds", "7", "--trace-seed", "1"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "'bergman_pole' is not in the change's BENCHMARK.json" in err
+    assert err.rstrip().endswith("w, bergman-pole")
 
 
 def _traced(values, digest="ab12"):
