@@ -148,7 +148,8 @@ def run_sweep(case: str, p_min: float, p_max: float, steps: int,
     if steps < 2:
         raise ValueError("need steps >= 2")
     if "eps" in spec.needs and eps_rule != "window-midpoint":
-        float(eps_rule)  # fail fast on a malformed rule
+        if not math.isfinite(float(eps_rule)):  # fail fast on a bad rule
+            raise ValueError(f"eps rule must be finite, got {eps_rule}")
     _check_inputs(kappa=kappa)
 
     f_name, g_name, sum_name = spec.subs

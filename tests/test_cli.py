@@ -175,10 +175,14 @@ _SWEEP_RANGE = "need 0 < p_min < p_max < inf"
      "kappa must be finite"),
     ("sweep --case ap-small-p --p-min 0.2 --p-max 0.3 --steps 2 --kappa -1",
      "kappa must be finite"),
+    ("sweep --case ap-large-p --p-min 0.6 --p-max 0.9 --steps 3 --eps-rule nan",
+     "eps rule must be finite"),
+    ("sweep --case ap-large-p --p-min 0.6 --p-max 0.9 --steps 3 --eps-rule inf",
+     "eps rule must be finite"),
 ])
 def test_bad_case_numbers_exit_3(argv, message, capsys):
-    # a bad kappa no longer fills a sweep with SKIPPED rows, and p_max =
-    # inf no longer makes a grid of nan and inf
+    # a bad kappa or eps rule no longer fills a sweep with SKIPPED rows,
+    # and p_max = inf no longer makes a grid of nan and inf
     code = main(argv.split())
     captured = capsys.readouterr()
     assert code == 3
