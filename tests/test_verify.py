@@ -363,6 +363,10 @@ _CHECKED = [
 ]
 
 
+def _not_called(*args, **kwargs):
+    raise AssertionError("a norm was computed before the inputs were checked")
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
 @pytest.mark.parametrize("name,case", _CHECKED,
                          ids=[f"{i}-{name}" for i, (name, _) in
@@ -376,10 +380,6 @@ def test_bad_numbers_are_rejected_before_any_norm(monkeypatch, name, case,
         monkeypatch.setattr(verify_mod, fn, _not_called)
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         case(bad)
-
-
-def _not_called(*args, **kwargs):
-    raise AssertionError("a norm was computed before the inputs were checked")
 
 
 def test_reports_are_immutable():
