@@ -8,7 +8,7 @@ from .expr import (BoundaryEvaluator, BoundaryStructure, EvalDomainError,
                    SingularPoint, TaylorCoeffs, UnsupportedFormError,
                    boundary_singularities, boundary_structure, evaluate,
                    parse, substitute_negate, substitute_rotate,
-                   substitute_square, to_polynomial, to_string)
+                   substitute_square, to_polynomial)
 from .hardy import NormResult, hardy_norm, integral_means
 from .quad import (NonFiniteSampleError, QuadConfig, QuadResult, integrate,
                    integrate_piecewise)
@@ -22,7 +22,7 @@ from .verify import (BoundCheck, EpsWindow, IdentityCheck,
 __version__ = "0.1.0"
 
 __all__ = [
-    "parse", "to_string", "evaluate", "Expr",
+    "parse", "evaluate", "Expr",
     "substitute_negate", "substitute_square", "substitute_rotate",
     "boundary_singularities", "boundary_structure",
     "BoundaryEvaluator", "BoundaryStructure", "SingularPoint",

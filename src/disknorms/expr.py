@@ -2,17 +2,16 @@
 
 Small closed-form language: rational combinations and real powers of
 polynomials in z, with real parameters (p, eps, alpha, q) allowed in
-exponents.  Provides parsing, printing, evaluation with principal-branch
-powers, cancellation-safe evaluation near boundary points, structural
-detection of boundary zeros/singularities, Taylor coefficients, and the
-substitutions z -> -z and z -> z^2.
+exponents.  Provides parsing, evaluation with principal-branch powers,
+cancellation-safe evaluation near boundary points, |f|^p from a log-modulus
+product form, structural detection of boundary zeros/singularities, Taylor
+coefficients, and the substitutions z -> -z and z -> z^2.
 
 Under a parameter binding, an expression is resolved once, bottom up
 (_resolve): each node records its affine parts a + b*z^k (k = 1, 2) when
-it has them, and each power its exponent.  Evaluation and boundary-offset
-evaluation (BoundaryEvaluator, compiled once into closures),
-boundary_structure and to_polynomial all read that form, and none of them
-recognises or resolves anything itself.
+it has them, and each power its exponent.  BoundaryEvaluator (compiled
+once into a _Plan of product forms), boundary_structure and to_polynomial
+all read that form, and none of them recognises or resolves anything itself.
 """
 from __future__ import annotations
 
@@ -28,7 +27,7 @@ __all__ = [
     "ParamEnv", "PARAM_NAMES",
     "ExprError", "ParseError", "EvalDomainError", "NotPolynomialError",
     "UnsupportedFormError",
-    "parse", "to_string", "evaluate", "exponent_value",
+    "parse", "evaluate", "exponent_value",
     "substitute_negate", "substitute_square", "substitute_rotate",
     "boundary_singularities", "boundary_structure",
     "BoundaryStructure", "SingularPoint",
@@ -300,88 +299,6 @@ def _parse_exponent(toks: _Tokens) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Printing
-
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
-
-def _fmt_real(x: float) -> str:
-    if x == int(x) and abs(x) < 1e16:
-        return str(int(x))
-    return repr(x)
-
-
-def _fmt_const(c: complex) -> tuple[str, int]:
-    re_, im_ = c.real, c.imag
-    if im_ == 0.0:
-        if re_ >= 0:
-            return _fmt_real(re_), _PREC_ATOM
-        return "-" + _fmt_real(-re_), _PREC_NEG
-    if re_ == 0.0:
-        if im_ == 1.0:
-            return "i", _PREC_ATOM
-        if im_ == -1.0:
-            return "-i", _PREC_NEG
-        return f"{_fmt_real(im_)}*i", _PREC_MUL
-    sign = "+" if im_ >= 0 else "-"
-    return f"({_fmt_real(re_)} {sign} {_fmt_real(abs(im_))}*i)", _PREC_ATOM
-
-
-def _to_string(e: Expr) -> tuple[str, int]:
-    if isinstance(e, Const):
-        return _fmt_const(e.value)
-    if isinstance(e, Z):
-        return "z", _PREC_ATOM
-    if isinstance(e, Param):
-        return e.name, _PREC_ATOM
-    if isinstance(e, Add):
-        ls, lp = _to_string(e.left)
-        if lp < _PREC_ADD:
-            ls = f"({ls})"
-        rhs = e.right
-        op = "+"
-        if isinstance(rhs, Neg):
-            op, rhs = "-", rhs.operand
-        rs, rp = _to_string(rhs)
-        # the subtrahend/addend re-parses at term level
-        if rp < _PREC_MUL:
-            rs = f"({rs})"
-        return f"{ls} {op} {rs}", _PREC_ADD
-    if isinstance(e, Neg):
-        s, p = _to_string(e.operand)
-        # parenthesize so "-2" stays a negated node vs literal fold, and
-        # nested structure survives re-parsing
-        if p < _PREC_POW or isinstance(e.operand, (Const, Neg)):
-            s = f"({s})"
-        return f"-{s}", _PREC_NEG
-    if isinstance(e, (Mul, Div)):
-        op = "*" if isinstance(e, Mul) else "/"
-        l, r = (e.left, e.right) if isinstance(e, Mul) else (e.num, e.den)
-        ls, lp = _to_string(l)
-        if lp < _PREC_MUL:
-            ls = f"({ls})"
-        rs, rp = _to_string(r)
-        if rp <= _PREC_MUL:  # right operand must bind tighter than * and /
-            rs = f"({rs})"
-        return f"{ls}{op}{rs}", _PREC_MUL
-    if isinstance(e, Pow):
-        bs, bp = _to_string(e.base)
-        if bp < _PREC_ATOM:
-            bs = f"({bs})"
-        exp = e.exponent
-        if isinstance(exp, Const) and exp.value.imag == 0.0:
-            return f"{bs}^{_fmt_real(exp.value.real)}", _PREC_POW
-        es, _ = _to_string(exp)
-        return f"{bs}^({es})", _PREC_POW
-    raise TypeError(f"not an Expr node: {e!r}")
-
-
-def to_string(e: Expr) -> str:
-    """Render an expression so that parse(to_string(e)) reproduces it."""
-    return _to_string(e)[0]
-
-
-# ---------------------------------------------------------------------------
 # Evaluation
 
 
@@ -442,9 +359,7 @@ def evaluate(e: Expr, z, env: Optional[ParamEnv] = None):
     scalar = np.isscalar(z) or (isinstance(z, np.ndarray) and z.ndim == 0)
     zz = np.asarray(z, dtype=complex)
     out = BoundaryEvaluator(e, env).value(zz)
-    if scalar:
-        return complex(out)
-    return out
+    return complex(out) if scalar else out
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +399,7 @@ def substitute_rotate(e: Expr, lam: complex) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# The resolved form, read by boundary_structure, to_polynomial and _compile
+# The resolved form, read by boundary_structure, to_polynomial and _Plan
 
 
 class _Node:
@@ -792,52 +707,14 @@ def to_polynomial(e: Expr, env: Optional[ParamEnv] = None) -> TaylorCoeffs:
 
 
 # ---------------------------------------------------------------------------
-# Compiled evaluation, including cancellation-safe boundary offsets
+# Compiled evaluation: product forms over shared leaves
 
 _SNAP = 64.0 * _EPS
 
 
-def _power(node: _Node, env: dict):
-    """w -> w^s with the exponent s resolved in node; an s that _is_int
-    snaps to an integer n bypasses the principal branch cut."""
-    s, n = node.s, node.n
-    if s is None:
-        # re-resolved, and so raised afresh, on every call that reaches it
-        return lambda w: exponent_value(node.e.exponent, env)
-    if n is None:
-        def power(w):
-            # the branch check can only fire where some imaginary part is 0
-            if not w.imag.all():
-                bad = (w.imag == 0.0) & (w.real <= 0.0)
-                if bad.any():
-                    raise EvalDomainError(
-                        f"principal branch violation: base {w[bad].flat[0]} "
-                        f"on (-inf, 0] with non-integer exponent {s}")
-            return np.exp(s * np.log(w))
-    elif n < 0:
-        def power(w):
-            if not w.all():
-                raise EvalDomainError(f"zero base raised to negative power {n}")
-            return w ** n
-    else:
-        def power(w):
-            return w ** n
-    return power
-
-
-def _quotient(num, den):
-    def quotient(x):
-        d = den(x)
-        if not np.asarray(d).all():
-            raise EvalDomainError("division by zero")
-        return num(x) / d
-    return quotient
-
-
 def _affine_leaf(a: complex, b: complex, k: int):
-    """near-closure of a + b*z^k, expanded around the anchor."""
-    if b == 0:
-        return lambda c: np.asarray(a)
+    """a + b*z^k (b != 0) at c = (anchor, dz, anchor^2, z^2 - anchor^2),
+    expanded around the anchor; b = +-1, as in 1 +- z, needs no product."""
     abs_a = abs(a)
     i, j = (0, 1) if k == 1 else (2, 3)   # (anchor, dz) or (a2, dz2)
 
@@ -845,53 +722,169 @@ def _affine_leaf(a: complex, b: complex, k: int):
         base = a + b * c[i]
         if abs(base) <= _SNAP * (abs_a + abs(b * c[i])):
             base = 0j
-        return base + b * c[j]
+        return (base + c[j] if b == 1 else base - c[j] if b == -1
+                else base + b * c[j])
     return leaf
 
 
-_COMBINE = {
-    Z: lambda: lambda z: z,
-    Neg: lambda f: lambda x: -f(x),
-    Add: lambda f, g: lambda x: f(x) + g(x),
-    Mul: lambda f, g: lambda x: f(x) * g(x),
-    Div: _quotient,
-}
+def _fails(msg: str):
+    def step(vals, logs):
+        raise EvalDomainError(msg)
+    return step
 
 
-def _compile(node: _Node, env: dict):
-    """Compile a resolved node into (value_fn, near_fn, squares).
+def _nonzero(c: complex, terms: dict, msg: str):
+    """Raises msg where c * prod leaf_j^s_j is 0: where c is, or a leaf of
+    positive power (one of negative power was checked on the way)."""
+    if c == 0:
+        return _fails(msg)
+    idx = [i for i, s in terms.items() if s > 0]
 
-    value_fn(z) evaluates node by node, as written.  near_fn(c), with
-    c = (anchor, dz, anchor^2, z^2 - anchor^2), stops at the nodes that have
-    an aff (a, b, ks) and evaluates a + b*z^k there, k = ks[0], and the
-    nodes above them node by node; squares says whether it reads c[2:].
-    Unbound parameters and the checks on the samples raise on the call.
+    def step(vals, logs):
+        for i in idx:
+            if np.count_nonzero(vals[i]) < vals[i].size:
+                raise EvalDomainError(msg)
+    return step
+
+
+def _branch(i: int, s: float):
+    """The principal-branch check of leaf i under the non-integer power s."""
+    def step(vals, logs):
+        w = np.asarray(vals[i])
+        # it can only fire where some imaginary part is 0
+        if np.count_nonzero(w.imag) < w.size:
+            bad = (w.imag == 0.0) & (w.real <= 0.0)
+            if bad.any():
+                raise EvalDomainError(
+                    f"principal branch violation: base {w[bad].flat[0]} "
+                    f"on (-inf, 0] with non-integer exponent {s}")
+    return step
+
+
+def _summed(i: int, forms: list):
+    """The step that evaluates leaf i, once per call, as a sum of forms."""
+    def step(vals, logs):
+        if vals[i] is None:
+            w = [_product(form, vals, logs) for form in forms]
+            vals[i] = np.asarray(sum(w[1:], w[0]))
+    return step
+
+
+def _product(form, vals: list, logs: list, p: Optional[float] = None):
+    """A form (c, log|c|, terms, steps) after its steps: c times its integer
+    powers, by products, and one exp(sum_j s_j Log leaf_j) over the rest;
+    with p, exp(p log|c| + sum_j p s_j log|leaf_j|), or |leaf|^(p s)."""
+    c, logc, terms, steps = form
+    for step in steps:
+        step(vals, logs)
+    if p is not None:
+        if len(terms) == 1 and not logc:
+            return np.abs(vals[terms[0][0]]) ** (p * terms[0][1])
+        acc = p * logc
+        for k, (i, s) in enumerate(terms):
+            m = (p * s) * (np.log(np.abs(vals[i])) if logs[i] is None
+                           else logs[i].real)
+            acc = m if not (k or logc) else acc + m
+        return np.exp(acc)
+    w, reals = None, []
+    for i, s in terms:
+        if not s.is_integer():
+            reals.append((i, s))
+        elif w is None:
+            w = vals[i] if s == 1.0 else vals[i] ** int(s)
+        else:
+            w = (w * vals[i] if s == 1.0 else w / vals[i] if s == -1.0
+                 else w * vals[i] ** int(s))
+    if reals:
+        for i, _ in reals:
+            if logs[i] is None:
+                logs[i] = np.log(vals[i])
+        x = np.exp(sum((s * logs[i] for i, s in reals[1:]),
+                       reals[0][1] * logs[reals[0][0]]))
+        w = x if w is None else w * x
+    return c if w is None else w if c == 1 else -w if c == -1 else c * w
+
+
+class _Plan:
+    """An expression's forms c * prod leaf_j^s_j over one table of leaves.
+
+    A leaf a + b*z^k is keyed by (a, b, k); another base (a non-affine sum,
+    or a product under a non-integer power) is keyed by its expression and
+    evaluated as a sum of forms by a step.  A form's steps are the checks
+    and leaf evaluations of the tree walk in its order (operands left to
+    right, a quotient's denominator first), so each EvalDomainError is
+    raised first where the walk raises it, with p or not.
     """
-    e, aff = node.e, node.aff
-    if isinstance(e, Param) and aff is None:
-        def unbound(_):
-            raise EvalDomainError(f"unbound parameter {e.name!r}")
-        return unbound, unbound, False
-    kids = [_compile(k, env) for k in node.kids]
-    if isinstance(e, Pow):
-        power = _power(node, env)
-        combine = lambda f: lambda x: power(np.asarray(f(x)))
-    elif isinstance(e, (Const, Param)):
-        v = aff[0]
-        combine = lambda: lambda z: np.asarray(v)
-    else:
-        combine = _COMBINE[type(e)]
-    val = combine(*(k[0] for k in kids))
-    if aff is not None:
-        a, b, ks = aff
-        return val, _affine_leaf(a, b, ks[0]), ks[0] == 2
-    return val, combine(*(k[1] for k in kids)), any(k[2] for k in kids)
 
+    def __init__(self, node: _Node, env: dict):
+        self.env, self.keys, self.affine, self.squares = env, {}, [], False
+        self.top = self.form(node)
 
-def _shaped(w, shape) -> np.ndarray:
-    """w as an array of the input's shape: a constant gives one number."""
-    w = np.asarray(w)
-    return w if w.shape == shape else np.broadcast_to(w, shape)
+    def form(self, node: _Node, steps=None, c=None, terms=None) -> tuple:
+        """(c, log|c|, terms, steps) of node, or of a walk's c and terms."""
+        if c is None:
+            steps = []
+            c, terms = self.walk(node, steps)
+        logc = math.log(abs(c)) if c != 0 else -math.inf
+        return c, logc, tuple((i, s) for i, s in terms.items() if s), steps
+
+    def leaf(self, key, forms=None, steps=None) -> int:
+        """key's leaf, added on first sight; forms' step goes to steps."""
+        if key not in self.keys:
+            self.keys[key] = len(self.affine)
+            self.affine.append(None if forms else _affine_leaf(*key))
+            self.squares |= not forms and key[2] == 2
+        if forms:
+            steps.append(_summed(self.keys[key], forms))
+        return self.keys[key]
+
+    def walk(self, node: _Node, steps: list):
+        """(c, {leaf: s}) of node as a product; appends node's steps."""
+        e, kids, aff = node.e, node.kids, node.aff
+        if aff is not None:
+            a, b, ks = aff
+            return (a, {}) if b == 0 else (1, {self.leaf((a, b, ks[0])): 1.0})
+        if isinstance(e, Param):
+            steps.append(_fails(f"unbound parameter {e.name!r}"))
+            return 1, {}
+        if isinstance(e, Add):
+            return 1, {self.leaf(e, [self.form(k) for k in kids], steps): 1.0}
+        if isinstance(e, Neg):
+            c, t = self.walk(kids[0], steps)
+            return -c, t
+        if not isinstance(e, Pow):
+            # a quotient's denominator is walked, and checked, first
+            sign = 1.0 if isinstance(e, Mul) else -1.0
+            d, u = self.walk(kids[sign < 0], steps)
+            if sign < 0:
+                steps.append(_nonzero(d, u, "division by zero"))
+            c, t = self.walk(kids[sign > 0], steps)
+            return (c * d if sign > 0 else c / (d or 1)), {
+                i: t.get(i, 0.0) + sign * u.get(i, 0.0) for i in {**t, **u}}
+        sub, s, n = [], node.s, node.n
+        b, t = self.walk(kids[0], sub)
+        if s is None:
+            # re-resolved, and so raised afresh, on every call that reaches it
+            steps += sub + [lambda vals, logs: exponent_value(e.exponent,
+                                                              self.env)]
+            return 1, {}
+        if n is not None:
+            # an s that _is_int snaps to an integer n bypasses the branch cut
+            steps += sub
+            if n < 0:
+                steps.append(_nonzero(b, t, "zero base raised to negative "
+                                      f"power {n}"))
+            return complex(np.complex128(b) ** n), {i: r * n
+                                                   for i, r in t.items()}
+        if b == 1 and list(t.values()) == [1.0]:    # a leaf
+            steps += sub
+            i = next(iter(t))
+        else:
+            # (c * prod w^r)^s is not c^s * prod w^(r s) on the principal
+            # branch, so a base that is not a leaf is a leaf of its own
+            i = self.leaf(e.base, [self.form(kids[0], sub, b, t)], steps)
+        steps.append(_branch(i, s))
+        return 1, {i: s}
 
 
 class BoundaryEvaluator:
@@ -904,11 +897,14 @@ class BoundaryEvaluator:
     below roundoff scale.  This keeps relative accuracy for offsets far
     below machine epsilon, which the singular quadrature transform needs.
 
-    Both methods run one plan, compiled on first use from the resolved
-    form of the expression (see _resolve and _compile): near stops at the
-    nodes with affine parts and expands a + b*z^k there, powers carry
-    their resolved exponent, and the arithmetic is that of a walk of the
-    tree, operation for operation.
+    Both run one _Plan, compiled on first use (value is near at anchor 0):
+    each product node is c * prod leaf_j^s_j over distinct leaves, each
+    evaluated and logged once per call, so f and -f(-z), which share 1 +- z,
+    take two complex logs between them.  Given p, both return |f|^p, for a
+    product exp(p log|c| + sum_j p s_j log|leaf_j|) from real logs only,
+    finite wherever p log|f| fits a double; a sum that is not affine adds
+    its products, one complex exp each at most.  Under np.errstate, inf, 0
+    and log 0 = -inf are the results meant; the checks raise EvalDomainError.
     """
 
     def __init__(self, e: Expr, env: Optional[ParamEnv] = None):
@@ -922,29 +918,33 @@ class BoundaryEvaluator:
             self._node = _resolve(self.expr, self.env)
         return self._node
 
-    def _compiled(self):
-        if self._plan is None:
-            self._plan = _compile(self.resolved(), self.env)
-        return self._plan
+    @np.errstate(all="ignore")
+    def _run(self, anchor: complex, dz, p: Optional[float]) -> np.ndarray:
+        plan = self._plan = self._plan or _Plan(self.resolved(), self.env)
+        # z^2 - anchor^2 = dz (2 anchor + dz)
+        c = (anchor, dz, *((anchor * anchor, dz * (2.0 * anchor + dz))
+                           if plan.squares else ()))
+        vals = [f(c) if f else None for f in plan.affine]
+        w = np.asarray(_product(plan.top, vals, [None] * len(vals), p))
+        # a constant gives one number
+        return w if w.shape == dz.shape else np.broadcast_to(w, dz.shape)
 
-    def value(self, z: np.ndarray) -> np.ndarray:
-        return _shaped(self._compiled()[0](z), np.shape(z))
+    def value(self, z, p: Optional[float] = None) -> np.ndarray:
+        """f(z), or |f(z)|^p."""
+        return self._run(0j, np.asarray(z), p)
 
-    def near(self, anchor: complex, delta, gap: float) -> np.ndarray:
-        """Evaluate at z = anchor*(1-gap)*e^{i*delta}.
+    def near(self, anchor: complex, delta, gap: float,
+             p: Optional[float] = None) -> np.ndarray:
+        """f, or |f|^p, at z = anchor*(1-gap)*e^{i*delta}.
 
         delta may be a scalar or ndarray of angle offsets (radians, signed);
         gap is the radial distance 1-|z|/|anchor| >= 0.  Accurate for |delta|
         and gap down to ~1e-290.
         """
-        _, near, squares = self._compiled()
         delta = np.asarray(delta, dtype=float)
         half = np.sin(delta / 2.0)
         # e^{i d} - 1, no cancellation
         em1 = (-2.0) * half * half + 1j * np.sin(delta)
         # (1-gap) e^{i d} - 1 = (e^{id} - 1) - gap - gap (e^{id} - 1)
         rel = em1 - gap - gap * em1
-        dz = anchor * rel
-        # z^2 - anchor^2 = dz (2 anchor + dz)
-        sq = (anchor * anchor, dz * (2.0 * anchor + dz)) if squares else ()
-        return _shaped(near((anchor, dz, *sq)), dz.shape)
+        return self._run(anchor, anchor * rel, p)

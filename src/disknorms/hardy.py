@@ -167,17 +167,15 @@ class _ArcIntegrand:
     def values(self, t):
         t = np.asarray(t, dtype=float)
         z = (1.0 - self._gap) * np.exp(1j * t)
-        return np.abs(self._ev.value(z)) ** self._p
+        return self._ev.value(z, p=self._p)
 
     def from_left(self, d):
-        w = self._ev.near(self._arc.left.root, np.asarray(d, dtype=float),
-                          self._gap)
-        return np.abs(w) ** self._p
+        return self._ev.near(self._arc.left.root, np.asarray(d, dtype=float),
+                             self._gap, p=self._p)
 
     def from_right(self, d):
-        w = self._ev.near(self._arc.right.root, -np.asarray(d, dtype=float),
-                          self._gap)
-        return np.abs(w) ** self._p
+        return self._ev.near(self._arc.right.root, -np.asarray(d, dtype=float),
+                             self._gap, p=self._p)
 
 
 def _arc_pieces(arcs: list[_Arc], cfg: QuadConfig) -> list:

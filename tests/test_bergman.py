@@ -178,10 +178,10 @@ def test_inner_means_share_evaluator_calls(monkeypatch):
     calls, points = [], []
     near = BoundaryEvaluator.near
 
-    def counted(self, anchor, delta, gap):
+    def counted(self, anchor, delta, gap, p=None):
         calls.append(1)
         points.append(np.size(delta))
-        return near(self, anchor, delta, gap)
+        return near(self, anchor, delta, gap, p)
 
     monkeypatch.setattr(BoundaryEvaluator, "near", counted)
     bergman_norm(parse("1/(1-z)^2"), 0.9)
@@ -206,9 +206,9 @@ def test_inner_means_take_one_near_call_per_group_and_round(monkeypatch):
     calls = []
     near = BoundaryEvaluator.near
 
-    def counted(self, anchor, delta, gap):
+    def counted(self, anchor, delta, gap, p=None):
         calls.append(np.size(delta))
-        return near(self, anchor, delta, gap)
+        return near(self, anchor, delta, gap, p)
 
     monkeypatch.setattr(BoundaryEvaluator, "near", counted)
     bergman_norm(parse("1/(1-z)^2"), 0.9)

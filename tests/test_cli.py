@@ -2,11 +2,15 @@ import argparse
 import importlib.util
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
+import disknorms
 from disknorms.cli import (SWEEP_CASES, SweepRow, main, plot_csv,
                            read_sweep_csv, run_sweep, sweep_csv,
                            _CASES, _EXIT_BY_VERDICT, _build_parser)
@@ -99,15 +103,25 @@ def test_elem_overflowing_power_exits_2(capsys, a, b, q):
     assert _field(capsys.readouterr().out, "verdict") == "Inconclusive"
 
 
-@pytest.mark.xfail(strict=True, reason="open defect: (1-z)^400 underflows "
-                   "to 0 at ordinary boundary nodes, so the evaluator's "
-                   "zero-denominator check exits 3 with 'division by zero'")
 def test_norm_far_divergent_exits_2(capsys):
     code = main(["norm", "--space", "hardy", "--expr", "1/(1-z)^400",
                  "--p", "1"])
     out = capsys.readouterr().out
     assert code == 2
     assert _field(out, "divergent") == "True"
+
+
+def test_overflowing_norm_prints_nothing_on_stderr():
+    # inf, 0 and log 0 are the evaluator's results meant, not warnings; run
+    # as a user runs it, so that a numpy RuntimeWarning would show
+    src = pathlib.Path(disknorms.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", "from disknorms.cli import entry; entry()",
+         "norm", "--space", "hardy", "--expr", "1e300/(1-z)^3", "--p", "1"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert _field(proc.stdout, "divergent") == "True"
 
 
 def test_norm_param_binding(capsys):

@@ -9,8 +9,9 @@ from disknorms.expr import (Add, Const, Div, EvalDomainError, Mul, Neg,
                             boundary_singularities, boundary_structure,
                             evaluate, exponent_value, parse,
                             substitute_negate, substitute_rotate,
-                            substitute_square, to_polynomial, to_string,
+                            substitute_square, to_polynomial,
                             BoundaryEvaluator, _is_int, _resolve)
+from printing import to_string
 
 RNG = np.random.default_rng(42)
 POINTS = 0.8 * np.sqrt(RNG.uniform(size=16)) * np.exp(
@@ -535,3 +536,204 @@ def test_near_snaps_roundoff_constant_at_rotated_root():
     assert 1.0 - lam * root != 0.0
     got = abs(complex(BoundaryEvaluator(e).near(root, 1e-200, 0.0)))
     assert got == pytest.approx(1e200, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# log-modulus sampling: |f|^p from the product form
+
+P_VALUES = (0.25, 0.5, 0.6, 0.99)
+_ULPS = 8.0
+_EPS = np.finfo(float).eps
+
+
+def _factors(e):
+    """(a, b, k, s) of each factor (a + b*z^k)^s of a circle_factor_products
+    tree, s signed as the tree uses it."""
+    if isinstance(e, (Mul, Div)):
+        left, right = (e.left, e.right) if isinstance(e, Mul) else (e.num,
+                                                                     e.den)
+        sign = 1.0 if isinstance(e, Mul) else -1.0
+        return _factors(left) + [(a, b, k, sign * s)
+                                 for a, b, k, s in _factors(right)]
+    b, zk = e.base.right.left.value, e.base.right.right
+    return [(e.base.left.value, b, 1 if isinstance(zk, Z) else 2,
+             e.exponent.value.real)]
+
+
+def _leaf_at(a, b, k, anchor, delta, gap):
+    """a + b*z^k at z = anchor*(1-gap)*e^{i delta}, expanded at the anchor
+    with e^{i k delta} - 1 = 2i sin(k delta/2) e^{i k delta/2}."""
+    ak = anchor ** k
+    base = a + b * ak
+    if abs(base) < 1e-12 * abs(a):
+        base = 0j
+    turn = complex(math.cos(k * delta / 2), math.sin(k * delta / 2))
+    rel = 2j * math.sin(k * delta / 2) * turn + ((1 - gap) ** k - 1) * turn ** 2
+    return base + b * ak * rel
+
+
+def _log_terms(factors, p, leaf):
+    """(p log|f|, its condition 1 + sum_j p |s_j| (|log|leaf_j|| + pi)) with
+    leaf(a, b, k) the value of each factor's base."""
+    logs = [(s, math.log(abs(leaf(a, b, k)))) for a, b, k, s in factors]
+    return (p * sum(s * m for s, m in logs),
+            1.0 + p * sum(abs(s) * (abs(m) + math.pi) for s, m in logs))
+
+
+def _agree(got, want, cond):
+    """got = want to _ULPS * cond ulps, where want is finite."""
+    got, want, cond = np.asarray(got), np.asarray(want), np.asarray(cond)
+    ok = np.isfinite(want)
+    assert np.all(np.isfinite(got[ok]))
+    err = np.abs(got[ok] - want[ok])
+    assert np.all(err <= _ULPS * _EPS * cond[ok] * want[ok]), (got, want)
+
+
+def _anchors(e):
+    st_ = boundary_structure(e)
+    return [p.root for p in st_.singular] + [
+        complex(math.cos(t), math.sin(t)) for t in st_.zeros] + [
+        complex(math.cos(0.2), math.sin(0.2))]
+
+
+_MODERATE = np.array([-1e-1, -1e-4, 1e-7, 1e-3, 0.5])
+_DEEP = np.array([-1e-200, -1e-100, 1e-30, 1e-60, 1e-200])
+
+
+@given(circle_factor_products(), st.sampled_from(P_VALUES))
+def test_log_form_matches_complex_form_on_circle_factor_products(case, p):
+    e, _ = case
+    factors = _factors(e)
+    ev = BoundaryEvaluator(e)
+    cond = [_log_terms(factors, p, lambda a, b, k: a + b * z ** k)[1]
+            for z in POINTS]
+    _agree(ev.value(POINTS, p), np.abs(ev.value(POINTS)) ** p, cond)
+    for anchor in _anchors(e):
+        for gap in (0.0, 1e-3):
+            cond = [_log_terms(factors, p, lambda a, b, k: _leaf_at(
+                a, b, k, anchor, d, gap))[1] for d in _MODERATE]
+            _agree(ev.near(anchor, _MODERATE, gap, p),
+                   np.abs(ev.near(anchor, _MODERATE, gap)) ** p, cond)
+        # below the complex path's range, the log form follows p log|f|
+        # wherever that fits a double
+        pl, cond = np.array([_log_terms(factors, p, lambda a, b, k: _leaf_at(
+            a, b, k, anchor, d, 0.0)) for d in _DEEP]).T
+        fits = np.abs(pl) < 700.0
+        got = ev.near(anchor, _DEEP, 0.0, p)
+        assert np.all(np.isfinite(got[fits]))
+        _agree(got[fits], np.exp(pl[fits]), cond[fits])
+
+
+_F = "(1+z)^(2-eps)/(1-z)^(2+eps)"
+_G = "-((1-z)^(2-eps)/(1+z)^(2+eps))"
+
+
+@pytest.mark.parametrize("p", P_VALUES)
+@pytest.mark.parametrize("eps", [0.4, 0.7, 1.0])
+def test_log_form_matches_complex_form_on_the_paper_pair(p, eps):
+    # f, g = -f(-z) and f + g; |f + g|^p is the modulus of the same sum
+    pair = {_F: [(1, 1, 1, 2 - eps), (1, -1, 1, -2 - eps)],
+            _G: [(1, -1, 1, 2 - eps), (1, 1, 1, -2 - eps)],
+            f"{_F} + {_G}": None}
+    for text, factors in pair.items():
+        ev = BoundaryEvaluator(parse(text), {"eps": eps})
+
+        def cond(leaf):
+            return 1.0 if factors is None else _log_terms(factors, p, leaf)[1]
+        _agree(ev.value(POINTS, p), np.abs(ev.value(POINTS)) ** p,
+               [cond(lambda a, b, k: a + b * z ** k) for z in POINTS])
+        for anchor in (1 + 0j, -1 + 0j, 1j):
+            for gap in (0.0, 1e-3):
+                _agree(ev.near(anchor, _MODERATE, gap, p),
+                       np.abs(ev.near(anchor, _MODERATE, gap)) ** p,
+                       [cond(lambda a, b, k: _leaf_at(a, b, k, anchor, d,
+                                                      gap))
+                        for d in _MODERATE])
+            if factors is None:
+                continue
+            # f and g stay finite at offsets where |f| overflows a double
+            pl, cnd = np.array([_log_terms(factors, p, lambda a, b, k: _leaf_at(
+                a, b, k, anchor, d, 0.0)) for d in _DEEP]).T
+            fits = np.abs(pl) < 700.0
+            got = ev.near(anchor, _DEEP, 0.0, p)
+            assert np.all(np.isfinite(got[fits]))
+            _agree(got[fits], np.exp(pl[fits]), cnd[fits])
+
+
+def test_log_form_is_finite_where_the_complex_form_overflows():
+    # |1 - z| in (0.03, 0.17): |1 - z|^-400 overflows, |1 - z|^-200 does not
+    ev = BoundaryEvaluator(parse("1/(1-z)^400"))
+    delta = np.array([0.05, -0.1])
+    assert not np.any(np.isfinite(np.abs(ev.near(1 + 0j, delta, 0.0))))
+    pl = -200.0 * np.log(2.0 * np.abs(np.sin(delta / 2.0)))
+    _agree(ev.near(1 + 0j, delta, 0.0, 0.5), np.exp(pl), 1.0 + np.abs(pl))
+
+
+def test_shared_leaves_are_logged_once_per_call(monkeypatch):
+    # f and g = -f(-z) share the leaves 1 + z and 1 - z: two complex logs
+    ev = BoundaryEvaluator(parse(f"{_F} + {_G}"), {"eps": 0.5})
+    logs = []
+    log = np.log
+
+    def counted(x, *args, **kwargs):
+        logs.append(np.iscomplexobj(x))
+        return log(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "log", counted)
+    ev.near(1 + 0j, np.array([1e-3, -1e-5]), 0.0, 0.5)
+    assert logs.count(True) == 2
+
+
+# Each cause of EvalDomainError, alone and before or after another: the
+# walk meets a product's operands left to right and a quotient's
+# denominator before its numerator; z = 1 in every call below
+_CAUSES = {
+    "zero base, negative power": ("(1-z)^(-2)",
+                                  "zero base raised to negative power -2"),
+    "zero denominator": ("1/(1-z)", "division by zero"),
+    "principal branch": ("(z-2)^0.5", "principal branch violation: base "
+                         "(-1+0j) on (-inf, 0] with non-integer exponent 0.5"),
+    "unbound parameter": ("alpha", "unbound parameter 'alpha'"),
+}
+
+
+def _raised(ev):
+    """The messages of the EvalDomainErrors of value and near at z = 1,
+    each with and without p."""
+    z, delta = np.array([0.5 + 0.5j, 1 + 0j]), np.array([0.3, 0.0])
+    msgs = []
+    for call in (lambda p: ev.value(z, p), lambda p: ev.near(1 + 0j, delta,
+                                                            0.0, p)):
+        for p in (None, 0.5):
+            with pytest.raises(EvalDomainError) as info:
+                call(p)
+            msgs.append(str(info.value))
+    return msgs
+
+
+@pytest.mark.parametrize("cause", sorted(_CAUSES))
+def test_every_domain_error_is_kept_with_and_without_p(cause):
+    text, msg = _CAUSES[cause]
+    assert _raised(BoundaryEvaluator(parse(text))) == [msg] * 4
+    for other, (text2, msg2) in _CAUSES.items():
+        if other == cause:
+            continue
+        first = BoundaryEvaluator(parse(f"({text})*({text2})"))
+        assert _raised(first) == [msg] * 4
+        later = BoundaryEvaluator(parse(f"({text2})*({text})"))
+        assert _raised(later) == [msg2] * 4
+        # the denominator first
+        quotient = BoundaryEvaluator(parse(f"({text2})/(({text})*(1-z))"))
+        assert _raised(quotient) == [msg] * 4
+
+
+@pytest.mark.parametrize("text", ["(1-z)^3*(1+z)^0.5", "(1-z)^2/(1+z)",
+                                  "(1-z)*(z+2)^0.5 + (1-z)^3"])
+def test_zero_leaf_with_positive_power_gives_zero(text):
+    # a positive integer power: a non-integer one of a zero base is a
+    # principal-branch violation
+    ev = BoundaryEvaluator(parse(text))
+    z, delta = np.array([1 + 0j]), np.array([0.0])
+    for p in (None, 0.5):
+        for w in (ev.value(z, p), ev.near(1 + 0j, delta, 0.0, p)):
+            assert w.tolist() == [0]

@@ -436,7 +436,7 @@ class _FailingEvaluator:
         self.value = ev.value
         self.raised = []
 
-    def near(self, anchor, delta, gap):
+    def near(self, anchor, delta, gap, p=None):
         gap = np.broadcast_to(gap, np.shape(delta))
         for g, spec in self._bad.items():
             specs = spec if isinstance(spec, list) else [(spec, 0.0, math.inf)]
@@ -446,7 +446,7 @@ class _FailingEvaluator:
                     self.raised.append(f"bad gap {g!r}" + (
                         f" on side {side:+g} of {root}" if side else ""))
                     raise EvalDomainError(self.raised[-1])
-        w = self._ev.near(anchor, delta, gap)
+        w = self._ev.near(anchor, delta, gap, p)
         return np.where((gap == self._inf_tail) & (np.abs(delta) <= _TAIL),
                         np.inf, w)
 
