@@ -62,30 +62,30 @@ GOLDEN = [
     ("hardy (1+z)/(1-z), p=0.5",
      lambda: hardy_norm(parse("(1+z)/(1-z)"), 0.5),
      "NormResult(space='Hardy', p=0.5, value_p=1.4142135624250958,"
-     " value=2.00000000014708, abs_err_est=3.618766042840589e-09,"
+     " value=2.00000000014708, abs_err_est=3.6187667540373057e-09,"
      " converged=True, divergent=False)"),
     ("hardy 1/(1-z), p=0.9",
      lambda: hardy_norm(parse("1/(1-z)"), 0.9),
      "NormResult(space='Hardy', p=0.9, value_p=3.642429629126842,"
-     " value=4.205019041355531, abs_err_est=1.8580686342306594e-09,"
+     " value=4.205019041355531, abs_err_est=1.8580689169466312e-09,"
      " converged=True, divergent=False)"),
     ("hardy 1/(1-z^2), p=0.7",
      lambda: hardy_norm(parse("1/(1-z^2)"), 0.7),
-     "NormResult(space='Hardy', p=0.7, value_p=1.560012164485668,"
-     " value=1.8875441612203552, abs_err_est=6.263071564665231e-09,"
+     "NormResult(space='Hardy', p=0.7, value_p=1.5600121644856682,"
+     " value=1.8875441612203554, abs_err_est=6.263071847381202e-09,"
      " converged=True, divergent=False)"),
     ("integral means 1/(1-z)^2, p=0.6, r=0.99",
      lambda: _integral_means_full(parse("1/(1-z)^2"), 0.6, 0.99),
-     "(7.534803012600102, 3.3480549990118366e-09, 602, True)"),
+     "(7.534803012600102, 3.3480511688347613e-09, 602, True)"),
     ("bergman (1+z)^(4/p), p=0.4",
      lambda: bergman_norm(parse("(1+z)^(4/p)"), 0.4, env={"p": 0.4}),
      "NormResult(space='Bergman', p=0.4, value_p=3.3333333333333135,"
-     " value=20.286020648339186, abs_err_est=9.724065346571823e-14,"
+     " value=20.286020648339186, abs_err_est=9.61451977011289e-14,"
      " converged=True, divergent=False)"),
     ("bergman 1/(1-z), p=1.5",
      lambda: bergman_norm(parse("1/(1-z)"), 1.5),
      "NormResult(space='Bergman', p=1.5, value_p=2.1574104047535045,"
-     " value=1.6696361757231208, abs_err_est=1.0752833665854356e-09,"
+     " value=1.6696361757231208, abs_err_est=1.0752839433307809e-09,"
      " converged=True, divergent=False)"),
     # not converged and flagged divergent: the integrate-then-probe path
     ("hardy 1/(1-z), p=1 (divergent)",
@@ -103,42 +103,42 @@ GOLDEN = [
      lambda: verify_ap_large_p(0.6, 0.7),
      "VerificationReport(case_id='ap-large-p', inputs={'p': 0.6, 'eps': 0.7,"
      " 'kappa': 10.0, 'scale': 1.0}, lhs=31.39316256700578,"
-     " rhs=21.688232152159422, defect=9.704930414846359,"
-     " margin=1.3765842060742782e-06, verdict='Confirmed', sub_results=("
+     " rhs=21.68823215215943, defect=9.704930414846352,"
+     " margin=1.376583968681653e-06, verdict='Confirmed', sub_results=("
      "('membership', MembershipVerdict(alpha=2.7, p=0.6, product=1.62,"
      " classification='Member', evidence=(), diagnostic=None)),"
      " ('precondition', BoundCheck(description='membership exponent product"
      " below 2', lhs=1.62, rhs=2.0, margin=0.0, passed=True)),"
      " ('norm_f', NormResult(space='Bergman', p=0.6,"
-     " value_p=4.179424599556672, value=10.844116076079711,"
-     " abs_err_est=2.4968432998558307e-09, converged=True, divergent=False)),"
+     " value_p=4.179424599556673, value=10.844116076079715,"
+     " abs_err_est=2.4968414870920557e-09, converged=True, divergent=False)),"
      " ('norm_g', NormResult(space='Bergman', p=0.6,"
-     " value_p=4.179424599556672, value=10.844116076079711,"
-     " abs_err_est=2.4968432998558307e-09, converged=True, divergent=False)),"
+     " value_p=4.179424599556673, value=10.844116076079715,"
+     " abs_err_est=2.4968414870920557e-09, converged=True, divergent=False)),"
      " ('norm_sum', NormResult(space='Bergman', p=0.6,"
      " value_p=7.9086260586535895, value=31.39316256700578,"
-     " abs_err_est=1.754339388972674e-08, converged=True, divergent=False)),"
+     " abs_err_est=1.7543392671279453e-08, converged=True, divergent=False)),"
      " ('closed_form', IdentityCheck(description='f + g ="
-     " 8z(1+z^2)/(1-z^2)^(2+eps)', max_rel_diff=8.710109486819202e-16,"
+     " 8z(1+z^2)/(1-z^2)^(2+eps)', max_rel_diff=1.1701194046711145e-15,"
      " tolerance=1e-10, points=64, passed=True))))"),
     ("bergman 1/(1-z)^2, p=0.9",
      lambda: bergman_norm(parse("1/(1-z)^2"), 0.9),
      "NormResult(space='Bergman', p=0.9, value_p=5.072372743896286,"
-     " value=6.075303181429022, abs_err_est=2.7012788032969443e-09,"
+     " value=6.075303181429022, abs_err_est=2.7012787924279833e-09,"
      " converged=True, divergent=False)"),
     # two singular angles and z^2 leaves
     ("bergman 8z(1+z^2)/(1-z^2)^(2+eps), p=0.6, eps=0.7",
      lambda: bergman_norm(parse("(8*z*(1+z^2))/(1-z^2)^(2+eps)"), 0.6,
                           env={"eps": 0.7}),
-     "NormResult(space='Bergman', p=0.6, value_p=7.908626058653589,"
-     " value=31.393162567005774, abs_err_est=1.7543392908491004e-08,"
+     "NormResult(space='Bergman', p=0.6, value_p=7.90862605865359,"
+     " value=31.393162567005785, abs_err_est=1.754339313402172e-08,"
      " converged=True, divergent=False)"),
     # a finite norm (exact 500) falsely flagged divergent: the radial
     # integral and the radial probe both run
     ("bergman 1/(1-z)^2, p=0.999 (false divergence)",
      lambda: bergman_norm(parse("1/(1-z)^2"), 0.999),
      "NormResult(space='Bergman', p=0.999, value_p=224.84875421161757,"
-     " value=226.07093495153654, abs_err_est=2531.4972459378646,"
+     " value=226.07093495153654, abs_err_est=2531.497245937864,"
      " converged=False, divergent=True)"),
 ]
 
