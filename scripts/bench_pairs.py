@@ -11,8 +11,9 @@ up from.  The result is the workload's block of a BENCH_*.json: every run of
 each end-to-end metric, the medians, the quartiles (numpy.percentile 25 and
 75), the change's relative move and the pairs it wins (better is read from
 the change's BENCHMARK.json; ties count for neither) and a verdict (see
-verdict), whether every run was correct, and the distinct outputs_sha256
-digests of each side.  With --trace-seed it adds one ``--trace 1`` run per
+verdict), the same spread of the raw wall_s seconds with no verdict,
+whether every run was correct, and the distinct outputs_sha256 digests of
+each side.  With --trace-seed it adds one ``--trace 1`` run per
 side, their per-layer values and the names of the per-layer counts that
 differ (counts_differ).  The block is printed; with --out it is also stored
 under ["workloads"][W] of that JSON file, which is created when missing.
@@ -31,13 +32,17 @@ SIDES = ("parent", "change")
 
 def parse_run(stdout: str) -> dict:
     """The result of one perfbench/run.py run from its standard output: the
-    JSON object of its last line, plus its outputs_sha256 digest."""
+    JSON object of its last line, plus its outputs_sha256 digest and its
+    raw median pass time wall_s in seconds, when printed."""
     lines = stdout.strip().splitlines()
     result = json.loads(lines[-1])
     for line in lines:
         _, sep, value = line.partition(" outputs_sha256 = ")
         if sep:
             result["digest"] = value.strip()
+        _, sep, value = line.partition(" wall_s = ")
+        if sep:
+            result["wall_s"] = float(value.split()[0])
     return result
 
 
@@ -79,38 +84,49 @@ def verdict(parent: list, change: list, better: str, bound: float) -> str:
     return "within bound"
 
 
+def spread(values: dict) -> dict:
+    """The medians, the change's relative move, the quartiles
+    (numpy.percentile 25 and 75) and the runs of values[side], each side's
+    values of one quantity."""
+    parent_median = statistics.median(values["parent"])
+    change_median = statistics.median(values["change"])
+    return {
+        "parent_median": parent_median,
+        "change_median": change_median,
+        "change_frac": (change_median / parent_median - 1.0
+                        if parent_median else None),
+        **{f"{side}_quartiles": np.percentile(values[side], [25, 75]).tolist()
+           for side in SIDES},
+        **{f"{side}_runs": values[side] for side in SIDES},
+    }
+
+
 def summarize(runs: dict, better: dict, bounds: dict = None) -> dict:
     """The end-to-end block of pairs of runs: runs[side][i] is the result of
     pair i on that side, better[name] is "lower" or "higher", and
     bounds[name], when given, the relative bound of each metric, which
-    adds its verdict."""
+    adds its verdict.  When every run printed its raw wall_s, the block
+    adds its spread too, with no verdict: wall_ref is the metric judged,
+    and wall_s shows whether the raw seconds move the same way."""
     n = len(runs["parent"])
     block = {"end_to_end": {}}
     for name, metric in runs["change"][0]["metrics"].items():
         values = {side: [r["metrics"][name]["value"] for r in runs[side]]
                   for side in SIDES}
         sign = 1.0 if better[name] == "lower" else -1.0
-        parent_median = statistics.median(values["parent"])
-        change_median = statistics.median(values["change"])
         block["end_to_end"][name] = {
             "unit": metric["unit"],
-            "parent_median": parent_median,
-            "change_median": change_median,
-            "change_frac": (change_median / parent_median - 1.0
-                            if parent_median else None),
-            "parent_quartiles": np.percentile(values["parent"],
-                                              [25, 75]).tolist(),
-            "change_quartiles": np.percentile(values["change"],
-                                              [25, 75]).tolist(),
+            **spread(values),
             f"change_wins_of_{n}_pairs": sum(
                 sign * (c - p) < 0.0
                 for p, c in zip(values["parent"], values["change"])),
-            "parent_runs": values["parent"],
-            "change_runs": values["change"],
         }
         if bounds and name in bounds:
             block["end_to_end"][name]["verdict"] = verdict(
                 values["parent"], values["change"], better[name], bounds[name])
+    if all("wall_s" in r for side in SIDES for r in runs[side]):
+        block["wall_s"] = {"unit": "s", **spread(
+            {side: [r["wall_s"] for r in runs[side]] for side in SIDES})}
     digests = {side: sorted({r.get("digest") for r in runs[side]})
                for side in SIDES}
     block["outputs_sha256"] = {**digests, "equal": (
@@ -179,7 +195,8 @@ def main(argv=None) -> int:
             runs[side].append(result)
             print(f"# pair {i} seed {seed} {side}: "
                   f"correct={result['correct']} wall_ref="
-                  f"{result['metrics']['wall_ref']['value']:.6g}",
+                  f"{result['metrics']['wall_ref']['value']:.6g} "
+                  f"wall_s={result.get('wall_s')}",
                   file=sys.stderr, flush=True)
     block = summarize(runs, better, bounds)
     if args.trace_seed is not None:

@@ -6,17 +6,18 @@ The A^p quasi-norm is computed from the radial form
 
 with the area measure normalized so the disk has measure 1.  The inner
 circle integral reuses the arc machinery of the hardy module at radius
-1 - gap, the means at all radii of one outer request run at once
-(hardy._circle_means); the outer radial integral receives gaps directly
-from the singular-endpoint transform, so radii exponentially close to 1
-never suffer the 1 - r rounding collapse.  bergman_norm hands this radial
-integral, and a probe that truncates it at 1 - cut, to the norm driver of
-the hardy module.  For p = 2 the norm is also available exactly from
-Taylor coefficients as sum |a_n|^2/(n+1).
+1 - gap; the means at all radii of one outer request, or of four outer
+panels sampled ahead, run at once (hardy._circle_means).  The outer radial
+integral receives gaps directly from the singular-endpoint transform, so
+radii exponentially close to 1 never suffer the 1 - r rounding collapse.
+bergman_norm hands this radial integral, and a probe that truncates it at
+1 - cut, to the norm driver of the hardy module.  For p = 2 the norm is
+also available exactly from Taylor coefficients as sum |a_n|^2/(n+1).
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from math import fsum
@@ -65,7 +66,7 @@ class _RadialIntegrand:
     The offset depth is capped so that the inner peak plateau gap^{-s}
     stays representable in double precision; below that depth the inner
     means are not computable and the outer transform's extrapolated tail
-    accounts for the truncation.
+    accounts for the truncation.  Means sampled ahead are read in order.
     """
 
     deep_left = False
@@ -88,16 +89,29 @@ class _RadialIntegrand:
             self.offset_blowup = None
         self.inner_evals = 0
         self.max_inner_rel = 0.0
+        self._ahead = {}        # gap: inner mean, sampled ahead
+
+    def sample_ahead(self, method, points):
+        """Keep the inner means at the gaps of method's points, run at once,
+        unless those of the popped pair (the first 30) are kept already."""
+        gaps = list(points if method == "from_right" else 1.0 - points)
+        if any(g not in self._ahead for g in gaps[:30]):
+            todo = [g for g in gaps if g not in self._ahead]
+            with contextlib.suppress(Exception):    # the heap's call raises
+                self._ahead.update(zip(todo, list(_circle_means(
+                    self._ev, self._p, self._st, todo, self._inner))))
 
     def _terms(self, radii, gaps):
-        """2 r^{1+k} M_p^p(r) at each radius r = 1 - gap; the inner means
-        run at once, and their bookkeeping is done in radius order."""
+        """2 r^{1+k} M_p^p(r) at each radius r = 1 - gap; the inner means not
+        sampled ahead run at once, and their bookkeeping in radius order."""
         out = np.empty(len(gaps))
-        means = _circle_means(self._ev, self._p, self._st, gaps, self._inner)
-        for j, (m, e, n, _) in enumerate(means):
+        todo = [g for g in gaps if g not in self._ahead]
+        rest = _circle_means(self._ev, self._p, self._st, todo, self._inner)
+        for j, g in enumerate(gaps):
+            m, e, n, _ = self._ahead[g] if g in self._ahead else next(rest)
             self.inner_evals += n
             if not (math.isfinite(m) and math.isfinite(e)):
-                raise InnerIntegralError(1.0 - gaps[j])
+                raise InnerIntegralError(1.0 - g)
             if m > 0.0:
                 self.max_inner_rel = max(self.max_inner_rel, e / m)
             out[j] = 2.0 * radii[j] ** (1 + self._k) * m

@@ -13,12 +13,13 @@ _SPEC.loader.exec_module(bench_pairs)
 _BETTER = {"wall_ref": "lower", "min_digits": "higher"}
 
 
-def _stdout(wall_ref, digits, digest="ab12", correct=True):
+def _stdout(wall_ref, digits, digest="ab12", correct=True, wall_s=1.5):
     """The last lines perfbench/run.py prints for one untraced run."""
     metrics = {"wall_ref": {"value": wall_ref, "unit": "ref"},
                "min_digits": {"value": digits, "unit": "digits"}}
     return "\n".join([
-        f"w wall_s = 1.5 s, cold start = 0.3 s (raw)",
+        f"w wall_s = {wall_s:.6g} s, cold start = 0.3 s (raw, not steady on "
+        f"a shared machine; wall_ref and setup_s are)",
         f"w wall_ref = {wall_ref:.6g} ref",
         f"w min_digits = {digits:.6g} digits",
         "w ops_failed_frac = 0 (0 of 12)",
@@ -58,6 +59,28 @@ def test_summary_of_four_pairs():
     assert block["outputs_sha256"] == {"parent": ["ab12"],
                                        "change": ["ab12"], "equal": True}
     assert block["all_runs_correct"] == {"parent": True, "change": True}
+
+
+def test_summary_keeps_the_raw_wall_seconds_without_a_verdict():
+    # wall_ref and the raw seconds can disagree in sign: the block keeps
+    # both, and judges wall_ref only
+    assert bench_pairs.parse_run(_stdout(101.5, 11.0, wall_s=1.34))[
+        "wall_s"] == 1.34
+    runs = _runs(parent=[(100, 11, "ab12", True, s) for s in (1.3, 1.4, 1.2)],
+                 change=[(90, 11, "ab12", True, s) for s in (1.1, 1.5, 1.0)])
+    block = bench_pairs.summarize(runs, _BETTER, _BOUNDS)
+    assert block["wall_s"] == {
+        "unit": "s", "parent_median": 1.3, "change_median": 1.1,
+        "change_frac": pytest.approx(1.1 / 1.3 - 1.0),
+        "parent_quartiles": pytest.approx([1.25, 1.35]),
+        "change_quartiles": pytest.approx([1.05, 1.3]),
+        "parent_runs": [1.3, 1.4, 1.2], "change_runs": [1.1, 1.5, 1.0]}
+    assert block["end_to_end"]["wall_ref"]["verdict"] == "gain"
+    # a run that printed no wall_s leaves the raw seconds out
+    no_wall = {"parent": runs["parent"],
+               "change": [{k: v for k, v in r.items() if k != "wall_s"}
+                          for r in runs["change"]]}
+    assert "wall_s" not in bench_pairs.summarize(no_wall, _BETTER)
 
 
 def test_summary_flags_digests_and_failed_runs():

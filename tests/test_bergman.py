@@ -9,7 +9,7 @@ from disknorms.bergman import (bergman_norm, bergman_norm_coeffs,
 from disknorms.expr import (Add, BoundaryEvaluator, Const, Mul, Neg, parse,
                             substitute_negate)
 from disknorms.hardy import hardy_norm
-from disknorms import quad
+from disknorms import bergman, hardy, quad, verify
 from disknorms.quad import QuadConfig
 
 from oracles import disk_integral
@@ -213,6 +213,62 @@ def test_inner_means_take_one_near_call_per_group_and_round(monkeypatch):
     monkeypatch.setattr(BoundaryEvaluator, "near", counted)
     bergman_norm(parse("1/(1-z)^2"), 0.9)
     assert (len(calls), sum(calls)) == (108, 101400)
+
+
+def _started_circle_means(monkeypatch):
+    """The gap counts of the calls of bergman._circle_means that run."""
+    started = []
+    means = bergman._circle_means
+
+    def spy(*args):
+        started.append(len(args[3]))
+        yield from means(*args)
+
+    monkeypatch.setattr(bergman, "_circle_means", spy)
+    return started
+
+
+def _radial_and_norm(f, p, env):
+    """repr of _radial_integral and of bergman_norm of f at p, or the
+    exception they raise."""
+    out = []
+    _, ev, st = hardy._setup(f, p, env)
+    for call in (lambda: bergman._radial_integral(ev, p, st, QuadConfig()),
+                 lambda: bergman_norm(f, p, env=env)):
+        try:
+            out.append(repr(call()))
+        except Exception as ex:
+            out.append(f"{type(ex).__name__}: {ex}")
+    return out
+
+
+_AP_SMALL_SUM = verify._pair("(1+z)^(4/p)", 1.0, bergman_norm, 0.1,
+                             {"p": 0.1}, None)[2]
+_SAMPLE_AHEAD_CASES = [
+    (_AP_SMALL_SUM, 0.1, {"p": 0.1}),
+    (parse("(1+z)^(2-eps) / (1-z)^(2+eps)"), 0.6, {"p": 0.6, "eps": 0.7}),
+    (parse("1/(1-z)^2"), 0.999, None),          # stops at the outer budget
+    (parse("1e300/(1-z)^3"), 1.0, None),        # inner means overflow
+]
+
+
+@pytest.mark.parametrize("f,p,env", _SAMPLE_AHEAD_CASES,
+                         ids=["ap-small-p-sum", "ap-large-p-f", "budget",
+                              "overflow"])
+def test_sample_ahead_changes_no_bit(monkeypatch, f, p, env):
+    # the outer heap samples up to four panels ahead, and reads the means
+    # back in its own order: values, estimates, evaluation counts and
+    # failures are those of the heap without the hook
+    started = _started_circle_means(monkeypatch)
+    with_hook = _radial_and_norm(f, p, env)
+    calls = len(started)
+    monkeypatch.setattr(bergman._RadialIntegrand, "sample_ahead", None)
+    assert _radial_and_norm(f, p, env) == with_hook
+    if f is _AP_SMALL_SUM:
+        # 64 requests of 30 radii each come down to 21 of up to 120, in the
+        # radial integral and again in the norm
+        assert (calls, len(started) - calls) == (42, 128)
+        assert max(started) == 120
 
 
 @pytest.mark.xfail(strict=True, reason="open defect: p*alpha = 400 > 2 makes "

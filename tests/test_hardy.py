@@ -12,7 +12,7 @@ from disknorms.bergman import (InnerIntegralError, _RadialIntegrand,
                                bergman_norm)
 from disknorms.hardy import (NormResult, _ladder_says_divergent, hardy_norm,
                              integral_means)
-from disknorms.quad import NonFiniteSampleError, QuadConfig
+from disknorms.quad import NonFiniteSampleError, QuadConfig, integrate
 
 from oracles import circle_mean_p
 
@@ -427,14 +427,27 @@ class _FailingEvaluator:
     may instead list (root, side, depth): it then fails only on the side
     of root that side's sign of delta takes, at |delta| <= depth, and its
     message names the side.  Every message raised is kept in raised.  At
-    the gap inf_tail, the samples at the one-sample tail come back inf."""
+    the gap inf_tail, the samples at the one-sample tail come back inf.
+    value fails on the circles of radius 1 - gap of each gap of
+    bad_circles, how as bad_circles[gap] says: "raise" raises as near
+    does, "inf" returns inf there."""
 
-    def __init__(self, ev, bad, inf_tail=None):
+    def __init__(self, ev, bad, inf_tail=None, bad_circles=None):
         self._ev = ev
         self._bad = bad
         self._inf_tail = inf_tail
-        self.value = ev.value
+        self._bad_circles = bad_circles or {}
         self.raised = []
+
+    def value(self, z, p=None):
+        w = self._ev.value(z, p=p)
+        for g, how in self._bad_circles.items():
+            on = np.abs(np.abs(z) - (1.0 - g)) <= 4.0 * np.finfo(float).eps
+            if on.any() and how == "raise":
+                self.raised.append(f"bad gap {g!r}")
+                raise EvalDomainError(self.raised[-1])
+            w = np.where(on, np.inf, w)
+        return w
 
     def near(self, anchor, delta, gap, p=None):
         gap = np.broadcast_to(gap, np.shape(delta))
@@ -525,6 +538,72 @@ def test_radial_lockstep_keeps_inner_failure_order(bad):
     assert seq.startswith("InnerIntegralError" if first == 1e-6
                           else "EvalDomainError")
     assert _outcome(lambda: list(intg.from_right(d))) == seq
+
+
+class _Lookahead(_RadialIntegrand):
+    """A radial integrand that also keeps the gaps the outer heap reads
+    (read) and those sample_ahead is handed (ahead)."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read, self.ahead = [], []
+
+    def sample_ahead(self, method, points):
+        self.ahead.extend((1.0 - points).tolist())     # method is "values"
+        super().sample_ahead(method, points)
+
+    def _terms(self, radii, gaps):
+        self.read.extend(gaps)
+        return super()._terms(radii, gaps)
+
+
+class _Hookless(_RadialIntegrand):
+    sample_ahead = None
+
+
+# f + g of ap-small-p at p = 0.4: its zeros inside the disk put kinks at
+# two radii, so the outer heap samples ahead
+_SMALL_P_SUM = hardy._setup(parse("(1+z)^(4/p) - (1-z)^(4/p)"), 0.4,
+                            {"p": 0.4})
+
+
+def _small_p_radial(ev, cls=_RadialIntegrand):
+    """The integrand of class cls of the radial integral of _SMALL_P_SUM,
+    evaluated by ev, and the outcome of integrating it."""
+    p, _, st = _SMALL_P_SUM
+    intg = cls(ev, p, st, QuadConfig(abs_tol=1e-9, rel_tol=1e-7))
+    return intg, _outcome(lambda: integrate(
+        intg, 0.0, 1.0, QuadConfig(abs_tol=1e-8, rel_tol=1e-6,
+                                   max_evaluations=6000)))
+
+
+def _lookahead_gaps():
+    """A gap that only a sample-ahead reaches and one the heap reads too,
+    each the farthest from every gap read but itself."""
+    intg, _ = _small_p_radial(_SMALL_P_SUM[1], _Lookahead)
+    read = np.array(intg.read)
+    only = sorted(set(intg.ahead) - set(intg.read))
+    both = sorted(set(intg.ahead) & set(intg.read))
+    far = lambda g: np.sort(np.abs(read - g))[1 if g in both else 0]
+    return max(only, key=far), max(both, key=far)
+
+
+@pytest.mark.parametrize("how", ["raise", "inf"])
+@pytest.mark.parametrize("reached", [False, True])
+def test_sample_ahead_keeps_the_failure_order(how, reached):
+    # a failure that only a batch sampled ahead meets is dropped, and one
+    # the heap reaches too is raised as the heap raises it without the hook
+    gap = _lookahead_gaps()[reached]
+    fev = _FailingEvaluator(_SMALL_P_SUM[1], {}, bad_circles={gap: how})
+    _, with_hook = _small_p_radial(fev)
+    assert len(fev.raised) >= (how == "raise")
+    fev.raised.clear()
+    _, hookless = _small_p_radial(fev, _Hookless)
+    assert with_hook == hookless
+    assert with_hook.startswith(
+        ("EvalDomainError: bad gap" if how == "raise" else
+         "NonFiniteSampleError: non-finite sample") if reached
+        else "QuadResult(")
 
 
 def _spied_reruns(monkeypatch, call):
