@@ -11,13 +11,14 @@ panels sampled ahead, run at once (hardy._circle_means).  The outer radial
 integral receives gaps directly from the singular-endpoint transform, so
 radii exponentially close to 1 never suffer the 1 - r rounding collapse.
 bergman_norm hands this radial integral, and a probe that truncates it at
-1 - cut, to the norm driver of the hardy module.  For p = 2 the norm is
+1 - cut, to the norm driver of the hardy module.  The probe's three rungs
+bisect at once (quad._bisect), their inner means in one request per round,
+and fall back to one rung at a time when that raises.  For p = 2 the norm is
 also available exactly from Taylor coefficients as sum |a_n|^2/(n+1).
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from math import fsum
@@ -27,13 +28,15 @@ import numpy as np
 
 from .expr import BoundaryEvaluator, BoundaryStructure, Expr
 from .hardy import (
+    _CUTS,
     NormResult,
     _circle_means,
     _ladder_says_divergent,
     _norm,
     _norm_result,
 )
-from .quad import NonFiniteSampleError, QuadConfig, integrate
+from .quad import (NonFiniteSampleError, QuadConfig, _bisect, _finish_side,
+                   _plus, _side_plan, _sides, _total, integrate)
 
 __all__ = [
     "InnerIntegralError",
@@ -89,26 +92,29 @@ class _RadialIntegrand:
             self.offset_blowup = None
         self.inner_evals = 0
         self.max_inner_rel = 0.0
-        self._ahead = {}        # gap: inner mean, sampled ahead
+        self._ahead = {}    # gap: inner mean sampled ahead, None if it raised
 
     def sample_ahead(self, method, points):
         """Keep the inner means at the gaps of method's points, run at once,
-        unless those of the popped pair (the first 30) are kept already."""
+        unless those of the popped pair (the first 30) are kept already; the
+        gaps of a request that raised are kept as None, never tried again."""
         gaps = list(points if method == "from_right" else 1.0 - points)
         if any(g not in self._ahead for g in gaps[:30]):
             todo = [g for g in gaps if g not in self._ahead]
-            with contextlib.suppress(Exception):    # the heap's call raises
+            try:
                 self._ahead.update(zip(todo, list(_circle_means(
                     self._ev, self._p, self._st, todo, self._inner))))
+            except Exception:       # the heap's own call raises it again
+                self._ahead.update(dict.fromkeys(todo))
 
     def _terms(self, radii, gaps):
         """2 r^{1+k} M_p^p(r) at each radius r = 1 - gap; the inner means not
         sampled ahead run at once, and their bookkeeping in radius order."""
         out = np.empty(len(gaps))
-        todo = [g for g in gaps if g not in self._ahead]
+        todo = [g for g in gaps if self._ahead.get(g) is None]
         rest = _circle_means(self._ev, self._p, self._st, todo, self._inner)
         for j, g in enumerate(gaps):
-            m, e, n, _ = self._ahead[g] if g in self._ahead else next(rest)
+            m, e, n, _ = self._ahead.get(g) or next(rest)
             self.inner_evals += n
             if not (math.isfinite(m) and math.isfinite(e)):
                 raise InnerIntegralError(1.0 - g)
@@ -151,18 +157,29 @@ def _radial_integral(ev: BoundaryEvaluator, p: float,
 def _radial_divergence_probe(ev: BoundaryEvaluator, p: float,
                              structure: BoundaryStructure) -> bool:
     """Truncate the radial integral at 1 - cut for shrinking cuts and apply
-    the ladder growth test."""
+    the ladder growth test.  The rungs bisect at once, owners of one
+    quad._bisect call on one integrand, bit for bit as each rung alone; when
+    that raises, they run one at a time, so the ladder fails as it did."""
     if not structure.singular:
         return False
     inner = QuadConfig(abs_tol=1e-7, rel_tol=1e-6, max_evaluations=60000)
+    outer = QuadConfig(abs_tol=1e-6, rel_tol=1e-4, max_evaluations=3000)
+    intg = _RadialIntegrand(ev, p, structure, inner)
 
-    def truncated(cut):
-        intg = _RadialIntegrand(ev, p, structure, inner)
-        return integrate(intg, 0.0, 1.0 - cut,
-                         QuadConfig(abs_tol=1e-6, rel_tol=1e-4,
-                                    max_evaluations=3000)).value
+    def fn(r, _):
+        return intg.values(r)
 
-    return _ladder_says_divergent(truncated)
+    owners = [(fn, cut, _side_plan(intg, *_sides(0.0, 1.0 - cut, outer)[0]))
+              for cut in _CUTS]
+    try:
+        done = _bisect(owners)
+    except Exception:
+        return _ladder_says_divergent(lambda cut: integrate(
+            _RadialIntegrand(ev, p, structure, inner), 0.0, 1.0 - cut,
+            outer).value)
+    vals = [_total([_finish_side(plan, *d)], outer, _plus)[0]
+            for (*_, plan), d in zip(owners, done)]
+    return _ladder_says_divergent(dict(zip(_CUTS, vals)).get)
 
 
 def bergman_norm(f: Expr, p: float, env=None,

@@ -28,8 +28,8 @@ from .hardy import hardy_norm
 from .quad import QuadConfig
 from .verify import DEFAULT_KAPPA, _check_inputs, eps_window
 
-__all__ = ["main", "entry", "run_sweep", "SweepRow", "read_sweep_csv",
-           "sweep_csv", "plot_csv", "sweep_exit_code", "SWEEP_CASES"]
+__all__ = ["main", "entry", "run_sweep", "SweepRow", "sweep_csv", "plot_csv",
+           "sweep_exit_code", "SWEEP_CASES"]
 
 _EXIT_BY_VERDICT = {"Confirmed": 0, "Refuted": 1, "Inconclusive": 2}
 
@@ -219,25 +219,6 @@ def sweep_exit_code(rows: Sequence[SweepRow]) -> int:
     """The exit code of the worst verdict; SKIPPED rows do not count."""
     return max((_EXIT_BY_VERDICT[row.verdict] for row in rows
                 if row.verdict in _EXIT_BY_VERDICT), default=0)
-
-
-def read_sweep_csv(text: str) -> list[SweepRow]:
-    """Parse sweep_csv output back into rows (inverse of sweep_csv)."""
-    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    reader = csv.DictReader(lines)
-    rows = []
-    for rec in reader:
-        def num(key):
-            s = rec.get(key, "")
-            return float(s) if s else None
-        rows.append(SweepRow(p=float(rec["p"]), eps=num("eps"),
-                             norm_f_p=num("norm_f_p"),
-                             norm_g_p=num("norm_g_p"),
-                             norm_sum_p=num("norm_sum_p"),
-                             defect=num("defect"), margin=num("margin"),
-                             verdict=rec["verdict"],
-                             reason=rec.get("reason", "") or ""))
-    return rows
 
 
 # ---------------------------------------------------------------------------

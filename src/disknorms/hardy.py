@@ -54,6 +54,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_CUTS = (1e-4, 1e-6, 1e-8)      # the rungs of the truncation ladder
 
 
 @dataclass(frozen=True)
@@ -293,14 +294,15 @@ def _ladder_says_divergent(truncated) -> bool:
     """Domain-truncation ladder test of both spaces.
 
     truncated(cut) is the integral with the singular set shaved out to
-    depth cut, for cut = 1e-4, 1e-6, 1e-8.  A blow-up at any rung
+    depth cut, for each cut of _CUTS in order; it may compute the rung or
+    serve a value precomputed for it.  A blow-up at any rung
     (NonFiniteSampleError) marks the limiting integral divergent; so does
     growth above 10% between the deepest two truncations without geometric
     decay of the increments.  (A slowly convergent tail also grows, but
     its increments shrink geometrically along the ladder.)
     """
     vals = []
-    for cut in (1e-4, 1e-6, 1e-8):
+    for cut in _CUTS:
         try:
             vals.append(truncated(cut))
         except NonFiniteSampleError:

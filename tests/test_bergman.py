@@ -10,9 +10,10 @@ from disknorms.expr import (Add, BoundaryEvaluator, Const, Mul, Neg, parse,
                             substitute_negate)
 from disknorms.hardy import hardy_norm
 from disknorms import bergman, hardy, quad, verify
-from disknorms.quad import QuadConfig
+from disknorms.quad import QuadConfig, integrate
 
 from oracles import disk_integral
+from test_hardy import _FailingEvaluator, _outcome
 
 # Independent anchors.  The two (p, eps) pairs below were computed with
 # 30-digit iterated tanh-sinh quadrature on the polar form centred at the
@@ -269,6 +270,66 @@ def test_sample_ahead_changes_no_bit(monkeypatch, f, p, env):
         # radial integral and again in the norm
         assert (calls, len(started) - calls) == (42, 128)
         assert max(started) == 120
+
+
+# the probe's configurations, as each rung ran alone by integrate
+_PROBE_INNER = QuadConfig(abs_tol=1e-7, rel_tol=1e-6, max_evaluations=60000)
+_PROBE_OUTER = QuadConfig(abs_tol=1e-6, rel_tol=1e-4, max_evaluations=3000)
+_PROBE_CASES = [
+    (parse("1/(1-z)^2"), 0.999, None),
+    (parse("1/(1-z)^2"), 1.0, None),
+    (parse("1/(1-z)^2"), 1.5, None),
+    (parse("1/(1-z)^3"), 0.5, None),
+    (parse("(1+z)^(2-eps) / (1-z)^(2+eps)"), 0.5, {"p": 0.5, "eps": 1.0}),
+]
+
+
+def _sequential_ladder(ev, p, st):
+    """The probe's ladder with each rung integrated alone."""
+    return hardy._ladder_says_divergent(lambda cut: integrate(
+        bergman._RadialIntegrand(ev, p, st, _PROBE_INNER), 0.0, 1.0 - cut,
+        _PROBE_OUTER).value)
+
+
+@pytest.mark.parametrize("f,p,env", _PROBE_CASES,
+                         ids=["p0.999", "p1", "p1.5", "cube", "ap-large-p-f"])
+def test_probe_rungs_at_once_change_no_bit(monkeypatch, f, p, env):
+    # the three rungs bisect as owners of one quad._bisect call, and hand
+    # the ladder the values integrate gives each rung alone
+    rungs = []
+    monkeypatch.setattr(bergman, "_ladder_says_divergent", lambda truncated:
+                        rungs.extend(map(truncated, hardy._CUTS)))
+    _, ev, st = hardy._setup(f, p, env)
+    bergman._radial_divergence_probe(ev, p, st)
+    alone = [integrate(bergman._RadialIntegrand(ev, p, st, _PROBE_INNER),
+                       0.0, 1.0 - cut, _PROBE_OUTER).value
+             for cut in hardy._CUTS]
+    assert [v.hex() for v in rungs] == [v.hex() for v in alone]
+
+
+def test_probe_rungs_share_their_inner_requests(monkeypatch):
+    # each round makes one request for all three rungs, the first of their
+    # 3 x 45 initial radii: 23 requests, where the rungs one at a time make
+    # 10 + 17 + 23
+    started = _started_circle_means(monkeypatch)
+    _, ev, st = hardy._setup(parse("1/(1-z)^2"), 1.0, None)
+    assert bergman._radial_divergence_probe(ev, 1.0, st)
+    assert (len(started), max(started)) == (23, 135)
+
+
+@pytest.mark.parametrize("how", ["raise", "inf"])
+def test_probe_falls_back_to_one_rung_at_a_time(how):
+    # a circle of the middle rung's first panel fails: the rungs rerun one
+    # at a time, so the ladder raises, or reads a blow-up, as it did.  The
+    # plain arc between the zeros +-i samples the bad circle through value
+    _, ev, st = hardy._setup(parse("(1+z^2)/(1-z)^2"), 0.5, None)
+    assert not bergman._radial_divergence_probe(ev, 0.5, st)
+    gap = 1.0 - 0.5 * ((1.0 - hardy._CUTS[1]) / 3.0)
+    fev = _FailingEvaluator(ev, {}, bad_circles={gap: how})
+    probe = _outcome(lambda: bergman._radial_divergence_probe(fev, 0.5, st))
+    assert probe == _outcome(lambda: _sequential_ladder(fev, 0.5, st))
+    assert probe == (f"EvalDomainError: bad gap {gap!r}" if how == "raise"
+                     else "True")
 
 
 @pytest.mark.xfail(strict=True, reason="open defect: p*alpha = 400 > 2 makes "

@@ -11,9 +11,10 @@ import sys
 import pytest
 
 import disknorms
-from disknorms.cli import (SWEEP_CASES, SweepRow, main, plot_csv,
-                           read_sweep_csv, run_sweep, sweep_csv,
-                           _CASES, _EXIT_BY_VERDICT, _build_parser)
+from disknorms.cli import (SWEEP_CASES, SweepRow, main, plot_csv, run_sweep,
+                           sweep_csv, _CASES, _EXIT_BY_VERDICT, _build_parser)
+
+from sweep_reader import read_sweep_csv
 
 
 def _field(out: str, name: str) -> str:
