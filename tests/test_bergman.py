@@ -284,11 +284,10 @@ _PROBE_CASES = [
 ]
 
 
-def _sequential_ladder(ev, p, st):
-    """The probe's ladder with each rung integrated alone."""
-    return hardy._ladder_says_divergent(lambda cut: integrate(
-        bergman._RadialIntegrand(ev, p, st, _PROBE_INNER), 0.0, 1.0 - cut,
-        _PROBE_OUTER).value)
+def _rung_alone(ev, p, st, cut):
+    """The probe's radial integral up to 1 - cut, integrated alone."""
+    return integrate(bergman._RadialIntegrand(ev, p, st, _PROBE_INNER),
+                     0.0, 1.0 - cut, _PROBE_OUTER).value
 
 
 @pytest.mark.parametrize("f,p,env", _PROBE_CASES,
@@ -301,9 +300,7 @@ def test_probe_rungs_at_once_change_no_bit(monkeypatch, f, p, env):
                         rungs.extend(map(truncated, hardy._CUTS)))
     _, ev, st = hardy._setup(f, p, env)
     bergman._radial_divergence_probe(ev, p, st)
-    alone = [integrate(bergman._RadialIntegrand(ev, p, st, _PROBE_INNER),
-                       0.0, 1.0 - cut, _PROBE_OUTER).value
-             for cut in hardy._CUTS]
+    alone = [_rung_alone(ev, p, st, cut) for cut in hardy._CUTS]
     assert [v.hex() for v in rungs] == [v.hex() for v in alone]
 
 
@@ -327,7 +324,8 @@ def test_probe_falls_back_to_one_rung_at_a_time(how):
     gap = 1.0 - 0.5 * ((1.0 - hardy._CUTS[1]) / 3.0)
     fev = _FailingEvaluator(ev, {}, bad_circles={gap: how})
     probe = _outcome(lambda: bergman._radial_divergence_probe(fev, 0.5, st))
-    assert probe == _outcome(lambda: _sequential_ladder(fev, 0.5, st))
+    assert probe == _outcome(lambda: hardy._ladder_says_divergent(
+        lambda cut: _rung_alone(fev, 0.5, st, cut)))
     assert probe == (f"EvalDomainError: bad gap {gap!r}" if how == "raise"
                      else "True")
 
