@@ -13,8 +13,8 @@ radii exponentially close to 1 never suffer the 1 - r rounding collapse.
 bergman_norm hands this radial integral, and a probe that truncates it at
 1 - cut, to the norm driver of the hardy module.  The probe's three rungs
 bisect at once (quad._bisect), their inner means in one request per round,
-and fall back to one rung at a time when that raises.  For p = 2 the norm is
-also available exactly from Taylor coefficients as sum |a_n|^2/(n+1).
+and each fails as it would alone.  For p = 2 the norm is also available
+exactly from Taylor coefficients as sum |a_n|^2/(n+1).
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from .hardy import (
     _norm,
     _norm_result,
 )
-from .quad import (NonFiniteSampleError, QuadConfig, _bisect, _finish_side,
-                   _plus, _side_plan, _sides, _total, integrate)
+from .quad import (NonFiniteSampleError, QuadConfig, _bisect, _side_plan,
+                   _sides, integrate)
 
 __all__ = [
     "InnerIntegralError",
@@ -158,8 +158,8 @@ def _radial_divergence_probe(ev: BoundaryEvaluator, p: float,
                              structure: BoundaryStructure) -> bool:
     """Truncate the radial integral at 1 - cut for shrinking cuts and apply
     the ladder growth test.  The rungs bisect at once, owners of one
-    quad._bisect call on one integrand, bit for bit as each rung alone; when
-    that raises, they run one at a time, so the ladder fails as it did."""
+    quad._bisect call on one integrand, bit for bit as each rung alone, and
+    fail as each would alone, so the ladder fails as it did."""
     if not structure.singular:
         return False
     inner = QuadConfig(abs_tol=1e-7, rel_tol=1e-6, max_evaluations=60000)
@@ -171,15 +171,8 @@ def _radial_divergence_probe(ev: BoundaryEvaluator, p: float,
 
     owners = [(fn, cut, _side_plan(intg, *_sides(0.0, 1.0 - cut, outer)[0]))
               for cut in _CUTS]
-    try:
-        done = _bisect(owners)
-    except Exception:
-        return _ladder_says_divergent(lambda cut: integrate(
-            _RadialIntegrand(ev, p, structure, inner), 0.0, 1.0 - cut,
-            outer).value)
-    vals = [_total([_finish_side(plan, *d)], outer, _plus)[0]
-            for (*_, plan), d in zip(owners, done)]
-    return _ladder_says_divergent(dict(zip(_CUTS, vals)).get)
+    sides = _bisect(owners)
+    return _ladder_says_divergent(lambda cut: next(sides)[0])
 
 
 def bergman_norm(f: Expr, p: float, env=None,
@@ -239,6 +232,7 @@ def _truncated_disk_integral(s: float, R: float) -> float:
     At angle t from the center z = 1 the disk |z| <= R is met for radii
     between r- and r+ = cos t +- sqrt(cos^2 t - (1 - R^2)); the radial
     integral of r^{1-s} is elementary, leaving a 1D angular integral.
+    For s > 2, r-^{2-s} may overflow; the integral is then inf.
     """
     one_m_R2 = (1.0 - R) * (1.0 + R)
     tmax = math.asin(R)
@@ -252,11 +246,15 @@ def _truncated_disk_integral(s: float, R: float) -> float:
         if abs(s - 2.0) < 1e-14:
             return np.log(rp / rm)
         q = 2.0 - s
-        return (rp ** q - rm ** q) / q
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (rp ** q - rm ** q) / q
 
-    r = integrate(G, 0.0, tmax,
-                  QuadConfig(abs_tol=1e-10, rel_tol=1e-9,
-                             max_evaluations=200000))
+    try:
+        r = integrate(G, 0.0, tmax,
+                      QuadConfig(abs_tol=1e-10, rel_tol=1e-9,
+                                 max_evaluations=200000))
+    except NonFiniteSampleError:
+        return math.inf
     return 2.0 * r.value / math.pi
 
 
@@ -271,7 +269,8 @@ def membership_evidence(alpha: float, p: float,
     Increment ratios of I along the radii distinguish a geometrically
     convergent tail (ratio < 0.9) from logarithmic (ratio near 1) and
     polynomial (ratio > 1.1) divergence; the thresholds reflect the
-    (1-r)^{1-p*alpha} tail behaviour of the integrand.
+    (1-r)^{1-p*alpha} tail behaviour of the integrand.  An I(R) that
+    overflows is polynomial divergence.
     """
     base = membership_classify(alpha, p)
     rs = _default_radii() if radii is None else tuple(float(R) for R in radii)
@@ -282,10 +281,13 @@ def membership_evidence(alpha: float, p: float,
             raise ValueError("radii must be strictly increasing in (0, 1)")
     s = base.product
     evidence = tuple((R, _truncated_disk_integral(s, R)) for R in rs)
-    incs = [b[1] - a[1] for a, b in zip(evidence[:-1], evidence[1:])]
-    ratios = sorted(b / a for a, b in zip(incs[:-1], incs[1:]) if a > 0.0)
-    tail = ratios[-3:]
-    med = tail[len(tail) // 2]
+    if not all(math.isfinite(I) for _, I in evidence):
+        med = math.inf
+    else:
+        incs = [b[1] - a[1] for a, b in zip(evidence[:-1], evidence[1:])]
+        ratios = sorted(b / a for a, b in zip(incs[:-1], incs[1:]) if a > 0.0)
+        tail = ratios[-3:]
+        med = tail[len(tail) // 2]
     if med < 0.9:
         diag = "Convergent"
     elif med <= 1.1:

@@ -15,8 +15,8 @@ of the Bergman module.  The arcs' pieces and sides are planned once
 (_arc_pieces); _circle_mean_p runs each side by heap, and _circle_means
 hands the sides of all gaps to quad._bisect at once, which samples each
 arc and method (values, from_left, from_right) with one evaluator call
-per round.  Both finish each mean through the same sums (_arcs_mean); when
-_bisect raises, _circle_means reruns its gaps through _circle_mean_p.
+per round, and fails as the gap loop would.  Both finish each mean
+through the same sums (_arcs_mean).
 
 The norm driver _norm serves both spaces: _setup checks p and the
 parameters, compiles f and finds its boundary structure; the space's
@@ -43,8 +43,8 @@ from .expr import (
     boundary_structure,
     check_param_env,
 )
-from .quad import (NonFiniteSampleError, QuadConfig, _bisect, _finish_side,
-                   _pieces, _piecewise, _side_plan, _singular_side, _total,
+from .quad import (NonFiniteSampleError, QuadConfig, _bisect, _pieces,
+                   _piecewise, _side_plan, _singular_side, _total,
                    integrate_piecewise)
 
 __all__ = [
@@ -218,9 +218,8 @@ def _circle_means(ev: BoundaryEvaluator, p: float,
     """Yield _circle_mean_p at each of gaps, in order, with the bisections
     of every gap, arc, piece and side run at once by quad._bisect (batched
     as scipy.integrate.quad_vec batches its intervals); each gap only adds
-    its _side_plans.  When _bisect raises, the gaps run one at a time
-    through _circle_mean_p instead, so a failure is raised where, and as,
-    the gap loop raises it."""
+    its _side_plans.  _bisect raises a failure where, and as, the gap loop
+    raises it."""
     plans = _arc_pieces(_build_arcs(structure), cfg)
     fns, owners = {}, []
     for gap in gaps:
@@ -233,14 +232,9 @@ def _circle_means(ev: BoundaryEvaluator, p: float,
                     fn = fns.setdefault((arc, plan.method),
                                         _sampler(intg, plan.method))
                     owners.append((fn, gap, plan))
-    try:
-        done = _bisect(owners)
-    except Exception:
-        means = (_circle_mean_p(ev, p, structure, gap, cfg) for gap in gaps)
-    else:
-        finished = (_finish_side(plan, *d) for (*_, plan), d in zip(owners, done))
-        means = (_arcs_mean(plans, cfg, finished) for _ in gaps)
-    yield from means
+    sides = _bisect(owners)
+    for _ in gaps:
+        yield _arcs_mean(plans, cfg, sides)
 
 
 def _sampler(intg: _ArcIntegrand, method: str):
@@ -277,6 +271,8 @@ def _declared_structure(ev: BoundaryEvaluator, p: float,
                         angles) -> BoundaryStructure:
     pts = []
     for t in angles:
+        if not math.isfinite(float(t)):
+            raise ValueError(f"singular angles must be finite, got {t}")
         ang = _canonical_angle(float(t))
         if any(abs(ang - s.angle) < 1e-12 for s in pts):
             continue

@@ -24,11 +24,11 @@ bisection, or all initial panels) share one request, and each panel's sums
 use only its own samples; an integrand's sample_ahead hook may sample the
 next few requests first (_adaptive).  Each distinct request's node table is
 built once (_nodes) and shared read-only; a plain callable receives a copy
-of it.  _bisect runs many bisections at once, with their panels in arrays,
-each in the heap's order and arithmetic, so bit for bit as the heap runs
-it; the first exception it meets propagates, and the caller reruns the
-bisections by heap.  Either way _finish_side adds each side's tail, and
-_total sums the sides, pieces and means and checks their convergence.
+of it.  _bisect runs many bisections at once (_rounds), with their panels
+in arrays, each in the heap's order and arithmetic, so bit for bit as the
+heap runs it; when that raises, it runs each alone by heap in its turn, so
+each fails as it would alone.  Either way _finish_side adds each side's
+tail, and _total sums the sides, pieces and means and checks convergence.
 """
 from __future__ import annotations
 
@@ -243,11 +243,12 @@ def _result(panels: list, evals: int, plan: _Plan):
 
 
 def _adaptive(fn, plan: _Plan, ahead=None):
-    """The _result of largest-error-first bisection of plan, by heap.  Each
-    bisection first hands ahead the nodes of the halves of the popped panel
-    and of the next in heap order, taken while their error sum is at most
-    total_e - tol/8 (scipy.integrate.quad_vec's rule), up to _AHEAD panels:
-    at 120 radii, 240 inner bisections, as many as verify_ap_large_p runs."""
+    """[_result, tail sample] of largest-error-first bisection of plan, by
+    heap, as _rounds.  Each bisection first hands ahead the nodes of the
+    halves of the popped panel and of the next in heap order, taken while
+    their error sum is at most total_e - tol/8 (scipy.integrate.quad_vec's
+    rule), up to _AHEAD panels: at 120 radii, 240 inner bisections, as many
+    as verify_ap_large_p runs."""
     abs_tol, rel_tol, budget = plan.abs_tol, plan.rel_tol, plan.budget
     heap: list = []
     done: list = []
@@ -290,18 +291,39 @@ def _adaptive(fn, plan: _Plan, ahead=None):
         seq += 2
 
     panels = done + [(lo, hi, v, e) for (_, _, lo, hi, v, e) in heap]
-    return _result(panels, evals, plan)
+    try:
+        y_end = None if plan.tail_at is None else float(
+            np.asarray(fn(np.array([plan.tail_at])), dtype=float)[0])
+    except NonFiniteSampleError:
+        y_end = None
+    return [_result(panels, evals, plan), y_end]
 
 
 def _bisect(owners):
+    """Yield the _finish_side of each of owners, (fn, arg, plan) each, in
+    order, all bisected at once by _rounds; when that raises anything, each
+    owner runs alone (_alone) in its turn, and fails as it would alone."""
+    try:
+        done = _rounds(owners)
+    except Exception:
+        done = (_alone(*owner) for owner in owners)
+    for (_, _, plan), d in zip(owners, done):
+        yield _finish_side(plan, *d)
+
+
+def _alone(fn, arg, plan: _Plan):
+    """The _adaptive of one of _bisect's owners."""
+    return _adaptive(lambda x: fn(x, np.full(x.size, arg)), plan)
+
+
+def _rounds(owners):
     """Run the bisections of owners, (fn, arg, plan) each, as _adaptive
     runs each alone, all at once in rounds.  A round takes every running
     owner's largest-error panel (ties to the lowest seq, as the heap) and
     samples all halves with one call fn(points, args) per fn, args the
     points' owners' args.  One more round samples the plan.tail_at.
     Returns [_result, tail sample or None] of each owner; the first
-    exception of a call, a _samples check or an fsum propagates, and the
-    caller reruns the owners one at a time."""
+    exception of a call, a _samples check or an fsum propagates."""
     n, fns = len(owners), {}
     group = np.array([fns.setdefault(fn, len(fns)) for fn, _, _ in owners],
                      dtype=int)
@@ -421,20 +443,13 @@ def _singular_side(intg, *side):
     """(value, err, evaluations, converged) of the _side_plan of a side
     (_sides) run alone by heap (_finish_side)."""
     plan = _side_plan(intg, *side)
-    fn, ahead = getattr(intg, plan.method), getattr(intg, "sample_ahead", None)
-    result, y_end = _adaptive(fn, plan, ahead), None
-    if plan.tail_at is not None:
-        try:
-            y_end = float(np.asarray(fn(np.array([plan.tail_at])),
-                                     dtype=float)[0])
-        except NonFiniteSampleError:
-            pass
-    return _finish_side(plan, result, y_end)
+    return _finish_side(plan, *_adaptive(getattr(intg, plan.method), plan,
+                                         getattr(intg, "sample_ahead", None)))
 
 
 def _finish_side(plan: _Plan, result, y_end: Optional[float]):
     """(value, err, evaluations, converged) of a side from its plan, the
-    _result of its bisection (by heap or by _bisect) and its tail sample
+    _result of its bisection (by heap or by _rounds) and its tail sample
     y_end, which, when None (none, or blown up), is extrapolated."""
     value, err, evals, converged, panels = result
     if not plan.L:

@@ -25,8 +25,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bergman import (MembershipVerdict, bergman_norm, membership_classify,
-                      membership_evidence, _radial_integral)
+from .bergman import (bergman_norm, membership_classify, membership_evidence,
+                      _radial_integral)
 from .expr import (Add, Const, Expr, Mul, Neg, check_param_env, evaluate,
                    parse, substitute_negate, substitute_rotate,
                    substitute_square)
@@ -513,7 +513,8 @@ def verify_means_monotone(f: Expr, p: float,
     Confirmed when every consecutive pair of grid radii satisfies
     M_p(r_k) <= M_p(r_{k+1}) + margin; the report's lhs/rhs/defect are
     those of the worst pair.  This is a one-sided claim, so a failing
-    pair makes the verdict Refuted rather than Inconclusive.
+    pair makes the verdict Refuted rather than Inconclusive; a mean that
+    blows up makes it Inconclusive.
     """
     radii = tuple(grid) if grid is not None else _DEFAULT_MEANS_GRID
     if len(radii) < 2:
@@ -526,7 +527,10 @@ def verify_means_monotone(f: Expr, p: float,
 
     means, errs = [], []
     for r in radii:
-        m, e, _, _ = _integral_means_full(f, p, r, env=env, cfg=cfg)
+        try:
+            m, e, _, _ = _integral_means_full(f, p, r, env=env, cfg=cfg)
+        except NonFiniteSampleError:    # a blow-up: inf, and Inconclusive
+            m, e = math.inf, math.inf
         means.append(m)
         errs.append(e)
 
@@ -547,7 +551,7 @@ def verify_means_monotone(f: Expr, p: float,
     all_ok = all(c.passed for _, c in checks)
 
     def verdict(defect, margin):
-        if not math.isfinite(defect):
+        if not (math.isfinite(defect) and all(map(math.isfinite, means))):
             return _INCONCLUSIVE
         return _CONFIRMED if all_ok else _REFUTED
     return _report("means-monotone", {"p": p, "kappa": kappa}, *worst[1:],

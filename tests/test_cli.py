@@ -96,6 +96,33 @@ def test_lemma_cv_blow_up_exits_2(capsys, text):
     assert _field(capsys.readouterr().out, "verdict") == "Inconclusive"
 
 
+def test_means_monotone_blow_up_exits_2(capsys):
+    code = main(["verify", "--case", "means-monotone", "--expr", "1e300*z",
+                 "--p", "2"])
+    assert code == 2
+    assert _field(capsys.readouterr().out, "verdict") == "Inconclusive"
+
+
+@pytest.mark.parametrize("alpha", ["45", "1000"])
+def test_membership_with_overflowing_evidence_exits_0(alpha, capsys):
+    # |1-z|^(-p*alpha) overflows; at alpha = 1000 every I(R) is inf
+    code = main(["membership", "--alpha", alpha, "--p", "2", "--evidence"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert _field(out, "diagnostic") == "Divergent-poly"
+    assert "integral=inf" in out
+
+
+@pytest.mark.parametrize("angle", ["nan", "inf"])
+def test_non_finite_singular_angle_exits_3(angle, capsys):
+    code = main(["norm", "--space", "hardy", "--expr", "1/(1-z)", "--p",
+                 "0.5", "--singular", angle])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == (
+        f"disknorms: error: singular angles must be finite, got {angle}\n")
+
+
 @pytest.mark.parametrize("a,b,q", [("1e200", "1", "2"), ("1e-300", "2", "1e5")])
 def test_elem_overflowing_power_exits_2(capsys, a, b, q):
     code = main(["verify", "--case", "lemma-elem", "--a", a, "--b", b,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from disknorms import expr, hardy
+from disknorms import expr, hardy, quad
 from disknorms.expr import (BoundaryStructure, EvalDomainError, SingularPoint,
                             UnsupportedFormError, parse, substitute_rotate,
                             to_polynomial)
@@ -220,6 +220,13 @@ def test_constant_with_declared_angle():
     r = hardy_norm(parse("1"), 1.0, singular_angles=[0.0])
     assert r.converged and not r.divergent
     assert abs(r.value - 1.0) <= r.abs_err_est
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_non_finite_declared_angle_is_rejected(angle):
+    with pytest.raises(ValueError,
+                       match=f"singular angles must be finite, got {angle}"):
+        hardy_norm(parse("1/(1-z)"), 0.5, singular_angles=[0.0, angle])
 
 
 def test_undetectable_form_needs_declaration():
@@ -611,16 +618,18 @@ def test_sample_ahead_keeps_the_failure_order(how, reached):
 
 
 def _spied_reruns(monkeypatch, call):
-    """The calls of hardy._circle_mean_p that call makes, which in
+    """The gaps, in order and each once, of the owners that call runs alone
+    through quad._bisect's one fallback, quad._alone, which in
     _circle_means are its reruns of the gap loop."""
     reruns = []
-    mean = hardy._circle_mean_p
+    alone = quad._alone
 
-    def spy(*args):
-        reruns.append(args[3])
-        return mean(*args)
+    def spy(fn, gap, plan):
+        if reruns[-1:] != [gap]:
+            reruns.append(gap)
+        return alone(fn, gap, plan)
 
-    monkeypatch.setattr(hardy, "_circle_mean_p", spy)
+    monkeypatch.setattr(quad, "_alone", spy)
     _outcome(call)
     return reruns
 

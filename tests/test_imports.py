@@ -1,0 +1,25 @@
+import ast
+import pathlib
+
+import pytest
+
+_SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "disknorms"
+
+
+def _unused_imports(tree: ast.Module) -> list:
+    """The names tree imports that it neither uses nor lists in __all__;
+    a name only a docstring or comment mentions counts as unused."""
+    imported = [a.asname or a.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    exported = {c.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return [name for name in imported if name not in used | exported]
+
+
+@pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_used_or_exported(path):
+    assert _unused_imports(ast.parse(path.read_text())) == []

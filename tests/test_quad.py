@@ -442,9 +442,9 @@ _OWNERS = [
 
 
 def test_engine_cases_cover_freezing_and_ties():
-    _, _, _, _, panels = quad._adaptive(_jump, _OWNERS[1][1])
+    (_, _, _, _, panels), _ = quad._adaptive(_jump, _OWNERS[1][1])
     assert any(not lo < 0.5 * (lo + hi) < hi for lo, hi, _, _ in panels)
-    _, _, _, _, panels = quad._adaptive(np.abs, _OWNERS[4][1])
+    (_, _, _, _, panels), _ = quad._adaptive(np.abs, _OWNERS[4][1])
     errors = [e for *_, e in panels]
     assert len(set(errors)) < len(errors)
 
@@ -452,8 +452,8 @@ def test_engine_cases_cover_freezing_and_ties():
 @pytest.mark.parametrize("case", range(len(_OWNERS)))
 def test_engine_alone_equals_the_heap(case):
     fn, plan = _OWNERS[case]
-    done = quad._bisect([(lambda x, _: fn(x), 0.0, plan)])
-    assert repr(done[0][0]) == repr(quad._adaptive(fn, plan))
+    done = quad._rounds([(lambda x, _: fn(x), 0.0, plan)])
+    assert repr(done[0]) == repr(quad._adaptive(fn, plan))
 
 
 def test_engine_runs_owners_together_as_the_heap_runs_each():
@@ -467,31 +467,47 @@ def test_engine_runs_owners_together_as_the_heap_runs_each():
 
     owners = [(lambda x, _, fn=fn: fn(x), 0.0, plan) for fn, plan in _OWNERS]
     owners += [(shifted, a, _plain(_THIRDS)) for a in (0.2, 0.5, 0.61)]
-    done = quad._bisect(owners)
+    done = quad._rounds(owners)
     expected = [quad._adaptive(fn, plan) for fn, plan in _OWNERS]
     expected += [quad._adaptive(lambda x, a=a: np.sqrt(np.abs(x - a)),
                                 _plain(_THIRDS)) for a in (0.2, 0.5, 0.61)]
-    assert [repr(d[0]) for d in done] == [repr(r) for r in expected]
-    assert calls[0] == 3 * 45 and len(calls) < sum(r[2] for r in expected[-3:]) // 30
+    assert [repr(d) for d in done] == [repr(r) for r in expected]
+    assert calls[0] == 3 * 45 and len(calls) < sum(
+        r[0][2] for r in expected[-3:]) // 30
 
 
-def test_engine_propagates_the_first_exception_it_meets():
-    # the first owner fails only once its bisection samples past 0.9993
-    # (its initial nodes end at 0.99858), the second at once: its inf
-    # samples raise in the first round, and the third is never sampled.
-    # Which owner's failure a caller sees is the caller's job
-    # (hardy._circle_means reruns its owners one at a time)
-    calls = []
-
+def _failing_owners(calls):
+    """Owners that fail: the first only once its bisection samples past
+    0.9993 (its initial nodes end at 0.99858), the second at once (inf
+    samples); each call appends its owner's name to calls."""
     def log(name, fn):
         return lambda x, _: calls.append(name) or fn(x)
 
     late = lambda x: np.where(x > 0.9993, np.nan, _smooth(x))
-    owners = [(log("late", late), 0.0, _plain(_THIRDS, abs_tol=1e-14)),
-              (log("inf", lambda x: np.full_like(x, np.inf)), 0.0,
-               _plain(_THIRDS)),
-              (log("smooth", _smooth), 0.0, _plain(_THIRDS))]
+    return [(log("late", late), 0.0, _plain(_THIRDS, abs_tol=1e-14)),
+            (log("inf", lambda x: np.full_like(x, np.inf)), 0.0,
+             _plain(_THIRDS)),
+            (log("smooth", _smooth), 0.0, _plain(_THIRDS))]
+
+
+def test_engine_propagates_the_first_exception_it_meets():
+    # the second owner's inf samples raise in the first round, and the
+    # third is never sampled; _bisect then runs the owners alone (below)
+    calls = []
     with pytest.raises(NonFiniteSampleError) as info:
-        quad._bisect(owners)
+        quad._rounds(_failing_owners(calls))
     assert calls == ["late", "inf"]
     assert info.value.x == pytest.approx((1.0 + _GK_X[0]) / 6.0)  # 1st node
+
+
+def test_bisect_fails_as_the_owners_alone_in_order():
+    # the engine's first failure is the inf owner's, but alone the late
+    # owner runs first and raises its own, past 0.9993
+    owners = _failing_owners([])
+    with pytest.raises(NonFiniteSampleError) as alone:
+        for fn, arg, plan in owners:
+            quad._adaptive(lambda x: fn(x, arg), plan)
+    with pytest.raises(NonFiniteSampleError) as info:
+        list(quad._bisect(owners))
+    assert info.value.x == alone.value.x > 0.9993
+    assert str(info.value) == str(alone.value)

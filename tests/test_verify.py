@@ -104,8 +104,9 @@ def test_elem_random_samples(a, b, q):
 # membership lemma
 
 
+# at p*alpha = 100, I(R) overflows past R = 0.75: polynomial divergence
 @pytest.mark.parametrize("alpha,p", [(1.0, 1.0), (2.0, 0.9), (4.0, 0.5),
-                                     (2.5, 1.0), (0.5, 1.5)])
+                                     (2.5, 1.0), (0.5, 1.5), (50.0, 2.0)])
 def test_lemma_ap_agreement(alpha, p):
     r = verify_lemma_ap(alpha, p)
     assert r.verdict == "Confirmed"
@@ -121,6 +122,10 @@ def _membership_grid():
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     return script
+
+
+def test_membership_grid_with_overflowing_evidence():
+    assert _membership_grid().main(["--alphas", "50", "--ps", "2"]) == 0
 
 
 def test_membership_grid_takes_the_lemma_ap_verdict(monkeypatch, capsys):
@@ -296,6 +301,16 @@ def test_means_monotone_for_pole_ratio():
     assert r.verdict == "Confirmed"
     assert len(r.sub_results) == len(grid) - 1
     assert all(c.passed for _, c in r.sub_results)
+
+
+@pytest.mark.parametrize("text", ["1e300*z", "1e160*z^10"])
+def test_means_monotone_blow_up_is_inconclusive(text):
+    # a mean that blows up reads as inf; with 1e160*z^10 only the radii
+    # from 0.3 on blow up, so the worst pair's defect is finite, and a
+    # failed pair of two inf means must not make the verdict Refuted
+    r = verify_means_monotone(parse(text), 2.0)
+    assert r.verdict == "Inconclusive"
+    assert math.inf in [c.lhs for _, c in r.sub_results]
 
 
 def test_means_monotone_validates_grid():
