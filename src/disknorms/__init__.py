@@ -4,11 +4,9 @@ verification of the triangle-inequality violations for 0 < p < 1."""
 from .bergman import (MembershipVerdict, bergman_norm, bergman_norm_coeffs,
                       membership_classify, membership_evidence)
 from .expr import (BoundaryEvaluator, BoundaryStructure, EvalDomainError,
-                   Expr, ExprError, NotPolynomialError, ParseError,
-                   SingularPoint, TaylorCoeffs, UnsupportedFormError,
-                   boundary_singularities, boundary_structure, evaluate,
-                   parse, substitute_negate, substitute_rotate,
-                   substitute_square, to_polynomial)
+                   Expr, ExprError, ParseError, SingularPoint,
+                   UnsupportedFormError, boundary_structure, evaluate, parse,
+                   substitute_negate, substitute_rotate, substitute_square)
 from .hardy import NormResult, hardy_norm, integral_means
 from .quad import (NonFiniteSampleError, QuadConfig, QuadResult, integrate,
                    integrate_piecewise)
@@ -24,10 +22,9 @@ __version__ = "0.1.0"
 __all__ = [
     "parse", "evaluate", "Expr",
     "substitute_negate", "substitute_square", "substitute_rotate",
-    "boundary_singularities", "boundary_structure",
+    "boundary_structure",
     "BoundaryEvaluator", "BoundaryStructure", "SingularPoint",
-    "TaylorCoeffs", "to_polynomial",
-    "ExprError", "ParseError", "EvalDomainError", "NotPolynomialError",
+    "ExprError", "ParseError", "EvalDomainError",
     "UnsupportedFormError", "NonFiniteSampleError",
     "QuadConfig", "QuadResult", "integrate", "integrate_piecewise",
     "NormResult", "hardy_norm", "integral_means",

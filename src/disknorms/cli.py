@@ -486,3 +486,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

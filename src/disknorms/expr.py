@@ -4,34 +4,31 @@ Small closed-form language: rational combinations and real powers of
 polynomials in z, with real parameters (p, eps, alpha, q) allowed in
 exponents.  Provides parsing, evaluation with principal-branch powers,
 cancellation-safe evaluation near boundary points, |f|^p from a log-modulus
-product form, structural detection of boundary zeros/singularities, Taylor
-coefficients, and the substitutions z -> -z and z -> z^2.
+product form, structural detection of boundary zeros/singularities, and the
+substitutions z -> -z and z -> z^2.
 
 Under a parameter binding, an expression is resolved once, bottom up
 (_resolve): each node records its affine parts a + b*z^k (k = 1, 2) when
 it has them, and each power its exponent.  BoundaryEvaluator (compiled
-once into a _Plan of product forms), boundary_structure and to_polynomial
-all read that form, and none of them recognises or resolves anything itself.
+once into a _Plan of product forms) and boundary_structure both read that
+form, and neither of them recognises or resolves anything itself.
 """
 from __future__ import annotations
 
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
 __all__ = [
     "Expr", "Const", "Z", "Param", "Add", "Neg", "Mul", "Div", "Pow",
     "ParamEnv", "PARAM_NAMES",
-    "ExprError", "ParseError", "EvalDomainError", "NotPolynomialError",
-    "UnsupportedFormError",
+    "ExprError", "ParseError", "EvalDomainError", "UnsupportedFormError",
     "parse", "evaluate", "exponent_value",
     "substitute_negate", "substitute_square", "substitute_rotate",
-    "boundary_singularities", "boundary_structure",
-    "BoundaryStructure", "SingularPoint",
-    "TaylorCoeffs", "to_polynomial",
+    "boundary_structure", "BoundaryStructure", "SingularPoint",
     "BoundaryEvaluator", "check_param_env",
 ]
 
@@ -55,10 +52,6 @@ class ParseError(ExprError):
 
 class EvalDomainError(ExprError):
     """Division by zero, principal-branch violation, or unbound parameter."""
-
-
-class NotPolynomialError(ExprError):
-    """Raised by to_polynomial when the expression is not a polynomial in z."""
 
 
 class UnsupportedFormError(ExprError):
@@ -399,7 +392,7 @@ def substitute_rotate(e: Expr, lam: complex) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# The resolved form, read by boundary_structure, to_polynomial and _Plan
+# The resolved form, read by boundary_structure and _Plan
 
 
 class _Node:
@@ -596,114 +589,6 @@ def boundary_structure(e: Expr, env: Optional[ParamEnv] = None) -> BoundaryStruc
             continue
         uniq_zeros.append(t)
     return BoundaryStructure(pts, tuple(uniq_zeros))
-
-
-def boundary_singularities(e: Expr, env: Optional[ParamEnv] = None) -> set[float]:
-    """Angles theta where a denominator or negative-power factor vanishes
-    at e^{i theta}."""
-    return {p.angle for p in boundary_structure(e, env).singular}
-
-
-# ---------------------------------------------------------------------------
-# Taylor coefficients
-
-
-@dataclass(frozen=True)
-class TaylorCoeffs:
-    """Coefficients (a_0, ..., a_n) with a_n != 0 unless the zero polynomial."""
-    coeffs: tuple[complex, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) == 0:
-            object.__setattr__(self, "coeffs", (0j,))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __iter__(self) -> Iterator[complex]:
-        return iter(self.coeffs)
-
-
-_MAX_POLY_DEGREE = 4096
-
-
-def _poly_trim(c: list[complex]) -> list[complex]:
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mul(a: list[complex], b: list[complex]) -> list[complex]:
-    if len(a) + len(b) - 1 > _MAX_POLY_DEGREE + 1:
-        raise NotPolynomialError("polynomial degree exceeds supported bound")
-    out = [0j] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
-def to_polynomial(e: Expr, env: Optional[ParamEnv] = None) -> TaylorCoeffs:
-    """Taylor coefficients of e when it is a polynomial in z.
-
-    Exponents are resolved through env; a resolved exponent within 1e-9 of a
-    nonnegative integer is treated as exact (so (1+z)^(4/p) at p = 0.5 is the
-    degree-8 binomial).  Division is supported only by constants.
-    """
-    env = check_param_env(env)
-
-    def rec(node: _Node) -> list[complex]:
-        e, kids = node.e, node.kids
-        if isinstance(e, (Const, Param)):
-            if node.aff is None:
-                raise EvalDomainError(f"unbound parameter {e.name!r}")
-            return [node.aff[0]]
-        if isinstance(e, Z):
-            return [0j, 1 + 0j]
-        if isinstance(e, Neg):
-            return [-c for c in rec(kids[0])]
-        if isinstance(e, Add):
-            l, r = rec(kids[0]), rec(kids[1])
-            if len(l) < len(r):
-                l, r = r, l
-            out = list(l)
-            for k, c in enumerate(r):
-                out[k] += c
-            return _poly_trim(out)
-        if isinstance(e, Mul):
-            return _poly_trim(_poly_mul(rec(kids[0]), rec(kids[1])))
-        if isinstance(e, Div):
-            den = _poly_trim(rec(kids[1]))
-            if len(den) > 1:
-                raise NotPolynomialError(
-                    "division by a non-constant polynomial")
-            if den[0] == 0:
-                raise EvalDomainError("division by zero")
-            return [c / den[0] for c in rec(kids[0])]
-        if node.s is None:
-            exponent_value(e.exponent, env)   # raises, as it did in _resolve
-        n = node.n
-        if n is None or n < 0:
-            raise NotPolynomialError(
-                f"exponent {node.s} is not a nonnegative integer")
-        base = _poly_trim(rec(kids[0]))
-        if (len(base) - 1) * n > _MAX_POLY_DEGREE:
-            raise NotPolynomialError("polynomial degree exceeds supported bound")
-        out = [1 + 0j]
-        acc = base
-        k = n
-        while k:
-            if k & 1:
-                out = _poly_mul(out, acc)
-            k >>= 1
-            if k:
-                acc = _poly_mul(acc, acc)
-        return _poly_trim(out)
-
-    return TaylorCoeffs(tuple(_poly_trim(rec(_resolve(e, env)))))
 
 
 # ---------------------------------------------------------------------------

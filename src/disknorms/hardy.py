@@ -80,7 +80,11 @@ class NormResult:
                 return self.abs_err_est ** (1.0 / self.p)
             except OverflowError:
                 return math.inf
-        return self.abs_err_est * self.value / (self.p * self.value_p)
+        err = self.abs_err_est * self.value / (self.p * self.value_p)
+        if math.isinf(err) and math.isfinite(self.abs_err_est):
+            # the product overflowed though the quotient is finite
+            err = self.abs_err_est * (self.value / (self.p * self.value_p))
+        return err
 
 
 def _norm_result(space: str, p: float, value_p: float, err: float,

@@ -16,6 +16,8 @@ from disknorms.cli import (SWEEP_CASES, SweepRow, main, plot_csv, run_sweep,
 
 from sweep_reader import read_sweep_csv
 
+_SRC = pathlib.Path(disknorms.__file__).resolve().parent.parent
+
 
 def _field(out: str, name: str) -> str:
     for line in out.splitlines():
@@ -103,6 +105,15 @@ def test_means_monotone_blow_up_exits_2(capsys):
     assert _field(capsys.readouterr().out, "verdict") == "Inconclusive"
 
 
+def test_means_monotone_huge_constant_has_a_finite_margin(capsys):
+    # abs_err_est * value overflows for 1e150*z; the margin must not be inf
+    code = main(["verify", "--case", "means-monotone", "--expr", "1e150*z",
+                 "--p", "2"])
+    margin = float(_field(capsys.readouterr().out, "margin"))
+    assert code == 0
+    assert math.isfinite(margin) and margin > 0.0
+
+
 @pytest.mark.parametrize("alpha", ["45", "1000"])
 def test_membership_with_overflowing_evidence_exits_0(alpha, capsys):
     # |1-z|^(-p*alpha) overflows; at alpha = 1000 every I(R) is inf
@@ -142,14 +153,27 @@ def test_norm_far_divergent_exits_2(capsys):
 def test_overflowing_norm_prints_nothing_on_stderr():
     # inf, 0 and log 0 are the evaluator's results meant, not warnings; run
     # as a user runs it, so that a numpy RuntimeWarning would show
-    src = pathlib.Path(disknorms.__file__).resolve().parent.parent
     proc = subprocess.run(
         [sys.executable, "-c", "from disknorms.cli import entry; entry()",
          "norm", "--space", "hardy", "--expr", "1e300/(1-z)^3", "--p", "1"],
-        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(_SRC)), capture_output=True,
         text=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (2, "")
     assert _field(proc.stdout, "divergent") == "True"
+
+
+@pytest.mark.parametrize("p, code", [("2", 3), ("0.5", 0)])
+def test_python_m_cli_runs_the_command(p, code):
+    proc = subprocess.run(
+        [sys.executable, "-m", "disknorms.cli", "verify", "--case",
+         "hp-counterexample", "--p", p],
+        env=dict(os.environ, PYTHONPATH=str(_SRC)), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == code
+    if code == 3:
+        assert proc.stderr == "disknorms: error: requires 0 < p < 1\n"
+    else:
+        assert _field(proc.stdout, "verdict") == "Confirmed"
 
 
 def test_norm_param_binding(capsys):

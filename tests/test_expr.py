@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from disknorms.expr import (Add, Const, Div, EvalDomainError, Mul, Neg,
-                            NotPolynomialError, Param, ParseError, Pow, Z,
-                            boundary_singularities, boundary_structure,
+                            Param, ParseError, Pow, Z, boundary_structure,
                             evaluate, exponent_value, parse,
                             substitute_negate, substitute_rotate,
-                            substitute_square, to_polynomial,
-                            BoundaryEvaluator, _is_int, _resolve)
+                            substitute_square, BoundaryEvaluator, _is_int,
+                            _resolve)
 from printing import to_string
 
 RNG = np.random.default_rng(42)
@@ -145,11 +144,18 @@ def test_substitute_rotate_matches_pointwise():
 # polynomials
 
 
-def _eval_coeffs(coeffs, z):
-    acc = np.zeros_like(np.asarray(z, dtype=complex))
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
+def _walk(e, z):
+    """Evaluate a polynomial tree of polynomial_exprs node by node."""
+    if isinstance(e, Const):
+        return np.full(z.shape, e.value)
+    if isinstance(e, Z):
+        return z.astype(complex)
+    if isinstance(e, Neg):
+        return -_walk(e.operand, z)
+    if isinstance(e, Pow):
+        return _walk(e.base, z) ** int(e.exponent.value.real)
+    l, r = _walk(e.left, z), _walk(e.right, z)
+    return l + r if isinstance(e, Add) else l * r
 
 
 @st.composite
@@ -173,41 +179,26 @@ def polynomial_exprs(draw, depth=0):
 
 
 @given(polynomial_exprs())
-def test_to_polynomial_matches_direct_evaluation(e):
-    coeffs = to_polynomial(e).coeffs
+def test_polynomial_evaluation_matches_direct_walk(e):
     direct = evaluate(e, POINTS)
-    via_coeffs = _eval_coeffs(coeffs, POINTS)
+    walked = _walk(e, POINTS)
     scale = max(1.0, float(np.max(np.abs(direct))))
-    assert float(np.max(np.abs(direct - via_coeffs))) <= 1e-12 * scale
-
-
-def test_to_polynomial_known_coefficients():
-    assert to_polynomial(parse("(1+z)^2")).coeffs == (1 + 0j, 2 + 0j, 1 + 0j)
-    assert to_polynomial(parse("2*z^3 - z + 0.5")).coeffs == \
-        (0.5 + 0j, -1 + 0j, 0j, 2 + 0j)
-
-
-def test_to_polynomial_rejects_non_polynomial():
-    with pytest.raises(NotPolynomialError):
-        to_polynomial(parse("1/(1-z)"))
-    with pytest.raises(NotPolynomialError):
-        to_polynomial(parse("(1-z)^(-1/4)"))
-
-
-def test_to_polynomial_parameterized_exponent():
-    coeffs = to_polynomial(parse("(1+z)^(4/p)"), {"p": 2.0}).coeffs
-    assert coeffs == (1 + 0j, 2 + 0j, 1 + 0j)
+    assert float(np.max(np.abs(direct - walked))) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
 # boundary structure
 
 
+def _singular_angles(text, env=None):
+    return {s.angle for s in boundary_structure(parse(text), env).singular}
+
+
 def test_boundary_singularities_basic():
-    assert boundary_singularities(parse("1/(1-z)")) == {0.0}
-    assert boundary_singularities(parse("(1+z)/(1-z)")) == {0.0}
-    assert boundary_singularities(parse("1/(1-z^2)")) == {0.0, math.pi}
-    assert boundary_singularities(parse("(1+z)^(4/p)"), {"p": 0.25}) == set()
+    assert _singular_angles("1/(1-z)") == {0.0}
+    assert _singular_angles("(1+z)/(1-z)") == {0.0}
+    assert _singular_angles("1/(1-z^2)") == {0.0, math.pi}
+    assert _singular_angles("(1+z)^(4/p)", {"p": 0.25}) == set()
 
 
 def test_boundary_structure_strengths():

@@ -1,7 +1,10 @@
 import ast
+import importlib
 import pathlib
 
 import pytest
+
+import disknorms
 
 _SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "disknorms"
 
@@ -23,3 +26,19 @@ def _unused_imports(tree: ast.Module) -> list:
 @pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_used_or_exported(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+_MODULES = sorted(f"disknorms.{p.stem}" for p in _SRC.glob("*.py")
+                  if p.stem != "__init__")
+
+
+@pytest.mark.parametrize("name", ["disknorms"] + _MODULES)
+def test_every_export_exists(name):
+    module = importlib.import_module(name)
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_package_exports_come_from_module_exports():
+    exported = {n for m in _MODULES for n in importlib.import_module(m).__all__}
+    assert [n for n in disknorms.__all__
+            if n != "__version__" and n not in exported] == []
