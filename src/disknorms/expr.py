@@ -698,11 +698,14 @@ class _Plan:
     evaluated as a sum of forms by a step.  A form's steps are the checks
     and leaf evaluations of the tree walk in its order (operands left to
     right, a quotient's denominator first), so each EvalDomainError is
-    raised first where the walk raises it, with p or not.
+    raised first where the walk raises it, with p or not.  real says
+    whether every coefficient it multiplies by is real: each form's c and
+    each affine leaf's a and b.
     """
 
     def __init__(self, node: _Node, env: dict):
         self.env, self.keys, self.affine, self.squares = env, {}, [], False
+        self.real = True
         self.top = self.form(node)
 
     def form(self, node: _Node, steps=None, c=None, terms=None) -> tuple:
@@ -710,6 +713,8 @@ class _Plan:
         if c is None:
             steps = []
             c, terms = self.walk(node, steps)
+        # an integer power of a negative constant can come back complex
+        self.real &= complex(c).imag == 0
         logc = math.log(abs(c)) if c != 0 else -math.inf
         return c, logc, tuple((i, s) for i, s in terms.items() if s), steps
 
@@ -718,7 +723,9 @@ class _Plan:
         if key not in self.keys:
             self.keys[key] = len(self.affine)
             self.affine.append(None if forms else _affine_leaf(*key))
-            self.squares |= not forms and key[2] == 2
+            if not forms:
+                self.squares |= key[2] == 2
+                self.real &= key[0].imag == key[1].imag == 0
         if forms:
             steps.append(_summed(self.keys[key], forms))
         return self.keys[key]
@@ -803,9 +810,25 @@ class BoundaryEvaluator:
             self._node = _resolve(self.expr, self.env)
         return self._node
 
+    def _compiled(self) -> _Plan:
+        """The plan, compiled on first use (under np.errstate, as _run)."""
+        if self._plan is None:
+            self._plan = _Plan(self.resolved(), self.env)
+        return self._plan
+
+    @property
+    def real_coefficients(self) -> bool:
+        """Whether every coefficient of the plan is real (so every Const of
+        the expression is; parameters are).  Then conjugation is exact in
+        every step of near, IEEE sign symmetry making sin, complex * and
+        /, log and exp odd or even, so near(conj(r), -d, gap, p) gives the
+        bits of near(r, d, gap, p)."""
+        with np.errstate(all="ignore"):
+            return self._compiled().real
+
     @np.errstate(all="ignore")
     def _run(self, anchor: complex, dz, p: Optional[float]) -> np.ndarray:
-        plan = self._plan = self._plan or _Plan(self.resolved(), self.env)
+        plan = self._compiled()
         # z^2 - anchor^2 = dz (2 anchor + dz)
         c = (anchor, dz, *((anchor * anchor, dz * (2.0 * anchor + dz))
                            if plan.squares else ()))

@@ -15,8 +15,22 @@ of the Bergman module.  The arcs' pieces and sides are planned once
 (_arc_pieces); _circle_mean_p runs each side by heap, and _circle_means
 hands the sides of all gaps to quad._bisect at once, which samples each
 arc and method (values, from_left, from_right) with one evaluator call
-per round, and fails as the gap loop would.  Both finish each mean
-through the same sums (_arcs_mean).
+per round, and fails as the gap loop would.  Both read one enumeration of
+the sides (_arc_sides) and finish each mean through the same sums
+(_arcs_mean).
+
+Each side of a mirror pair runs once.  When every coefficient of f is real
+(BoundaryEvaluator.real_coefficients), |f(conj z)| = |f(z)| bit for bit:
+IEEE sign symmetry makes sin, complex * and /, log and exp exact under
+conjugation.  So the side of root r sampled from the left at offsets d
+gives the bits of the side of conj(r) sampled from the right at the same
+gap and offsets.  A singular side is keyed by that root (conj(r) from the
+right), its gap and its plan but for the method; only the first side of a
+key is bisected, and each later one reuses its result with evaluations 0.
+A key hits on exact equality only, the memo lives in one call, and the
+first side runs first, so a failure is raised where, and as, it would be
+without the memo.  Plain (values) sides have no key: their nodes at t and
+2 pi - t are not conjugate bit for bit.
 
 The norm driver _norm serves both spaces: _setup checks p and the
 parameters, compiles f and finds its boundary structure; the space's
@@ -204,6 +218,54 @@ def _arcs_mean(plans: list, cfg: QuadConfig, results):
                   cfg, scale=_TWO_PI)
 
 
+def _arc_sides(ev: BoundaryEvaluator, p: float, plans: list, gaps) -> list:
+    """(gap, integrand, side, _Plan, mirror) of each side of the _arc_pieces
+    plans at each of gaps, in order; mirror is the index of the earlier
+    side of the same key whose result the side reuses (see the module
+    docstring), else None."""
+    real = ev.real_coefficients
+    sides, first = [], {}
+    for gap in gaps:
+        for arc, _, pieces in plans:
+            intg = _ArcIntegrand(ev, p, gap, arc)
+            for _, piece_sides in pieces:
+                for side in piece_sides:
+                    plan = _side_plan(intg, *side)
+                    mirror = None
+                    if real and plan.method != "values":
+                        root = (arc.left.root if plan.method == "from_left"
+                                else arc.right.root.conjugate())
+                        # the plan's fields but its method
+                        key = (root, gap, tuple({**vars(plan),
+                                                 "method": ""}.items()))
+                        mirror = first.setdefault(key, len(sides))
+                        if mirror == len(sides):
+                            mirror = None
+                    sides.append((gap, intg, side, plan, mirror))
+    return sides
+
+
+def _side_results(sides, own):
+    """An iterator over the results of sides (_arc_sides) in order: those
+    of the sides without a mirror from own, an iterator over them in
+    order, and for a side with one, its mirror's result with evaluations
+    0.  With no mirror at all, own itself."""
+    mirrors = [side[-1] for side in sides]
+    if mirrors.count(None) == len(mirrors):
+        return own
+    done = []
+
+    def results():
+        for mirror in mirrors:
+            if mirror is None:
+                done.append(next(own))
+            else:
+                value, err, _, conv = done[mirror]
+                done.append((value, err, 0, conv))
+            yield done[-1]
+    return results()
+
+
 def _circle_mean_p(ev: BoundaryEvaluator, p: float,
                    structure: BoundaryStructure, gap: float,
                    cfg: QuadConfig) -> tuple[float, float, int, bool]:
@@ -211,34 +273,28 @@ def _circle_mean_p(ev: BoundaryEvaluator, p: float,
     (1/2 pi) int |f((1-gap) e^{i t})|^p dt over the full circle, with
     cfg's tolerances on the mean."""
     plans = _arc_pieces(_build_arcs(structure), cfg)
-    intgs = [_ArcIntegrand(ev, p, gap, arc) for arc, _, _ in plans]
-    return _arcs_mean(plans, cfg, (
-        _singular_side(intg, *side) for intg, (_, _, pieces) in zip(intgs, plans)
-        for _, sides in pieces for side in sides))
+    sides = _arc_sides(ev, p, plans, [gap])
+    return _arcs_mean(plans, cfg, _side_results(sides, (
+        _singular_side(intg, *side)
+        for _, intg, side, _, mirror in sides if mirror is None)))
 
 
 def _circle_means(ev: BoundaryEvaluator, p: float,
                   structure: BoundaryStructure, gaps, cfg: QuadConfig):
     """Yield _circle_mean_p at each of gaps, in order, with the bisections
-    of every gap, arc, piece and side run at once by quad._bisect (batched
-    as scipy.integrate.quad_vec batches its intervals); each gap only adds
-    its _side_plans.  _bisect raises a failure where, and as, the gap loop
-    raises it."""
+    of every gap, arc, piece and side but the mirrors (_arc_sides) run at
+    once by quad._bisect (batched as scipy.integrate.quad_vec batches its
+    intervals); each gap only adds its _side_plans.  _bisect raises a
+    failure where, and as, the gap loop raises it."""
     plans = _arc_pieces(_build_arcs(structure), cfg)
-    fns, owners = {}, []
-    for gap in gaps:
-        for arc, _, pieces in plans:
-            intg = _ArcIntegrand(ev, p, gap, arc)
-            for _, sides in pieces:
-                for side in sides:
-                    plan = _side_plan(intg, *side)
-                    # the arc's first integrand samples it at every gap
-                    fn = fns.setdefault((arc, plan.method),
-                                        _sampler(intg, plan.method))
-                    owners.append((fn, gap, plan))
-    sides = _bisect(owners)
+    sides = _arc_sides(ev, p, plans, gaps)
+    fns = {}
+    # the arc's first integrand samples it at every gap
+    results = _side_results(sides, _bisect([
+        (fns.setdefault((intg._arc, plan.method), _sampler(intg, plan.method)),
+         gap, plan) for gap, intg, _, plan, mirror in sides if mirror is None]))
     for _ in gaps:
-        yield _arcs_mean(plans, cfg, sides)
+        yield _arcs_mean(plans, cfg, results)
 
 
 def _sampler(intg: _ArcIntegrand, method: str):

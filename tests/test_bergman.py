@@ -174,7 +174,7 @@ def test_subcritical_not_flagged():
 
 def test_inner_means_share_evaluator_calls(monkeypatch):
     # one near call per arc side and round of an outer request, not one per
-    # radius: the points are those of the one-radius-at-a-time loop (3,370
+    # radius: the points are those of the one-radius-at-a-time loop (1,685
     # calls), and the calls at most a tenth of its count
     calls, points = [], []
     near = BoundaryEvaluator.near
@@ -186,24 +186,26 @@ def test_inner_means_share_evaluator_calls(monkeypatch):
 
     monkeypatch.setattr(BoundaryEvaluator, "near", counted)
     bergman_norm(parse("1/(1-z)^2"), 0.9)
-    assert sum(points) == 101400
-    assert len(calls) <= 3370 // 10
+    assert sum(points) == 50700
+    assert len(calls) <= 1685 // 10
 
 
 def test_node_tables_built_once_per_distinct_request():
-    # the heap's panel requests, which single integrals make: 98 requests
+    # the heap's panel requests, which single integrals make: 49 requests
     # of 22 distinct (bounds, L) in verify_hp_counterexample(0.5); each node
     # table is built on the first of its requests and looked up after that
     from disknorms.verify import verify_hp_counterexample
     quad._nodes.cache_clear()
     verify_hp_counterexample(0.5)
     info = quad._nodes.cache_info()
-    assert (info.misses, info.hits + info.misses) == (22, 98)
+    assert (info.misses, info.hits + info.misses) == (22, 49)
 
 
 def test_inner_means_take_one_near_call_per_group_and_round(monkeypatch):
     # quad._bisect runs every inner bisection of an outer request at once:
-    # one near call per arc side and round, the tails in one more
+    # one near call per arc side and round, the tails in one more; of the
+    # two sides of the one arc, the from_right side of 1 mirrors the
+    # from_left side and reuses its result
     calls = []
     near = BoundaryEvaluator.near
 
@@ -213,7 +215,7 @@ def test_inner_means_take_one_near_call_per_group_and_round(monkeypatch):
 
     monkeypatch.setattr(BoundaryEvaluator, "near", counted)
     bergman_norm(parse("1/(1-z)^2"), 0.9)
-    assert (len(calls), sum(calls)) == (108, 101400)
+    assert (len(calls), sum(calls)) == (54, 50700)
 
 
 def _started_circle_means(monkeypatch):

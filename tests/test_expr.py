@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from disknorms.expr import (Add, Const, Div, EvalDomainError, Mul, Neg,
                             substitute_negate, substitute_rotate,
                             substitute_square, BoundaryEvaluator, _is_int,
                             _resolve)
+from disknorms.verify import _pair
 from printing import to_string
 
 RNG = np.random.default_rng(42)
@@ -233,17 +235,22 @@ _STEP = 2.0 * math.pi / _GRID
 
 
 @st.composite
-def circle_factor_products(draw):
+def circle_factor_products(draw, real=False):
     """(e, factors): e a product and quotient of 1 to 4 factors
     (a + b*z^k)^s with |a| = |b|, so that every root lies on the circle;
-    factors lists each one's root grid indices and its exponent in e."""
+    factors lists each one's root grid indices and its exponent in e.
+    With real, every constant is real, and so every root is +-1 or +-i."""
     e, factors = None, []
     for _ in range(draw(st.integers(1, 4))):
         j, k = draw(st.integers(0, _GRID - 1)), draw(st.sampled_from([1, 2]))
+        if real:
+            j -= j % (_GRID // (2 * k))         # z^k = +-1 at angle j
         s = draw(st.sampled_from([-2.5, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0]))
         rho = draw(st.sampled_from([0.5, 1.0, 3.0]))
         # a + b*z^k vanishes where z^k = u, at angles j and j + GRID/2
         u = complex(math.cos(k * j * _STEP), math.sin(k * j * _STEP))
+        if real:
+            u = complex(round(u.real))
         zk = Z() if k == 1 else draw(st.sampled_from(
             [Pow(Z(), Const(2 + 0j)), Mul(Z(), Z())]))
         f = Pow(Add(Const(complex(rho)), Mul(Const(-rho * u.conjugate()), zk)),
@@ -649,6 +656,68 @@ def test_log_form_matches_complex_form_on_the_paper_pair(p, eps):
             got = ev.near(anchor, _DEEP, 0.0, p)
             assert np.all(np.isfinite(got[fits]))
             _agree(got[fits], np.exp(pl[fits]), cnd[fits])
+
+
+# conjugation: with real coefficients, |f(conj z)| = |f(z)| bit for bit
+
+_MIRROR_D = np.logspace(-200.0, 0.0, 41)
+
+
+def _bits(call):
+    """The bytes of call's samples, or the message it raises."""
+    try:
+        return np.asarray(call()).tobytes()
+    except EvalDomainError as ex:
+        return str(ex)
+
+
+def _assert_mirrored(ev, anchors):
+    """near(conj(r), -d, gap, p) has the bits of near(r, d, gap, p) at each
+    anchor r, for d from 1e-200 to 1."""
+    assert ev.real_coefficients
+    for r in anchors:
+        for gap in (0.0, 1e-3, 1e-250):
+            for p in (0.5, 1.0, 1.7):
+                assert _bits(lambda: ev.near(r.conjugate(), -_MIRROR_D, gap,
+                                             p)) == \
+                    _bits(lambda: ev.near(r, _MIRROR_D, gap, p)), (r, gap, p)
+
+
+@given(circle_factor_products(real=True))
+def test_near_is_exact_under_conjugation_on_real_circle_factor_products(
+        case):
+    e, _ = case
+    _assert_mirrored(BoundaryEvaluator(e), _anchors(e))
+
+
+# the f of each verification case, and its environment
+_VERIFY_F = [("(1+z)/(1-z)", None), ("1/(1-z)", None),
+             ("(1+z)^(2-eps) / (1-z)^(2+eps)", {"p": 0.6, "eps": 5 / 6}),
+             ("(1+z)^(4/p)", {"p": 0.25})]
+
+
+@pytest.mark.parametrize("text,env", _VERIFY_F)
+def test_near_is_exact_under_conjugation_on_the_verify_cases(text, env):
+    # f, g = -f(-z) and the sum f + g, whose complex path adds the products
+    anchors = [1 + 0j, -1 + 0j, 1j, -1j, cmath.exp(0.2j)]
+    for e in _pair(text, 1.0, None, 1.0, env, None)[:3]:
+        _assert_mirrored(BoundaryEvaluator(e, env), anchors)
+
+
+def test_complex_coefficients_are_not_real():
+    f = parse("(1+z)/(1-z)")
+    assert BoundaryEvaluator(f).real_coefficients
+    assert BoundaryEvaluator(parse("i*i/(1-z)")).real_coefficients
+    for e in (parse("i*z/(1-z)"), substitute_rotate(f, cmath.exp(0.3j))):
+        assert not BoundaryEvaluator(e).real_coefficients
+    # numpy raises a negative constant to an integer power of 100 or more
+    # through the complex log, and the sum adds its complex bits: every
+    # Const of the expression is real, but not every coefficient, and the
+    # two sides of 1j are not mirrors
+    ev = BoundaryEvaluator(parse("(-2)^101/(1-z) + 1/(1+z)"))
+    assert not ev.real_coefficients
+    assert _bits(lambda: ev.near(-1j, -_MIRROR_D, 1e-3, 1.0)) != \
+        _bits(lambda: ev.near(1j, _MIRROR_D, 1e-3, 1.0))
 
 
 def test_log_form_is_finite_where_the_complex_form_overflows():

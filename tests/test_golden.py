@@ -5,11 +5,13 @@ The evaluation plan and the batched panel calls must not move a single
 bit: any change in rounding, bisection order or evaluation count shows
 here, long before it would move a verdict.
 """
+import cmath
+
 import numpy as np
 import pytest
 
 from disknorms.bergman import bergman_norm
-from disknorms.expr import parse
+from disknorms.expr import parse, substitute_rotate
 from disknorms.hardy import _integral_means_full, hardy_norm
 from disknorms.verify import verify_ap_large_p
 from disknorms.quad import QuadConfig, integrate, integrate_piecewise
@@ -74,9 +76,11 @@ GOLDEN = [
      "NormResult(space='Hardy', p=0.7, value_p=1.5600121644856682,"
      " value=1.8875441612203554, abs_err_est=6.263071847381202e-09,"
      " converged=True, divergent=False)"),
+    # the from_right side of the one arc reuses its mirror, the from_left
+    # side, and counts no evaluations (hardy._arc_sides)
     ("integral means 1/(1-z)^2, p=0.6, r=0.99",
      lambda: _integral_means_full(parse("1/(1-z)^2"), 0.6, 0.99),
-     "(7.534803012600102, 3.3480511688347613e-09, 602, True)"),
+     "(7.534803012600102, 3.3480511688347613e-09, 301, True)"),
     ("bergman (1+z)^(4/p), p=0.4",
      lambda: bergman_norm(parse("(1+z)^(4/p)"), 0.4, env={"p": 0.4}),
      "NormResult(space='Bergman', p=0.4, value_p=3.3333333333333135,"
@@ -125,6 +129,30 @@ GOLDEN = [
      lambda: bergman_norm(parse("1/(1-z)^2"), 0.9),
      "NormResult(space='Bergman', p=0.9, value_p=5.072372743896286,"
      " value=6.075303181429022, abs_err_est=2.7012787924279833e-09,"
+     " converged=True, divergent=False)"),
+    # complex coefficients: no side reuses its mirror's result.  The two
+    # sides of 1 in 1/(1-z) + i*z have equal keys, but |f(conj z)| is not
+    # |f(z)|, so one side's result would not do for the other
+    ("hardy i*z/(1-z), p=0.5",
+     lambda: hardy_norm(parse("i*z/(1-z)"), 0.5),
+     "NormResult(space='Hardy', p=0.5, value_p=1.1803405990160927,"
+     " value=1.3932039296856684, abs_err_est=1.371028440963927e-10,"
+     " converged=True, divergent=False)"),
+    ("hardy (1+z)/(1-z) rotated by e^{0.3i}, p=0.5",
+     lambda: hardy_norm(substitute_rotate(parse("(1+z)/(1-z)"),
+                                          cmath.exp(0.3j)), 0.5),
+     "NormResult(space='Hardy', p=0.5, value_p=1.4142135624250958,"
+     " value=2.00000000014708, abs_err_est=3.6187663556030328e-09,"
+     " converged=True, divergent=False)"),
+    ("hardy 1/(1-z) + i*z, p=0.5",
+     lambda: hardy_norm(parse("1/(1-z) + i*z"), 0.5),
+     "NormResult(space='Hardy', p=0.5, value_p=1.363646818182186,"
+     " value=1.8595326447383995, abs_err_est=4.131904426763836e-09,"
+     " converged=True, divergent=False)"),
+    ("bergman 1/(1-z)^2 + i*z, p=0.9",
+     lambda: bergman_norm(parse("1/(1-z)^2 + i*z"), 0.9),
+     "NormResult(space='Bergman', p=0.9, value_p=5.272512969190348,"
+     " value=6.34222785554611, abs_err_est=8.37333930441402e-09,"
      " converged=True, divergent=False)"),
     # two singular angles and z^2 leaves
     ("bergman 8z(1+z^2)/(1-z^2)^(2+eps), p=0.6, eps=0.7",

@@ -443,13 +443,17 @@ class _FailingEvaluator:
     the gap inf_tail, the samples at the one-sample tail come back inf.
     value fails on the circles of radius 1 - gap of each gap of
     bad_circles, how as bad_circles[gap] says: "raise" raises as near
-    does, "inf" returns inf there."""
+    does, "inf" returns inf there.  real_coefficients is False unless the
+    faults are conjugate-symmetric and are to be met on one side of each
+    mirror pair only (hardy._arc_sides), as a real-coefficient f is."""
 
-    def __init__(self, ev, bad, inf_tail=None, bad_circles=None):
+    def __init__(self, ev, bad, inf_tail=None, bad_circles=None,
+                 real_coefficients=False):
         self._ev = ev
         self._bad = bad
         self._inf_tail = inf_tail
         self._bad_circles = bad_circles or {}
+        self.real_coefficients = real_coefficients
         self.raised = []
 
     def value(self, z, p=None):
@@ -514,6 +518,72 @@ def test_lockstep_raises_first_failure_in_gap_order(bad):
     if isinstance(bad[first], list):
         assert seq.endswith("side +1 of 1")
         assert fev.raised[0] == f"bad gap {first!r} on side -1 of 1"
+
+
+def _sides_by_key(text, p, gap):
+    """The results of the sides of the mean of text at gap, each run alone
+    by heap (quad._singular_side), by the root of its mirror pair: its own
+    root from the left, the conjugate of its root from the right."""
+    p, ev, st = hardy._setup(parse(text), p, None)
+    by_key = {}
+    for arc, _, pieces in hardy._arc_pieces(hardy._build_arcs(st),
+                                            QuadConfig()):
+        intg = hardy._ArcIntegrand(ev, p, gap, arc)
+        for _, sides in pieces:
+            for side in sides:
+                root = (arc.left.root if side[2] == "left"
+                        else arc.right.root.conjugate())
+                by_key.setdefault(root, []).append(
+                    (side[2], quad._singular_side(intg, *side)))
+    return by_key
+
+
+# (text, p, gap, roots)
+_MIRRORED = [("1/(1-z)^2", 0.6, 1e-3, 1), ("4*z/(1-z^2)", 0.5, 0.0, 2)]
+
+
+@pytest.mark.parametrize("text,p,gap,roots", _MIRRORED)
+def test_mirror_sides_alone_give_the_same_bits(text, p, gap, roots):
+    # the from_right side of a root is the from_left side of its conjugate
+    # mirrored, and gives its bits when run alone: no side reuses another
+    by_key = _sides_by_key(text, p, gap)
+    assert len(by_key) == roots
+    for pair in by_key.values():
+        (left, first), (right, second) = sorted(pair)
+        assert (left, right) == ("left", "right")
+        assert first[2] > 0 and repr(first) == repr(second)
+
+
+@pytest.mark.parametrize("text,p,gap,roots", _MIRRORED)
+def test_circle_mean_samples_each_mirror_pair_once(text, p, gap, roots):
+    # the mean runs the first side of each pair and counts its evaluations
+    # once; its mirror reuses the result with evaluations 0
+    by_key = _sides_by_key(text, p, gap)
+    _, ev, st = hardy._setup(parse(text), p, None)
+    mean = hardy._circle_mean_p(ev, p, st, gap, QuadConfig())
+    assert mean[2] == sum(first[2] for (_, first), _ in by_key.values())
+    assert repr(_lockstep(ev, p, st, [gap], QuadConfig())) == repr([mean])
+
+
+def test_conjugate_symmetric_fault_is_raised_once_at_the_first_side():
+    # a fault on both sides of 1 at gap 1e-6 is its own mirror: with or
+    # without the mirror pairs, the from_left side meets it first and
+    # raises the one message, by heap once, and in the lockstep once in
+    # the rounds and once more when the gaps rerun in turn
+    p, ev, st = hardy._setup(parse("1/(1-z)^2"), 0.6, None)
+    bad = {1e-6: [(1, 1.0, math.inf), (1, -1.0, math.inf)]}
+    msg = "bad gap 1e-06 on side +1 of 1"
+    for real in (False, True):
+        fev = _FailingEvaluator(ev, bad, real_coefficients=real)
+        heap = _outcome(lambda: hardy._circle_mean_p(fev, p, st, 1e-6,
+                                                     QuadConfig()))
+        assert (heap, fev.raised) == (f"EvalDomainError: {msg}", [msg])
+        fev.raised.clear()
+        seq = _outcome(lambda: _sequential(fev, p, st, _GAPS, QuadConfig()))
+        assert (seq, fev.raised) == (heap, [msg])
+        fev.raised.clear()
+        lock = _outcome(lambda: _lockstep(fev, p, st, _GAPS, QuadConfig()))
+        assert (lock, fev.raised) == (heap, [msg, msg])
 
 
 def _radial_sequential(intg, d):
