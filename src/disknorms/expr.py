@@ -811,9 +811,10 @@ class BoundaryEvaluator:
         return self._node
 
     def _compiled(self) -> _Plan:
-        """The plan, compiled on first use (under np.errstate, as _run)."""
+        """The plan, compiled on first use."""
         if self._plan is None:
-            self._plan = _Plan(self.resolved(), self.env)
+            with np.errstate(all="ignore"):
+                self._plan = _Plan(self.resolved(), self.env)
         return self._plan
 
     @property
@@ -823,8 +824,7 @@ class BoundaryEvaluator:
         every step of near, IEEE sign symmetry making sin, complex * and
         /, log and exp odd or even, so near(conj(r), -d, gap, p) gives the
         bits of near(r, d, gap, p)."""
-        with np.errstate(all="ignore"):
-            return self._compiled().real
+        return self._compiled().real
 
     @np.errstate(all="ignore")
     def _run(self, anchor: complex, dz, p: Optional[float]) -> np.ndarray:

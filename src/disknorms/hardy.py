@@ -41,7 +41,7 @@ divergence along the one truncation ladder, _ladder_says_divergent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import fsum
 from typing import Optional
 
@@ -235,9 +235,7 @@ def _arc_sides(ev: BoundaryEvaluator, p: float, plans: list, gaps) -> list:
                     if real and plan.method != "values":
                         root = (arc.left.root if plan.method == "from_left"
                                 else arc.right.root.conjugate())
-                        # the plan's fields but its method
-                        key = (root, gap, tuple({**vars(plan),
-                                                 "method": ""}.items()))
+                        key = (root, gap, replace(plan, method=""))
                         mirror = first.setdefault(key, len(sides))
                         if mirror == len(sides):
                             mirror = None
@@ -245,25 +243,19 @@ def _arc_sides(ev: BoundaryEvaluator, p: float, plans: list, gaps) -> list:
     return sides
 
 
-def _side_results(sides, own):
-    """An iterator over the results of sides (_arc_sides) in order: those
-    of the sides without a mirror from own, an iterator over them in
-    order, and for a side with one, its mirror's result with evaluations
-    0.  With no mirror at all, own itself."""
-    mirrors = [side[-1] for side in sides]
-    if mirrors.count(None) == len(mirrors):
-        return own
+def _side_results(mirrors, own):
+    """An iterator over the results of the sides of mirrors, the mirror of
+    each side (_arc_sides) in order: those of the sides without a mirror
+    from own, an iterator over them in order, and for a side with one, its
+    mirror's result with evaluations 0."""
     done = []
-
-    def results():
-        for mirror in mirrors:
-            if mirror is None:
-                done.append(next(own))
-            else:
-                value, err, _, conv = done[mirror]
-                done.append((value, err, 0, conv))
-            yield done[-1]
-    return results()
+    for mirror in mirrors:
+        if mirror is None:
+            done.append(next(own))
+        else:
+            value, err, _, conv = done[mirror]
+            done.append((value, err, 0, conv))
+        yield done[-1]
 
 
 def _circle_mean_p(ev: BoundaryEvaluator, p: float,
@@ -274,7 +266,7 @@ def _circle_mean_p(ev: BoundaryEvaluator, p: float,
     cfg's tolerances on the mean."""
     plans = _arc_pieces(_build_arcs(structure), cfg)
     sides = _arc_sides(ev, p, plans, [gap])
-    return _arcs_mean(plans, cfg, _side_results(sides, (
+    return _arcs_mean(plans, cfg, _side_results([s[-1] for s in sides], (
         _singular_side(intg, *side)
         for _, intg, side, _, mirror in sides if mirror is None)))
 
@@ -290,9 +282,10 @@ def _circle_means(ev: BoundaryEvaluator, p: float,
     sides = _arc_sides(ev, p, plans, gaps)
     fns = {}
     # the arc's first integrand samples it at every gap
-    results = _side_results(sides, _bisect([
+    results = _side_results([s[-1] for s in sides], _bisect([
         (fns.setdefault((intg._arc, plan.method), _sampler(intg, plan.method)),
          gap, plan) for gap, intg, _, plan, mirror in sides if mirror is None]))
+    del sides       # _bisect keeps each arc's first integrand; free the rest
     for _ in gaps:
         yield _arcs_mean(plans, cfg, results)
 
