@@ -19,18 +19,10 @@ per round, and fails as the gap loop would.  Both read one enumeration of
 the sides (_arc_sides) and finish each mean through the same sums
 (_arcs_mean).
 
-Each side of a mirror pair runs once.  When every coefficient of f is real
-(BoundaryEvaluator.real_coefficients), |f(conj z)| = |f(z)| bit for bit:
-IEEE sign symmetry makes sin, complex * and /, log and exp exact under
-conjugation.  So the side of root r sampled from the left at offsets d
-gives the bits of the side of conj(r) sampled from the right at the same
-gap and offsets.  A singular side is keyed by that root (conj(r) from the
-right), its gap and its plan but for the method; only the first side of a
-key is bisected, and each later one reuses its result with evaluations 0.
-A key hits on exact equality only, the memo lives in one call, and the
-first side runs first, so a failure is raised where, and as, it would be
-without the memo.  Plain (values) sides have no key: their nodes at t and
-2 pi - t are not conjugate bit for bit.
+When every coefficient of f is real (BoundaryEvaluator.real_coefficients)
+and its singular angles are symmetric under t -> 2 pi - t, each mean runs
+over [0, pi] alone (_layout): then f(conj z) = conj f(z), so |f| at angle
+-t is |f| at t, and the mean over the circle is the mean over the half.
 
 The norm driver _norm serves both spaces: _setup checks p and the
 parameters, compiles f and finds its boundary structure; the space's
@@ -41,7 +33,7 @@ divergence along the one truncation ladder, _ladder_says_divergent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import fsum
 from typing import Optional
 
@@ -57,8 +49,8 @@ from .expr import (
     boundary_structure,
     check_param_env,
 )
-from .quad import (NonFiniteSampleError, QuadConfig, _bisect, _pieces,
-                   _piecewise, _side_plan, _singular_side, _total,
+from .quad import (NonFiniteSampleError, QuadConfig, _adaptive, _bisect,
+                   _finish_side, _pieces, _piecewise, _side_plan, _total,
                    integrate_piecewise)
 
 __all__ = [
@@ -130,26 +122,41 @@ class _Arc:
     kinks: tuple[float, ...]        # interior |f|^p kink angles (zeros of f)
 
 
+def _arcs(points, zeros) -> list[_Arc]:
+    """The _Arcs between consecutive points, (angle, SingularPoint or None)
+    each, with the zeros (or their turns by 2 pi) inside each as kinks."""
+    return [_Arc(lo, hi, a, b, tuple(sorted(
+        tt for t in zeros for tt in (t, t + _TWO_PI)
+        if lo + 1e-9 < tt < hi - 1e-9)))
+        for (lo, a), (hi, b) in zip(points, points[1:])]
+
+
 def _build_arcs(structure: BoundaryStructure) -> list[_Arc]:
+    """The arcs of the circle between its singular angles."""
     sing = structure.singular
-    zeros = structure.zeros
-    if not sing:
-        ks = tuple(t for t in zeros if 1e-9 < t < _TWO_PI - 1e-9)
-        return [_Arc(0.0, _TWO_PI, None, None, ks)]
-    arcs = []
-    k = len(sing)
-    for j in range(k):
-        a = sing[j]
-        b = sing[(j + 1) % k]
-        lo = a.angle
-        hi = b.angle if j + 1 < k else b.angle + _TWO_PI
-        ks = []
-        for t in zeros:
-            tt = t if t > lo else t + _TWO_PI
-            if lo + 1e-9 < tt < hi - 1e-9:
-                ks.append(tt)
-        arcs.append(_Arc(lo, hi, a, b, tuple(sorted(ks))))
-    return arcs
+    points = ([(s.angle, s) for s in sing]
+              + [(s.angle + _TWO_PI, s) for s in sing[:1]])
+    return _arcs(points or [(0.0, None), (_TWO_PI, None)], structure.zeros)
+
+
+def _layout(ev: BoundaryEvaluator, structure: BoundaryStructure):
+    """(arcs, span) of the circle means of f: the arcs of [0, pi] between
+    its singular angles and pi, when every coefficient of f is real and the
+    singular angles are symmetric under t -> 2 pi - t (within 1e-12); else
+    _build_arcs and 2 pi.  The half is exact: on the principal branch
+    f(conj z) = conj f(z), a base on the branch cut at t is on it at -t,
+    and so |f|^p at -t is |f|^p at t."""
+    sing = structure.singular
+    if not (ev.real_coefficients and all(
+            any(abs(math.remainder(s.angle + u.angle, _TWO_PI)) < 1e-12
+                for u in sing) for s in sing)):
+        return _build_arcs(structure), _TWO_PI
+    points = [(s.angle, s) for s in sing if s.angle <= math.pi]
+    if not points or points[0][0] > 0.0:
+        points.insert(0, (0.0, None))
+    if points[-1][0] < math.pi:
+        points.append((math.pi, None))
+    return _arcs(points, structure.zeros), math.pi
 
 
 class _ArcIntegrand:
@@ -197,13 +204,14 @@ class _ArcIntegrand:
                              self._gap, p=self._p)
 
 
-def _arc_pieces(arcs: list[_Arc], cfg: QuadConfig) -> list:
-    """(arc, QuadConfig, quad._pieces) of each arc under the mean's cfg.
-    Sub-targets at 0.45x keep the summed estimates within the caller's
-    tolerance (abs and rel parts can both saturate across pieces)."""
+def _arc_pieces(arcs: list[_Arc], span: float, cfg: QuadConfig) -> list:
+    """(arc, QuadConfig, quad._pieces) of each of the arcs (_layout), which
+    cover span, under the mean's cfg.  Sub-targets at 0.45x keep the summed
+    estimates within the caller's tolerance (abs and rel parts can both
+    saturate across pieces)."""
     n = len(arcs)
     budget = max(int(cfg.max_evaluations) // n, 1000)
-    raw_abs = 0.45 * cfg.abs_tol * _TWO_PI / n
+    raw_abs = 0.45 * cfg.abs_tol * span / n
     subs = [QuadConfig(abs_tol=raw_abs, rel_tol=0.45 * cfg.rel_tol,
                        max_evaluations=budget, singular_left=arc.left is not None,
                        singular_right=arc.right is not None) for arc in arcs]
@@ -211,51 +219,24 @@ def _arc_pieces(arcs: list[_Arc], cfg: QuadConfig) -> list:
             for arc, sub in zip(arcs, subs)]
 
 
-def _arcs_mean(plans: list, cfg: QuadConfig, results):
+def _arcs_mean(plans: list, span: float, cfg: QuadConfig, results):
     """(mean, abs_err_est, evaluations, converged) of the _arc_pieces plans
-    from results, an iterator over the results of their sides in order."""
+    over span from results, an iterator over the results of their sides in
+    order."""
     return _total([_piecewise(pieces, sub, results) for _, sub, pieces in plans],
-                  cfg, scale=_TWO_PI)
+                  cfg, scale=span)
 
 
 def _arc_sides(ev: BoundaryEvaluator, p: float, plans: list, gaps) -> list:
-    """(gap, integrand, side, _Plan, mirror) of each side of the _arc_pieces
-    plans at each of gaps, in order; mirror is the index of the earlier
-    side of the same key whose result the side reuses (see the module
-    docstring), else None."""
-    real = ev.real_coefficients
-    sides, first = [], {}
+    """(gap, integrand, _Plan) of each side of the _arc_pieces plans at each
+    of gaps, in order."""
+    sides = []
     for gap in gaps:
         for arc, _, pieces in plans:
             intg = _ArcIntegrand(ev, p, gap, arc)
-            for _, piece_sides in pieces:
-                for side in piece_sides:
-                    plan = _side_plan(intg, *side)
-                    mirror = None
-                    if real and plan.method != "values":
-                        root = (arc.left.root if plan.method == "from_left"
-                                else arc.right.root.conjugate())
-                        key = (root, gap, replace(plan, method=""))
-                        mirror = first.setdefault(key, len(sides))
-                        if mirror == len(sides):
-                            mirror = None
-                    sides.append((gap, intg, side, plan, mirror))
+            sides += [(gap, intg, _side_plan(intg, *side))
+                      for _, piece_sides in pieces for side in piece_sides]
     return sides
-
-
-def _side_results(mirrors, own):
-    """An iterator over the results of the sides of mirrors, the mirror of
-    each side (_arc_sides) in order: those of the sides without a mirror
-    from own, an iterator over them in order, and for a side with one, its
-    mirror's result with evaluations 0."""
-    done = []
-    for mirror in mirrors:
-        if mirror is None:
-            done.append(next(own))
-        else:
-            value, err, _, conv = done[mirror]
-            done.append((value, err, 0, conv))
-        yield done[-1]
 
 
 def _circle_mean_p(ev: BoundaryEvaluator, p: float,
@@ -263,31 +244,30 @@ def _circle_mean_p(ev: BoundaryEvaluator, p: float,
                    cfg: QuadConfig) -> tuple[float, float, int, bool]:
     """(mean, abs_err_est, evaluations, converged) of the mean
     (1/2 pi) int |f((1-gap) e^{i t})|^p dt over the full circle, with
-    cfg's tolerances on the mean."""
-    plans = _arc_pieces(_build_arcs(structure), cfg)
-    sides = _arc_sides(ev, p, plans, [gap])
-    return _arcs_mean(plans, cfg, _side_results([s[-1] for s in sides], (
-        _singular_side(intg, *side)
-        for _, intg, side, _, mirror in sides if mirror is None)))
+    cfg's tolerances on the mean; each side runs alone by heap."""
+    arcs, span = _layout(ev, structure)
+    plans = _arc_pieces(arcs, span, cfg)
+    return _arcs_mean(plans, span, cfg, (
+        _finish_side(plan, *_adaptive(getattr(intg, plan.method), plan))
+        for _, intg, plan in _arc_sides(ev, p, plans, [gap])))
 
 
 def _circle_means(ev: BoundaryEvaluator, p: float,
                   structure: BoundaryStructure, gaps, cfg: QuadConfig):
     """Yield _circle_mean_p at each of gaps, in order, with the bisections
-    of every gap, arc, piece and side but the mirrors (_arc_sides) run at
-    once by quad._bisect (batched as scipy.integrate.quad_vec batches its
-    intervals); each gap only adds its _side_plans.  _bisect raises a
-    failure where, and as, the gap loop raises it."""
-    plans = _arc_pieces(_build_arcs(structure), cfg)
-    sides = _arc_sides(ev, p, plans, gaps)
+    of every gap, arc, piece and side run at once by quad._bisect (batched
+    as scipy.integrate.quad_vec batches its intervals); each gap only adds
+    its _side_plans.  _bisect raises a failure where, and as, the gap loop
+    raises it."""
+    arcs, span = _layout(ev, structure)
+    plans = _arc_pieces(arcs, span, cfg)
     fns = {}
     # the arc's first integrand samples it at every gap
-    results = _side_results([s[-1] for s in sides], _bisect([
+    results = _bisect([
         (fns.setdefault((intg._arc, plan.method), _sampler(intg, plan.method)),
-         gap, plan) for gap, intg, _, plan, mirror in sides if mirror is None]))
-    del sides       # _bisect keeps each arc's first integrand; free the rest
+         gap, plan) for gap, intg, plan in _arc_sides(ev, p, plans, gaps)])
     for _ in gaps:
-        yield _arcs_mean(plans, cfg, results)
+        yield _arcs_mean(plans, span, cfg, results)
 
 
 def _sampler(intg: _ArcIntegrand, method: str):

@@ -521,13 +521,14 @@ def test_lockstep_raises_first_failure_in_gap_order(bad):
 
 
 def _sides_by_key(text, p, gap):
-    """The results of the sides of the mean of text at gap, each run alone
-    by heap (quad._singular_side), by the root of its mirror pair: its own
-    root from the left, the conjugate of its root from the right."""
+    """The results of the sides of the full-circle mean of text at gap,
+    each run alone by heap (quad._singular_side), by the root of its mirror
+    pair: its own root from the left, the conjugate of its root from the
+    right."""
     p, ev, st = hardy._setup(parse(text), p, None)
     by_key = {}
     for arc, _, pieces in hardy._arc_pieces(hardy._build_arcs(st),
-                                            QuadConfig()):
+                                            2.0 * math.pi, QuadConfig()):
         intg = hardy._ArcIntegrand(ev, p, gap, arc)
         for _, sides in pieces:
             for side in sides:
@@ -556,8 +557,8 @@ def test_mirror_sides_alone_give_the_same_bits(text, p, gap, roots):
 
 @pytest.mark.parametrize("text,p,gap,roots", _MIRRORED)
 def test_circle_mean_samples_each_mirror_pair_once(text, p, gap, roots):
-    # the mean runs the first side of each pair and counts its evaluations
-    # once; its mirror reuses the result with evaluations 0
+    # the mean runs [0, pi] alone: one side of each pair, whose bits are
+    # those of the pair's from_left side
     by_key = _sides_by_key(text, p, gap)
     _, ev, st = hardy._setup(parse(text), p, None)
     mean = hardy._circle_mean_p(ev, p, st, gap, QuadConfig())
