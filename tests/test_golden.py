@@ -76,15 +76,15 @@ GOLDEN = [
      "NormResult(space='Hardy', p=0.7, value_p=1.5600121644856682,"
      " value=1.8875441612203554, abs_err_est=6.263071847381202e-09,"
      " converged=True, divergent=False)"),
-    # the from_right side of the one arc reuses its mirror, the from_left
-    # side, and counts no evaluations (hardy._arc_sides)
+    # real coefficients: the mean runs over [0, pi] alone, one from_left
+    # side, and counts half the evaluations of the circle (hardy._layout)
     ("integral means 1/(1-z)^2, p=0.6, r=0.99",
      lambda: _integral_means_full(parse("1/(1-z)^2"), 0.6, 0.99),
      "(7.534803012600102, 3.3480511688347613e-09, 301, True)"),
     ("bergman (1+z)^(4/p), p=0.4",
      lambda: bergman_norm(parse("(1+z)^(4/p)"), 0.4, env={"p": 0.4}),
-     "NormResult(space='Bergman', p=0.4, value_p=3.3333333333333135,"
-     " value=20.286020648339186, abs_err_est=9.61451977011289e-14,"
+     "NormResult(space='Bergman', p=0.4, value_p=3.333333333333313,"
+     " value=20.28602064833918, abs_err_est=9.83454098850863e-14,"
      " converged=True, divergent=False)"),
     ("bergman 1/(1-z), p=1.5",
      lambda: bergman_norm(parse("1/(1-z)"), 1.5),
