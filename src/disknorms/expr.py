@@ -820,10 +820,9 @@ class BoundaryEvaluator:
     @property
     def real_coefficients(self) -> bool:
         """Whether every coefficient of the plan is real (so every Const of
-        the expression is; parameters are).  Then conjugation is exact in
-        every step of near, IEEE sign symmetry making sin, complex * and
-        /, log and exp odd or even, so near(conj(r), -d, gap, p) gives the
-        bits of near(r, d, gap, p)."""
+        the expression is; parameters are).  Then f(conj z) = conj f(z) on
+        the principal branch, so |f(conj z)| = |f(z)|, which lets a circle
+        mean run over [0, pi] alone (hardy._layout)."""
         return self._compiled().real
 
     @np.errstate(all="ignore")
