@@ -142,14 +142,20 @@ def _build_arcs(structure: BoundaryStructure) -> list[_Arc]:
 def _layout(ev: BoundaryEvaluator, structure: BoundaryStructure):
     """(arcs, span) of the circle means of f: the arcs of [0, pi] between
     its singular angles and pi, when every coefficient of f is real and the
-    singular angles are symmetric under t -> 2 pi - t (within 1e-12); else
-    _build_arcs and 2 pi.  The half is exact: on the principal branch
-    f(conj z) = conj f(z), a base on the branch cut at t is on it at -t,
-    and so |f|^p at -t is |f|^p at t."""
+    singular angles are symmetric under t -> 2 pi - t (within 1e-12, and
+    those within 1e-12 of 0 or pi exactly there); else _build_arcs and
+    2 pi.  The half is exact: on the principal branch f(conj z) =
+    conj f(z), so |f|^p at -t is |f|^p at t, and a base on the branch cut
+    at t is on it at -t, so a sample raises at both or neither."""
     sing = structure.singular
-    if not (ev.real_coefficients and all(
-            any(abs(math.remainder(s.angle + u.angle, _TWO_PI)) < 1e-12
-                for u in sing) for s in sing)):
+
+    def mirrored(s):
+        if abs(math.remainder(2.0 * s.angle, _TWO_PI)) < 1e-12:
+            return s.angle in (0.0, math.pi)
+        return any(abs(math.remainder(s.angle + u.angle, _TWO_PI)) < 1e-12
+                   for u in sing)
+
+    if not (ev.real_coefficients and all(map(mirrored, sing))):
         return _build_arcs(structure), _TWO_PI
     points = [(s.angle, s) for s in sing if s.angle <= math.pi]
     if not points or points[0][0] > 0.0:

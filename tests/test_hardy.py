@@ -444,8 +444,8 @@ class _FailingEvaluator:
     value fails on the circles of radius 1 - gap of each gap of
     bad_circles, how as bad_circles[gap] says: "raise" raises as near
     does, "inf" returns inf there.  real_coefficients is False unless the
-    faults are conjugate-symmetric and are to be met on one side of each
-    mirror pair only (hardy._arc_sides), as a real-coefficient f is."""
+    faults are conjugate-symmetric, as those of a real-coefficient f are,
+    and the mean is to run over [0, pi] alone (hardy._layout)."""
 
     def __init__(self, ev, bad, inf_tail=None, bad_circles=None,
                  real_coefficients=False):
@@ -567,9 +567,9 @@ def test_circle_mean_samples_each_mirror_pair_once(text, p, gap, roots):
 
 
 def test_conjugate_symmetric_fault_is_raised_once_at_the_first_side():
-    # a fault on both sides of 1 at gap 1e-6 is its own mirror: with or
-    # without the mirror pairs, the from_left side meets it first and
-    # raises the one message, by heap once, and in the lockstep once in
+    # a fault on both sides of 1 at gap 1e-6 is its own mirror: over the
+    # full circle or over [0, pi] alone, the from_left side meets it first
+    # and raises the one message, by heap once, and in the lockstep once in
     # the rounds and once more when the gaps rerun in turn
     p, ev, st = hardy._setup(parse("1/(1-z)^2"), 0.6, None)
     bad = {1e-6: [(1, 1.0, math.inf), (1, -1.0, math.inf)]}
@@ -586,6 +586,79 @@ def test_conjugate_symmetric_fault_is_raised_once_at_the_first_side():
         lock = _outcome(lambda: _lockstep(fev, p, st, _GAPS, QuadConfig()))
         assert (lock, fev.raised) == (heap, [msg, msg])
 
+
+
+class _AngleSpy:
+    """A BoundaryEvaluator that keeps the angle of each point it samples."""
+
+    def __init__(self, ev):
+        self._ev = ev
+        self.real_coefficients = ev.real_coefficients
+        self.angles = []
+
+    def value(self, z, p=None):
+        self.angles.append(np.angle(z))
+        return self._ev.value(z, p=p)
+
+    def near(self, anchor, delta, gap, p=None):
+        self.angles.append(np.angle(anchor) + np.asarray(delta))
+        return self._ev.near(anchor, delta, gap, p)
+
+    def sampled(self):
+        """The sampled angles, in [0, 2 pi)."""
+        return np.mod(np.concatenate([np.ravel(a) for a in self.angles]),
+                      2.0 * math.pi)
+
+
+_HALVES = ["(1+z)^3", "(1+z)/(1-z)", "1/(1-z^2)", "1/(1+z^2)"]
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-3])
+@pytest.mark.parametrize("mean", [_sequential, _lockstep])
+@pytest.mark.parametrize("text", _HALVES + ["i*z/(1-z)"])
+def test_real_coefficients_sample_the_upper_half_only(text, mean, gap):
+    # |f(conj z)| = |f(z)| when f has real coefficients, so its means run
+    # over [0, pi]; a complex coefficient keeps the full circle
+    p, ev, st = hardy._setup(parse(text), 0.6, None)
+    spy = _AngleSpy(ev)
+    mean(spy, p, st, [gap], QuadConfig())
+    t = spy.sampled()
+    if text in _HALVES:
+        assert t.max() <= math.pi
+    else:
+        assert t.min() < 1.0 and t.max() > math.pi + 1.0
+
+
+# (declared angles, the parent's repr of the H^{1/2} norm of 1/(1-z)):
+# {0, 1} is not its own mirror under t -> 2 pi - t, and 1e-13 is within
+# 1e-12 of its mirror but not on the axis, where [0, pi] would cut it
+_FULL_CIRCLE = [
+    ([0.0, 1.0], "value_p=1.1803405990160927, value=1.3932039296856684,"
+                 " abs_err_est=9.234906886675089e-10"),
+    ([1e-13], "value_p=1.1803405990160927, value=1.3932039296856684,"
+              " abs_err_est=1.7246896689832277e-09"),
+]
+
+
+@pytest.mark.parametrize("angles,numbers", _FULL_CIRCLE)
+def test_declared_angles_off_their_mirror_keep_the_full_circle(angles,
+                                                               numbers):
+    f = parse("1/(1-z)")
+    p, ev, st = hardy._setup(f, 0.5, None, angles)
+    assert hardy._layout(ev, st)[1] == 2.0 * math.pi
+    assert repr(hardy_norm(f, 0.5, singular_angles=angles)) == (
+        f"NormResult(space='Hardy', p=0.5, {numbers}, converged=True,"
+        " divergent=False)")
+    p, ev, st = hardy._setup(f, 0.5, None, [0.0])
+    assert hardy._layout(ev, st)[1] == math.pi
+
+
+@pytest.mark.parametrize("p", [0.3, 0.4])
+def test_half_circle_bergman_constant_within_its_estimate(p):
+    # ||(1+z)^(4/p)||^p = 10/3 in A^p; the half-circle layout moved its
+    # last bits, within the error estimate
+    r = bergman_norm(parse("(1+z)^(4/p)"), p, env={"p": p})
+    assert r.converged and abs(r.value_p - 10.0 / 3.0) <= r.abs_err_est
 
 def _radial_sequential(intg, d):
     """The one-radius-at-a-time loop that _RadialIntegrand.from_right
