@@ -203,9 +203,9 @@ def test_node_tables_built_once_per_distinct_request():
 
 def test_inner_means_take_one_near_call_per_group_and_round(monkeypatch):
     # quad._bisect runs every inner bisection of an outer request at once:
-    # one near call per arc side and round, the tails in one more; of the
-    # two sides of the one arc, the from_right side of 1 mirrors the
-    # from_left side and reuses its result
+    # one near call per arc side and round, the tails in one more; the
+    # real coefficients leave one arc, [0, pi], with one side, from_left
+    # of 1 (hardy._layout)
     calls = []
     near = BoundaryEvaluator.near
 

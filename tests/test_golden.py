@@ -130,9 +130,8 @@ GOLDEN = [
      "NormResult(space='Bergman', p=0.9, value_p=5.072372743896286,"
      " value=6.075303181429022, abs_err_est=2.7012787924279833e-09,"
      " converged=True, divergent=False)"),
-    # complex coefficients: no side reuses its mirror's result.  The two
-    # sides of 1 in 1/(1-z) + i*z have equal keys, but |f(conj z)| is not
-    # |f(z)|, so one side's result would not do for the other
+    # complex coefficients keep the full circle: |f(conj z)| is not |f(z)|
+    # for 1/(1-z) + i*z, so [0, pi] alone would not do (hardy._layout)
     ("hardy i*z/(1-z), p=0.5",
      lambda: hardy_norm(parse("i*z/(1-z)"), 0.5),
      "NormResult(space='Hardy', p=0.5, value_p=1.1803405990160927,"
