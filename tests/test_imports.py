@@ -42,3 +42,27 @@ def test_package_exports_come_from_module_exports():
     exported = {n for m in _MODULES for n in importlib.import_module(m).__all__}
     assert [n for n in disknorms.__all__
             if n != "__version__" and n not in exported] == []
+
+
+def _unreferenced_private_definitions(trees: list) -> list:
+    """The private (_-prefixed, non-dunder) functions and classes defined in
+    trees that no name or attribute in trees refers to outside their own
+    definition."""
+    refs = [node for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    unused = []
+    for tree in trees:
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not node.name.endswith("__")):
+                inside = set(map(id, ast.walk(node)))
+                if not any(getattr(r, "id", getattr(r, "attr", None))
+                           == node.name and id(r) not in inside for r in refs):
+                    unused.append(node.name)
+    return unused
+
+
+def test_every_private_definition_is_referenced():
+    trees = [ast.parse(p.read_text()) for p in sorted(_SRC.glob("*.py"))]
+    assert _unreferenced_private_definitions(trees) == []
