@@ -629,7 +629,7 @@ def test_real_coefficients_sample_the_upper_half_only(text, mean, gap):
         assert t.min() < 1.0 and t.max() > math.pi + 1.0
 
 
-# (declared angles, the parent's repr of the H^{1/2} norm of 1/(1-z)):
+# (declared angles, the full-circle numbers of the H^{1/2} norm of 1/(1-z)):
 # {0, 1} is not its own mirror under t -> 2 pi - t, and 1e-13 is within
 # 1e-12 of its mirror but not on the axis, where [0, pi] would cut it
 _FULL_CIRCLE = [
@@ -655,8 +655,7 @@ def test_declared_angles_off_their_mirror_keep_the_full_circle(angles,
 
 @pytest.mark.parametrize("p", [0.3, 0.4])
 def test_half_circle_bergman_constant_within_its_estimate(p):
-    # ||(1+z)^(4/p)||^p = 10/3 in A^p; the half-circle layout moved its
-    # last bits, within the error estimate
+    # ||(1+z)^(4/p)||^p = 10/3 in A^p, its means over [0, pi] alone
     r = bergman_norm(parse("(1+z)^(4/p)"), p, env={"p": p})
     assert r.converged and abs(r.value_p - 10.0 / 3.0) <= r.abs_err_est
 
