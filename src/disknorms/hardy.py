@@ -16,8 +16,8 @@ of the Bergman module.  The arcs' pieces and sides are planned once
 hands the sides of all gaps to quad._bisect at once, which samples each
 arc and method (values, from_left, from_right) with one evaluator call
 per round, and fails as the gap loop would.  Both read one enumeration of
-the sides (_arc_sides) and finish each mean through the same sums
-(_arcs_mean).
+the sides (_arc_sides), which plans each side once per class of gaps,
+and finish each mean through the same sums (_arcs_mean).
 
 When every coefficient of f is real (BoundaryEvaluator.real_coefficients)
 and its singular angles are symmetric under t -> 2 pi - t, each mean runs
@@ -50,8 +50,8 @@ from .expr import (
     check_param_env,
 )
 from .quad import (NonFiniteSampleError, QuadConfig, _adaptive, _bisect,
-                   _finish_side, _pieces, _piecewise, _side_plan, _total,
-                   integrate_piecewise)
+                   _finish_side, _pieces, _piecewise, _side_plan, _tail_at,
+                   _total, integrate_piecewise)
 
 __all__ = [
     "NormResult",
@@ -235,13 +235,22 @@ def _arcs_mean(plans: list, span: float, cfg: QuadConfig, results):
 
 def _arc_sides(ev: BoundaryEvaluator, p: float, plans: list, gaps) -> list:
     """(gap, integrand, _Plan) of each side of the _arc_pieces plans at each
-    of gaps, in order."""
-    sides = []
+    of gaps, in order.  The gap moves a side's plan only through the
+    integrand's offset_blowup (None or the arc's cap) and tail_at
+    (quad._tail_at): a side is planned at the first gap of each
+    offset_blowup, and anew only at a gap whose tail_at differs."""
+    sides, first = [], {}
     for gap in gaps:
-        for arc, _, pieces in plans:
+        for a, (arc, _, pieces) in enumerate(plans):
             intg = _ArcIntegrand(ev, p, gap, arc)
-            sides += [(gap, intg, _side_plan(intg, *side))
-                      for _, piece_sides in pieces for side in piece_sides]
+            for j, side in enumerate(s for _, ps in pieces for s in ps):
+                key = (a, j, intg.offset_blowup)
+                plan = first.get(key)
+                if plan is None:
+                    plan = first[key] = _side_plan(intg, *side)
+                elif plan.L and _tail_at(intg, plan.L, plan.W) != plan.tail_at:
+                    plan = _side_plan(intg, *side)
+                sides.append((gap, intg, plan))
     return sides
 
 
@@ -263,7 +272,7 @@ def _circle_means(ev: BoundaryEvaluator, p: float,
     """Yield _circle_mean_p at each of gaps, in order, with the bisections
     of every gap, arc, piece and side run at once by quad._bisect (batched
     as scipy.integrate.quad_vec batches its intervals); each gap only adds
-    its _side_plans.  _bisect raises a failure where, and as, the gap loop
+    its integrands.  _bisect raises a failure where, and as, the gap loop
     raises it."""
     arcs, span = _layout(ev, structure)
     plans = _arc_pieces(arcs, span, cfg)

@@ -26,9 +26,12 @@ next few requests first (_adaptive).  Each distinct request's node table is
 built once (_nodes) and shared read-only; a plain callable receives a copy
 of it.  _bisect runs many bisections at once (_rounds), with their panels
 in arrays, each in the heap's order and arithmetic, so bit for bit as the
-heap runs it; when that raises, it runs each alone by heap in its turn, so
-each fails as it would alone.  Either way _finish_side adds each side's
-tail, and _total sums the sides, pieces and means and checks convergence.
+heap runs it, provided the samples reach the stacked sums (_sums) as a
+fresh C-contiguous array: numpy sums a stride-0 broadcast, such as a
+constant integrand returns, in another order.  When that raises, it runs
+each alone by heap in its turn, so each fails as it would alone.  Either
+way _finish_side adds each side's tail and checks its convergence, and
+_total sums the sides, pieces and means and checks theirs.
 """
 from __future__ import annotations
 
@@ -233,18 +236,9 @@ class _Plan:
     tail_at: Optional[float] = None
 
 
-def _result(panels: list, evals: int, plan: _Plan):
-    """(value, err, evaluations, converged, panels sorted by lo)."""
-    panels.sort(key=lambda t: t[0])
-    value = fsum(t[2] for t in panels)
-    err = fsum(t[3] for t in panels)
-    converged = err <= max(plan.abs_tol, plan.rel_tol * abs(value))
-    return value, err, evals, converged, panels
-
-
 def _adaptive(fn, plan: _Plan, ahead=None):
-    """[_result, tail sample] of largest-error-first bisection of plan, by
-    heap, as _rounds.  Each bisection first hands ahead the nodes of the
+    """[(value, err, evaluations, leaf panels), tail sample] of
+    largest-error-first bisection of plan, by heap, as _rounds.  Each bisection first hands ahead the nodes of the
     halves of the popped panel and of the next in heap order, taken while
     their error sum is at most total_e - tol/8 (scipy.integrate.quad_vec's
     rule), up to _AHEAD panels: at 120 radii, 240 inner bisections, as many
@@ -296,7 +290,8 @@ def _adaptive(fn, plan: _Plan, ahead=None):
             np.asarray(fn(np.array([plan.tail_at])), dtype=float)[0])
     except NonFiniteSampleError:
         y_end = None
-    return [_result(panels, evals, plan), y_end]
+    return [(fsum(t[2] for t in panels), fsum(t[3] for t in panels), evals,
+             panels), y_end]
 
 
 def _bisect(owners):
@@ -321,23 +316,29 @@ def _rounds(owners):
     runs each alone, all at once in rounds.  A round takes every running
     owner's largest-error panel (ties to the lowest seq, as the heap) and
     samples all halves with one call fn(points, args) per fn, args the
-    points' owners' args.  One more round samples the plan.tail_at.
-    Returns [_result, tail sample or None] of each owner; the first
-    exception of a call, a _samples check or an fsum propagates."""
+    points' owners' args.  One more round samples the plan.tail_at.  Each
+    field of the panels is one flat array, a row of slots per owner in seq
+    order.  Returns [(value, err, evaluations, leaf panels), tail sample or
+    None] of each owner, value and err by fsum (correctly rounded, so in
+    any order), the panels None but for an extrapolated tail, which
+    _finish_side reads; the first exception of a call, a _samples check or
+    an fsum propagates."""
     n, fns = len(owners), {}
     group = np.array([fns.setdefault(fn, len(fns)) for fn, _, _ in owners],
                      dtype=int)
     fns, plans = list(fns), [plan for _, _, plan in owners]
-    args, atol, rtol, budget, L = np.array(
-        [(a, p.abs_tol, p.rel_tol, p.budget, p.L) for _, a, p in owners],
+    args, atol, rtol, room, L = np.array(
+        [(a, p.abs_tol, p.rel_tol, p.budget - 30, p.L) for _, a, p in owners],
         dtype=float).reshape(n, 5).T
 
     def call(own, points, x=None, w=None):
-        """The samples at points (a row per entry of own), one call per fn,
-        weighted and checked (_samples) at nodes x when given."""
+        """The samples at points (a row per entry of own), one call per fn
+        (one fn takes all rows, unmasked), weighted and checked (_samples)
+        at nodes x when given, copied into a fresh C-contiguous array: the
+        stacked matmul of _sums sums a stride-0 one in another order."""
         y, m = np.empty_like(points), points.shape[1]
-        for g in np.unique(group[own]).tolist():
-            r = group[own] == g
+        for g, r in ([(0, slice(None))] if len(fns) == 1 else [
+                (g, group[own] == g) for g in np.unique(group[own]).tolist()]):
             out = fns[g](points[r].ravel(), np.repeat(args[own[r]], m))
             y[r] = (np.asarray(out, dtype=float).reshape(-1, m) if x is None
                     else _samples(out, x[r], None if w is None else w[r]))
@@ -349,61 +350,71 @@ def _rounds(owners):
         return _sums(call(own, points, x, w), h)
 
     k = np.array([len(p.edges) - 1 for p in plans], dtype=int)
+    width, start = max(16, int(k.max(initial=0))), np.cumsum(k) - k
     own = np.repeat(np.arange(n), k)
     lo = np.array([t for p in plans for t in p.edges[:-1]], dtype=float)
     hi = np.array([t for p in plans for t in p.edges[1:]], dtype=float)
     v, e = sample(own, lo, hi)
-    P = np.full((4, n, max(16, int(k.max(initial=0)))), np.nan)
-    key = np.full(P.shape[1:], -np.inf)     # the error of each live panel
-    start = np.cumsum(k) - k
-    seq = np.arange(own.size) - np.repeat(start, k)
-    P[:, own, seq], key[own, seq] = (lo, hi, v, e), e     # lo nan: no leaf
+    # lo (nan: no leaf), hi, value, error and key (the error of a live panel)
+    fills = (np.nan, 0.0, 0.0, 0.0, -np.inf)
+    P = [np.full(n * width, fill) for fill in fills]
+    c = own * width + np.arange(own.size) - np.repeat(start, k)
+    for a, x in zip(P, (lo, hi, v, e, e)):
+        a[c] = x
     v, e = v.tolist(), e.tolist()
     tv, te = np.array([(fsum(v[a:b]), fsum(e[a:b])) for a, b in zip(
         start.tolist(), (start + k).tolist())]).reshape(n, 2).T
     npan = k.copy()                 # an owner's evaluations are 15 * npan
 
-    running = np.ones(n, dtype=bool)
+    o = np.arange(n)                # the running owners
     while True:
-        running &= ((te > np.fmax(atol, rtol * np.abs(tv)))
-                    & (15 * npan + 30 <= budget))
-        o = np.flatnonzero(running)
+        plo, phi, pv, pe, key = P
+        o = o[(te[o] > np.fmax(atol[o], rtol[o] * np.abs(tv[o])))
+              & (15 * npan[o] <= room[o])]
         if not o.size:
             break
-        t = np.argmax(key[o], axis=1)
-        lo, hi = P[0, o, t], P[1, o, t]
+        f = o * width + key.reshape(n, width)[o].argmax(axis=1)
+        lo, hi, ek = plo[f], phi[f], key[f]
         mid = 0.5 * (lo + hi)
-        stop = key[o, t] <= 0.0             # no panel left, or no error
-        running[o[stop]] = False
-        # a panel at floating-point resolution freezes; the next round
-        # takes the owner's next largest, as the heap does at once
-        frozen = ~stop & ~((lo < mid) & (mid < hi))
-        key[o[frozen], t[frozen]] = -np.inf
-        take = ~stop & ~frozen
-        o, t, lo, mid, hi = o[take], t[take], lo[take], mid[take], hi[take]
-        v, e = sample(np.repeat(o, 2), np.column_stack([lo, mid]).ravel(),
-                      np.column_stack([mid, hi]).ravel())
-        (v1, v2), (e1, e2) = v.reshape(-1, 2).T, e.reshape(-1, 2).T
-        tv[o] += (v1 + v2) - P[2, o, t]
-        te[o] += (e1 + e2) - P[3, o, t]
-        P[0, o, t], key[o, t] = np.nan, -np.inf
+        stop = ek <= 0.0                # no panel left, or no error
+        take = ~stop & (lo < mid) & (mid < hi)
+        running = o
+        if not take.all():
+            # a panel at floating-point resolution freezes; the next round
+            # takes the owner's next largest, as the heap does at once
+            key[f[~stop & ~take]] = -np.inf
+            running = o[~stop]
+            o, f, lo, mid, hi = o[take], f[take], lo[take], mid[take], hi[take]
+        lo2, hi2 = np.empty(2 * o.size), np.empty(2 * o.size)
+        lo2[0::2], lo2[1::2], hi2[0::2], hi2[1::2] = lo, mid, mid, hi
+        v, e = sample(np.repeat(o, 2), lo2, hi2)
+        tv[o] += (v[0::2] + v[1::2]) - pv[f]
+        te[o] += (e[0::2] + e[1::2]) - pe[f]
+        plo[f], key[f] = np.nan, -np.inf
         s = npan[o]
-        npan[o] += 2
-        if npan.max() > key.shape[1]:
-            P = np.concatenate([P, np.full_like(P, np.nan)], axis=2)
-            key = np.concatenate([key, np.full_like(key, -np.inf)], axis=1)
-        P[:, o, s], key[o, s] = (lo, mid, v1, e1), e1
-        P[:, o, s + 1], key[o, s + 1] = (mid, hi, v2, e2), e2
+        npan[o] = s + 2
+        if s.max(initial=0) + 2 > width:
+            P = [np.hstack([a.reshape(n, width), np.full((n, width), fill)])
+                 .ravel() for a, fill in zip(P, fills)]
+            width *= 2
+        c = np.repeat(o * width + s, 2)
+        c[1::2] += 1
+        for a, x in zip(P, (lo2, hi2, v, e, e)):
+            a[c] = x
+        o = running
 
-    leaf = ~np.isnan(P[0])
-    P, end = P.transpose(1, 2, 0)[leaf], np.cumsum(leaf.sum(1))  # leaves
     tails = np.array([j for j, p in enumerate(plans) if p.tail_at is not None],
                      dtype=int)
     y = call(tails, np.array([plans[j].tail_at for j in tails])[:, None])
     ends = dict(zip(tails.tolist(), y[:, 0].tolist()))
-    return [[_result(list(map(tuple, P[a:b].tolist())), 15 * int(npan[j]),
-                     plans[j]), ends.get(j)]
-            for j, a, b in zip(range(n), [0, *end], end)]
+    plo, phi, pv, pe = (a.reshape(n, width) for a in P[:4])
+    leaf = ~np.isnan(plo)
+    end = np.cumsum(leaf.sum(axis=1)).tolist()
+    v, e = pv[leaf].tolist(), pe[leaf].tolist()
+    return [[(fsum(v[a:b]), fsum(e[a:b]), 15 * int(npan[j]), list(zip(
+        plo[j, leaf[j]].tolist(), phi[j, leaf[j]].tolist(), v[a:b], e[a:b]))
+        if plan.L and plan.tail_at is None else None), ends.get(j)]
+        for j, plan, a, b in zip(range(n), plans, [0, *end], end)]
 
 
 def _side_plan(intg, lo: float, hi: float, side: Optional[str],
@@ -430,13 +441,19 @@ def _side_plan(intg, lo: float, hi: float, side: Optional[str],
     blockw = min(1.0, W / 3.0)
     edges = tuple(sorted({0.0, W - 3.0 * blockw, W - 2.0 * blockw,
                           W - blockw, W}))
-    # integrands that flatten below a known offset scale (circle integrals
-    # at radius 1-gap flatten at ~gap) admit a direct bound on the
-    # untransformed remainder; otherwise extrapolate the block decay
+    return _Plan("from_" + side, edges, abs_tol, rel_tol, budget, L, W,
+                 blockw, _tail_at(intg, L, W))
+
+
+def _tail_at(intg, L: float, W: float) -> Optional[float]:
+    """The deepest offset of a singular side of length L and depth W, when
+    intg flattens below it (flat_below; a circle at radius 1 - gap flattens
+    at ~gap), where one sample bounds the untransformed tail; else None, and
+    the tail is extrapolated from the block decay.  All that flat_below
+    moves of a _side_plan."""
     dmin = L * math.exp(-2.0 * math.sinh(W))
     flat = getattr(intg, "flat_below", 0.0) or 0.0
-    return _Plan("from_" + side, edges, abs_tol, rel_tol, budget, L, W,
-                 blockw, dmin if flat > 0.0 and dmin <= flat else None)
+    return dmin if flat > 0.0 and dmin <= flat else None
 
 
 def _singular_side(intg, *side):
@@ -449,21 +466,20 @@ def _singular_side(intg, *side):
 
 def _finish_side(plan: _Plan, result, y_end: Optional[float]):
     """(value, err, evaluations, converged) of a side from its plan, the
-    _result of its bisection (by heap or by _rounds) and its tail sample
-    y_end, which, when None (none, or blown up), is extrapolated."""
-    value, err, evals, converged, panels = result
-    if not plan.L:
-        return value, err, evals, converged
-    if y_end is not None:
+    (value, err, evaluations, leaf panels) of its bisection (by heap or by
+    _rounds) and, for a singular side, its tail sample y_end, which, when
+    None (none, or blown up), is extrapolated from the panels."""
+    value, err, evals, panels = result
+    ok = True
+    if plan.L and y_end is not None:
         evals += 1
-        tail, ok = _SAFETY * abs(y_end) * plan.tail_at, True
-    else:
+        err += _SAFETY * abs(y_end) * plan.tail_at
+    elif plan.L:
         tail, ok = _tail_estimate(panels, plan.W, plan.blockw, plan.abs_tol,
                                   abs(value))
-    err += tail
-    converged = (converged and ok and
-                 err <= max(plan.abs_tol, plan.rel_tol * abs(value)))
-    return value, err, evals, converged
+        err += tail
+    return value, err, evals, ok and err <= max(plan.abs_tol,
+                                                plan.rel_tol * abs(value))
 
 
 def _tail_estimate(panels, W: float, blockw: float, abs_tol: float,
@@ -548,7 +564,10 @@ def _total(parts, cfg: QuadConfig, add=fsum, scale: float = 1.0):
     """(value, err, evaluations, converged) of parts, each such a tuple:
     values and errors summed by add, over scale, and checked against cfg."""
     values, errs, evals, convs = zip(*parts)
-    value, err = add(values) / scale, add(errs) / scale
+    # one part adds to itself: fsum moves only -0.0, and no part is -0.0
+    value, err = ((values[0], errs[0]) if len(values) == 1
+                  else (add(values), add(errs)))
+    value, err = value / scale, err / scale
     converged = all(convs) and err <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
     return float(value), float(err), int(sum(evals)), bool(converged)
 

@@ -374,6 +374,26 @@ def test_lockstep_means_equal_sequential(text, p, env, angles):
         repr(_sequential(ev, p, st, gaps, cfg))
 
 
+@pytest.mark.parametrize("case", ["pole", "z2-leaves"])
+def test_arc_sides_plan_each_side_as_a_fresh_integrand(case):
+    # a side is planned once per offset_blowup and tail class, not per gap;
+    # at 1e-136 (pole) and 5e-101 (z2 leaves) the offsets are capped, as at
+    # 1e-250 and 0, but flat_below reaches the capped depth, so both tail
+    # classes meet within one offset_blowup
+    text, p, env, angles = _MEANS[_MEANS_IDS.index(case)]
+    p, ev, st = hardy._setup(parse(text), p, env, angles)
+    plans = hardy._arc_pieces(*hardy._layout(ev, st), QuadConfig())
+    gaps = _GAPS + [0.0, 1e-136, 5e-101]
+    sides = hardy._arc_sides(ev, p, plans, gaps)
+    assert [(gap, plan) for gap, _, plan in sides] == [
+        (gap, quad._side_plan(hardy._ArcIntegrand(ev, p, gap, arc), *side))
+        for gap in gaps for arc, _, pieces in plans
+        for _, piece_sides in pieces for side in piece_sides]
+    classes = {(intg.offset_blowup, plan.tail_at is None)
+               for _, intg, plan in sides}
+    assert len(classes) == 3 and len({c for c, _ in classes}) == 2
+
+
 def test_lockstep_covers_plain_refinement_and_one_sample_tail(monkeypatch):
     # a second singular point at angle 1e-3 with blowup 200: on the arc
     # between the two, deep gaps cap the offsets above its 5e-4 halves, so

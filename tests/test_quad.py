@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from disknorms import quad
 from disknorms.quad import (NonFiniteSampleError, QuadConfig, QuadError,
@@ -442,18 +443,29 @@ _OWNERS = [
 
 
 def test_engine_cases_cover_freezing_and_ties():
-    (_, _, _, _, panels), _ = quad._adaptive(_jump, _OWNERS[1][1])
+    (_, _, _, panels), _ = quad._adaptive(_jump, _OWNERS[1][1])
     assert any(not lo < 0.5 * (lo + hi) < hi for lo, hi, _, _ in panels)
-    (_, _, _, _, panels), _ = quad._adaptive(np.abs, _OWNERS[4][1])
+    (_, _, _, panels), _ = quad._adaptive(np.abs, _OWNERS[4][1])
     errors = [e for *_, e in panels]
     assert len(set(errors)) < len(errors)
+
+
+def _as_read(result, plan):
+    """The repr of result, [(value, err, evaluations, panels), tail sample],
+    as _finish_side reads it: its panels, in any order, only for an
+    extrapolated tail (plan.L set, plan.tail_at None), the only ones
+    _rounds builds."""
+    (*sums, panels), y_end = result
+    return repr((sums, y_end,
+                 sorted(panels) if plan.L and plan.tail_at is None else None))
 
 
 @pytest.mark.parametrize("case", range(len(_OWNERS)))
 def test_engine_alone_equals_the_heap(case):
     fn, plan = _OWNERS[case]
     done = quad._rounds([(lambda x, _: fn(x), 0.0, plan)])
-    assert repr(done[0]) == repr(quad._adaptive(fn, plan))
+    assert _as_read(done[0], plan) == _as_read(quad._adaptive(fn, plan), plan)
+    assert (done[0][0][3] is None) == (not plan.L or plan.tail_at is not None)
 
 
 def test_engine_runs_owners_together_as_the_heap_runs_each():
@@ -471,7 +483,9 @@ def test_engine_runs_owners_together_as_the_heap_runs_each():
     expected = [quad._adaptive(fn, plan) for fn, plan in _OWNERS]
     expected += [quad._adaptive(lambda x, a=a: np.sqrt(np.abs(x - a)),
                                 _plain(_THIRDS)) for a in (0.2, 0.5, 0.61)]
-    assert [repr(d) for d in done] == [repr(r) for r in expected]
+    plans = [plan for _, _, plan in owners]
+    assert [_as_read(d, plan) for d, plan in zip(done, plans)] == [
+        _as_read(r, plan) for r, plan in zip(expected, plans)]
     assert calls[0] == 3 * 45 and len(calls) < sum(
         r[0][2] for r in expected[-3:]) // 30
 
@@ -511,3 +525,53 @@ def test_bisect_fails_as_the_owners_alone_in_order():
         list(quad._bisect(owners))
     assert info.value.x == alone.value.x > 0.9993
     assert str(info.value) == str(alone.value)
+
+
+# fn(x, args) of engine owners: smooth and shifted by the arg, a kink at the
+# arg, the jump (its panels freeze) and a constant returned as a stride-0
+# broadcast, which the engine must copy before its stacked matmul sums it
+_ENGINE_FNS = [
+    lambda x, a: np.exp(np.sin(7.0 * x + a)) / (1.1 - x),
+    lambda x, a: np.sqrt(np.abs(x - a)),
+    lambda x, _: _jump(x),
+    lambda x, _: np.broadcast_to(3.0 ** 0.7, x.shape),
+]
+
+
+def _engine_plan(kind, budget, abs_tol, rel_tol):
+    """A plain plan on one of three edge sets (kind 0-2), or a
+    double-exponential side of [0, 1] whose tail_at is unset (kind 3,
+    extrapolated) or set (kind 4, flat below 1e-3)."""
+    if kind < 3:
+        edges = [_THIRDS, (0.0, 0.5, 0.5 + 4.0 * _ULP, 1.0),
+                 (-1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0)][kind]
+        return quad._Plan("values", edges, abs_tol, rel_tol, budget)
+    intg = type("Flat", (), {"flat_below": 1e-3 if kind == 4 else 0.0})()
+    return quad._side_plan(intg, 0.0, 1.0, "left", abs_tol, rel_tol, budget)
+
+
+_ENGINE_OWNER = st.tuples(
+    st.integers(0, len(_ENGINE_FNS) - 1), st.sampled_from([0.0, 0.2, 0.61]),
+    st.integers(0, 4), st.sampled_from([45, 50, 75, 300, 3000]),
+    st.sampled_from([1e-300, 1e-14, 1e-10]), st.sampled_from([0.0, 1e-9]))
+
+
+@given(st.lists(st.integers(0, len(_ENGINE_FNS) - 1), min_size=1, max_size=3,
+                unique=True),
+       st.lists(_ENGINE_OWNER, min_size=1, max_size=6))
+@example([3], [(0, 0.0, 0, 3000, 1e-300, 0.0)])     # the constant alone
+@example([2, 0], [(0, 0.0, 1, 3000, 1e-300, 0.0),   # the jump freezes
+                  (1, 0.2, 3, 3000, 1e-14, 0.0)])
+@settings(max_examples=60)
+def test_engine_equals_each_owner_alone_bit_for_bit(fns, drawn):
+    # each owner's fn is one of the one to three drawn fns; _rounds must
+    # give what the heap gives each owner alone wherever _finish_side reads
+    # it, and _bisect each owner's finished side, bit for bit
+    owners = [(_ENGINE_FNS[fns[f % len(fns)]], arg, _engine_plan(*plan))
+              for f, arg, *plan in drawn]
+    alone = [quad._alone(*owner) for owner in owners]
+    plans = [plan for _, _, plan in owners]
+    assert [_as_read(d, plan) for d, plan in zip(quad._rounds(owners), plans)
+            ] == [_as_read(a, plan) for a, plan in zip(alone, plans)]
+    assert [repr(side) for side in quad._bisect(owners)] == [
+        repr(quad._finish_side(plan, *a)) for a, plan in zip(alone, plans)]
