@@ -322,7 +322,8 @@ def _declared_structure(ev: BoundaryEvaluator, p: float,
         if not math.isfinite(float(t)):
             raise ValueError(f"singular angles must be finite, got {t}")
         ang = _canonical_angle(float(t))
-        if any(abs(ang - s.angle) < 1e-12 for s in pts):
+        if any(abs(math.remainder(ang - s.angle, _TWO_PI)) < 1e-12
+               for s in pts):      # within 1e-12, also across 2 pi
             continue
         root = _exact_root(complex(math.cos(ang), math.sin(ang)))
         pts.append(SingularPoint(ang, root, _probe_strength(ev, root, p)))

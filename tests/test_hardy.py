@@ -673,6 +673,20 @@ def test_declared_angles_off_their_mirror_keep_the_full_circle(angles,
     assert hardy._layout(ev, st)[1] == math.pi
 
 
+@pytest.mark.parametrize("angles,alone", [
+    ([1e-13, -1e-13], [1e-13]),
+    ([0.0, 2.0 * math.pi - 1e-13], [0.0]),
+])
+def test_declared_angles_merge_across_the_wrap(angles, alone):
+    # declared angles within 1e-12 of each other across 2 pi are one
+    # singular point, as boundary_structure merges them; kept apart, they
+    # misplaced the pole (value_p 1.18034080 and 1.18034074, errors 2.0e-7
+    # and 1.4e-7 against estimates of 1.7e-9)
+    f = parse("1/(1-z)")
+    assert repr(hardy_norm(f, 0.5, singular_angles=angles)) == repr(
+        hardy_norm(f, 0.5, singular_angles=alone))
+
+
 @pytest.mark.parametrize("p", [0.3, 0.4])
 def test_half_circle_bergman_constant_within_its_estimate(p):
     # ||(1+z)^(4/p)||^p = 10/3 in A^p, its means over [0, pi] alone
