@@ -18,6 +18,7 @@ two cases that compare a norm with itself use _same_norm.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -152,12 +153,16 @@ def _scaled(e: Expr, scale: float) -> Expr:
     return Mul(Const(complex(scale)), e)
 
 
+@functools.cache
 def _disk_points(n: int = 64) -> np.ndarray:
+    """n fixed pseudo-random points, |z| <= 0.9, drawn once and read-only."""
     # fixed seed: reports must be reproducible run to run
     rng = np.random.default_rng(1729)
     r = 0.9 * np.sqrt(rng.uniform(size=n))
     theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    return r * np.exp(1j * theta)
+    z = r * np.exp(1j * theta)
+    z.flags.writeable = False
+    return z
 
 
 def _identity_check(description: str, lhs: Expr, rhs: Expr, env,

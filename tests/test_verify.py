@@ -3,11 +3,12 @@ import importlib.util
 import math
 import pathlib
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from disknorms import verify as verify_mod
-from disknorms.expr import parse
+from disknorms.expr import evaluate, parse
 from disknorms.verify import (BoundCheck, EpsWindow, IdentityCheck,
                               VerificationReport, eps_window,
                               verify_ap_large_p, verify_ap_small_p,
@@ -163,6 +164,27 @@ def test_hp_counterexample_sub_checks():
     # chain: the norm of f+g is exactly 4x the norm of the single pole
     ratio = subs["norm_sum"].value / subs["norm_pole"].value
     assert ratio == pytest.approx(4.0, rel=1e-8)
+
+
+def test_identity_checks_see_one_read_only_draw(monkeypatch):
+    # the 64 points of seed 1729 are drawn once, with the bits of a fresh
+    # draw, and shared read-only by every report's identity check
+    seen = []
+
+    def spy(e, z, env=None):
+        seen.append(z)
+        return evaluate(e, z, env)
+
+    monkeypatch.setattr(verify_mod, "evaluate", spy)
+    verify_hp_counterexample(0.3)
+    verify_hp_equality_case(0.5)
+    rng = np.random.default_rng(1729)
+    r = 0.9 * np.sqrt(rng.uniform(size=64))
+    fresh = r * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=64))
+    assert len(seen) == 4 and all(z is seen[0] for z in seen)
+    assert seen[0].tobytes() == fresh.tobytes()
+    with pytest.raises(ValueError):
+        seen[0][0] = 0.0
 
 
 def test_hp_counterexample_rejects_bad_p():
