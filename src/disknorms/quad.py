@@ -238,11 +238,12 @@ class _Plan:
 
 def _adaptive(fn, plan: _Plan, ahead=None):
     """[(value, err, evaluations, leaf panels), tail sample] of
-    largest-error-first bisection of plan, by heap, as _rounds.  Each bisection first hands ahead the nodes of the
-    halves of the popped panel and of the next in heap order, taken while
-    their error sum is at most total_e - tol/8 (scipy.integrate.quad_vec's
-    rule), up to _AHEAD panels: at 120 radii, 240 inner bisections, as many
-    as verify_ap_large_p runs."""
+    largest-error-first bisection of plan, by heap, as _rounds.  Each
+    bisection first hands ahead the nodes of the halves of the popped panel
+    and of the next in heap order, taken while their error sum is at most
+    total_e - tol/8 (scipy.integrate.quad_vec's rule), up to _AHEAD panels:
+    at 120 radii, 240 inner bisections, as many as verify_ap_large_p
+    runs."""
     abs_tol, rel_tol, budget = plan.abs_tol, plan.rel_tol, plan.budget
     heap: list = []
     done: list = []
@@ -449,8 +450,8 @@ def _tail_at(intg, L: float, W: float) -> Optional[float]:
     """The deepest offset of a singular side of length L and depth W, when
     intg flattens below it (flat_below; a circle at radius 1 - gap flattens
     at ~gap), where one sample bounds the untransformed tail; else None, and
-    the tail is extrapolated from the block decay.  All that flat_below
-    moves of a _side_plan."""
+    the tail is extrapolated from the block decay.  It is the only part of
+    a _side_plan that flat_below moves."""
     dmin = L * math.exp(-2.0 * math.sinh(W))
     flat = getattr(intg, "flat_below", 0.0) or 0.0
     return dmin if flat > 0.0 and dmin <= flat else None
