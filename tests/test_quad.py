@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -546,7 +547,7 @@ def _engine_plan(kind, budget, abs_tol, rel_tol):
         edges = [_THIRDS, (0.0, 0.5, 0.5 + 4.0 * _ULP, 1.0),
                  (-1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0)][kind]
         return quad._Plan("values", edges, abs_tol, rel_tol, budget)
-    intg = type("Flat", (), {"flat_below": 1e-3 if kind == 4 else 0.0})()
+    intg = types.SimpleNamespace(flat_below=1e-3 if kind == 4 else 0.0)
     return quad._side_plan(intg, 0.0, 1.0, "left", abs_tol, rel_tol, budget)
 
 
