@@ -334,11 +334,12 @@ def _rounds(owners):
 
     def call(own, points, x=None, w=None):
         """The samples at points (a row per entry of own), one call per fn
-        (one fn takes all rows, unmasked), weighted and checked (_samples)
-        at nodes x when given, copied into a fresh C-contiguous array: the
-        stacked matmul of _sums sums a stride-0 one in another order."""
+        with rows (a sole fn takes them all, unmasked), weighted and checked
+        (_samples) at nodes x when given, copied into a fresh C-contiguous
+        array: the stacked matmul of _sums sums a stride-0 one in another
+        order."""
         y, m = np.empty_like(points), points.shape[1]
-        for g, r in ([(0, slice(None))] if len(fns) == 1 else [
+        for g, r in ([(0, slice(None))] if len(fns) == 1 and own.size else [
                 (g, group[own] == g) for g in np.unique(group[own]).tolist()]):
             out = fns[g](points[r].ravel(), np.repeat(args[own[r]], m))
             y[r] = (np.asarray(out, dtype=float).reshape(-1, m) if x is None

@@ -464,9 +464,12 @@ def _as_read(result, plan):
 @pytest.mark.parametrize("case", range(len(_OWNERS)))
 def test_engine_alone_equals_the_heap(case):
     fn, plan = _OWNERS[case]
-    done = quad._rounds([(lambda x, _: fn(x), 0.0, plan)])
+    sizes = []
+    done = quad._rounds([(lambda x, _: sizes.append(x.size) or fn(x), 0.0,
+                          plan)])
     assert _as_read(done[0], plan) == _as_read(quad._adaptive(fn, plan), plan)
     assert (done[0][0][3] is None) == (not plan.L or plan.tail_at is not None)
+    assert 0 not in sizes       # no call for no points, as a tail round
 
 
 def test_engine_runs_owners_together_as_the_heap_runs_each():
