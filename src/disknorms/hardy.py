@@ -11,13 +11,12 @@ singular-endpoint transform from the quad module, and f is evaluated
 through anchor-offset boundary arithmetic so that samples at angular
 distance far below machine epsilon from a pole stay accurate.  The same
 arc machinery, run at radius 1 - gap, provides the inner circle integrals
-of the Bergman module.  The arcs' pieces and sides are planned once
-(_arc_pieces); _circle_mean_p runs each side by heap, and _circle_means
-hands the sides of all gaps to quad._bisect at once, which samples each
-arc and method (values, from_left, from_right) with one evaluator call
-per round, and fails as the gap loop would.  Both read one enumeration of
-the sides (_arc_sides), which plans each side once per class of gaps,
-and finish each mean through the same sums (_arcs_mean).
+of the Bergman module.  One driver, _circle_means, runs the means at any
+number of gaps: it plans the arcs' pieces and sides once (_arc_pieces),
+builds one integrand per arc, which takes the gap with each point and
+plans each side once per class of gaps, and hands the sides of every gap
+to quad._bisect, which runs one gap's alone by heap and several gaps' at
+once, sampling each arc and method with one evaluator call per round.
 
 When every coefficient of f is real (BoundaryEvaluator.real_coefficients)
 and its singular angles are symmetric under t -> 2 pi - t, each mean runs
@@ -35,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import fsum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -49,9 +48,8 @@ from .expr import (
     boundary_structure,
     check_param_env,
 )
-from .quad import (NonFiniteSampleError, QuadConfig, _adaptive, _bisect,
-                   _finish_side, _pieces, _piecewise, _side_plan, _tail_at,
-                   _total, integrate_piecewise)
+from .quad import (NonFiniteSampleError, QuadConfig, _bisect, _pieces,
+                   _piecewise, _side_plan, _total, integrate_piecewise)
 
 __all__ = [
     "NormResult",
@@ -165,49 +163,83 @@ def _layout(ev: BoundaryEvaluator, structure: BoundaryStructure):
     return _arcs(points, structure.zeros), math.pi
 
 
+class _Ends(NamedTuple):
+    """An arc's ends as quad._side_plan reads them at one class of gaps:
+    offsets capped (offset_blowup) or not (None), and the circle flat below
+    every offset (inf), so that a singular side samples its tail, or not."""
+    deep_left: bool
+    deep_right: bool
+    offset_blowup: Optional[float]
+    flat_below: float
+
+
 class _ArcIntegrand:
-    """|f((1-gap) e^{i t})|^p over one arc of the circle.
+    """|f((1-gap) e^{i t})|^p over one arc of the circle, the gap given in
+    each call, fn(points, gap), as quad._bisect calls its owners; as a
+    quad integrand of its own, the arc of the circle itself (gap 0).
 
     Endpoint offsets are anchored at the arc's singular roots, so the
     affine factors of f are never formed by subtracting nearly equal
     angles; this is what lets the singular transform sample at offsets
     like 1e-200.  With gap > 0 the profile flattens at angular scale
-    ~gap, which is declared through flat_below so the transform can
-    bound its truncated tail by a single deep sample.  _circle_means
-    samples each arc through one whose gap it sets per point (_sampler).
+    ~gap, so the transform can bound its truncated tail by a single deep
+    sample (quad._tail_at), and the peak plateaus at height ~gap^{-smax}:
+    below gap _uncapped_from that is not representable in doubles, and the
+    offsets stop at the depth offset_blowup allows.  Its attributes are
+    those of gap 0, where the offsets are capped and nothing is flat (no
+    flat_below).
     """
 
-    def __init__(self, ev: BoundaryEvaluator, p: float, gap: float, arc: _Arc):
+    def __init__(self, ev: BoundaryEvaluator, p: float, arc: _Arc):
         self._ev = ev
         self._p = p
-        self._gap = gap
         self._arc = arc
+        self._plans = {}
         self.deep_left = arc.left is not None
         self.deep_right = arc.right is not None
         smax = max((s.blowup for s in (arc.left, arc.right) if s is not None),
                    default=0.0)
-        self.flat_below = 1e-3 * gap if gap > 0.0 else 0.0
-        if smax <= 0.0:
-            self.offset_blowup = None
-        elif gap >= 10.0 ** (-270.0 / (max(1.0, p) * smax)):
-            # the peak plateaus at height ~gap^{-smax}, representable in
-            # doubles, so offsets may go to full transform depth
-            self.offset_blowup = None
-        else:
-            self.offset_blowup = max(1.0, p) * smax
+        self.offset_blowup = max(1.0, p) * smax if smax > 0.0 else None
+        self._uncapped_from = (math.inf if self.offset_blowup is None
+                               else 10.0 ** (-270.0 / self.offset_blowup))
 
-    def values(self, t):
+    def values(self, t, gap=0.0):
         t = np.asarray(t, dtype=float)
-        z = (1.0 - self._gap) * np.exp(1j * t)
+        z = (1.0 - gap) * np.exp(1j * t)
         return self._ev.value(z, p=self._p)
 
-    def from_left(self, d):
+    def from_left(self, d, gap=0.0):
         return self._ev.near(self._arc.left.root, np.asarray(d, dtype=float),
-                             self._gap, p=self._p)
+                             gap, p=self._p)
 
-    def from_right(self, d):
+    def from_right(self, d, gap=0.0):
         return self._ev.near(self._arc.right.root, -np.asarray(d, dtype=float),
-                             self._gap, p=self._p)
+                             gap, p=self._p)
+
+    def owner(self, j: int, side: tuple, gap: float) -> tuple:
+        """(fn, gap, plan) of side (quad._sides), the arc's j-th, at gap, as
+        quad._bisect takes it.  The gap moves the plan only through its
+        class: whether the offsets are capped, and whether the circle is
+        flat (below 1e-3 gap) at the side's deepest offset, where one sample
+        then bounds the tail.  Each class of each side is planned once."""
+        uncapped = gap >= self._uncapped_from
+        flat = 1e-3 * gap
+        plan = self._plan(j, side, uncapped, flat > 0.0)
+        if plan.tail_at is not None and not plan.tail_at <= flat:
+            plan = self._plan(j, side, uncapped, False)
+        return getattr(self, plan.method), gap, plan
+
+    def _plan(self, j: int, side: tuple, uncapped: bool, tailed: bool):
+        """The plan of the j-th side at the gaps of one class."""
+        key = (j, uncapped, tailed)
+        plan = self._plans.get(key)
+        if plan is None:
+            ends = self if not (uncapped or tailed) else _Ends(
+                self.deep_left, self.deep_right,
+                None if uncapped else self.offset_blowup,
+                math.inf if tailed else 0.0)
+            plan = self._plans[key] = _side_plan(ends, *side)
+        return plan
 
 
 def _arc_pieces(arcs: list[_Arc], span: float, cfg: QuadConfig) -> list:
@@ -225,73 +257,34 @@ def _arc_pieces(arcs: list[_Arc], span: float, cfg: QuadConfig) -> list:
             for arc, sub in zip(arcs, subs)]
 
 
-def _arcs_mean(plans: list, span: float, cfg: QuadConfig, results):
-    """(mean, abs_err_est, evaluations, converged) of the _arc_pieces plans
-    over span from results, an iterator over the results of their sides in
-    order."""
-    return _total([_piecewise(pieces, sub, results) for _, sub, pieces in plans],
-                  cfg, scale=span)
-
-
-def _arc_sides(ev: BoundaryEvaluator, p: float, plans: list, gaps) -> list:
-    """(gap, integrand, _Plan) of each side of the _arc_pieces plans at each
-    of gaps, in order.  The gap moves a side's plan only through the
-    integrand's offset_blowup (None or the arc's cap) and tail_at
-    (quad._tail_at): a side is planned at the first gap of each
-    offset_blowup, and anew only at a gap whose tail_at differs."""
-    sides, first = [], {}
-    for gap in gaps:
-        for a, (arc, _, pieces) in enumerate(plans):
-            intg = _ArcIntegrand(ev, p, gap, arc)
-            for j, side in enumerate(s for _, ps in pieces for s in ps):
-                key = (a, j, intg.offset_blowup)
-                plan = first.get(key)
-                if plan is None:
-                    plan = first[key] = _side_plan(intg, *side)
-                elif plan.L and _tail_at(intg, plan.L, plan.W) != plan.tail_at:
-                    plan = _side_plan(intg, *side)
-                sides.append((gap, intg, plan))
-    return sides
-
-
 def _circle_mean_p(ev: BoundaryEvaluator, p: float,
                    structure: BoundaryStructure, gap: float,
                    cfg: QuadConfig) -> tuple[float, float, int, bool]:
-    """(mean, abs_err_est, evaluations, converged) of the mean
-    (1/2 pi) int |f((1-gap) e^{i t})|^p dt over the full circle, with
-    cfg's tolerances on the mean; each side runs alone by heap."""
-    arcs, span = _layout(ev, structure)
-    plans = _arc_pieces(arcs, span, cfg)
-    return _arcs_mean(plans, span, cfg, (
-        _finish_side(plan, *_adaptive(getattr(intg, plan.method), plan))
-        for _, intg, plan in _arc_sides(ev, p, plans, [gap])))
+    """The _circle_means at gap alone."""
+    return next(_circle_means(ev, p, structure, [gap], cfg))
 
 
 def _circle_means(ev: BoundaryEvaluator, p: float,
                   structure: BoundaryStructure, gaps, cfg: QuadConfig):
-    """Yield _circle_mean_p at each of gaps, in order, with the bisections
-    of every gap, arc, piece and side run at once by quad._bisect (batched
-    as scipy.integrate.quad_vec batches its intervals); each gap only adds
-    its integrands.  _bisect raises a failure where, and as, the gap loop
-    raises it."""
+    """Yield the (mean, abs_err_est, evaluations, converged) of the mean
+    (1/2 pi) int |f((1-gap) e^{i t})|^p dt over the full circle at each of
+    gaps, in order, with cfg's tolerances on each.  quad._bisect runs the
+    sides of every gap, arc and piece: those of one gap alone by heap, of
+    several at once (batched as scipy.integrate.quad_vec batches its
+    intervals), and raises a failure where, and as, the gap loop raises it.
+    Each arc has one integrand, whatever the number of gaps."""
     arcs, span = _layout(ev, structure)
     plans = _arc_pieces(arcs, span, cfg)
-    fns = {}
-    # the arc's first integrand samples it at every gap
-    results = _bisect([
-        (fns.setdefault((intg._arc, plan.method), _sampler(intg, plan.method)),
-         gap, plan) for gap, intg, plan in _arc_sides(ev, p, plans, gaps)])
+    sides = []
+    for arc, _, pieces in plans:
+        intg = _ArcIntegrand(ev, p, arc)
+        sides += [(intg, j, side) for j, side in enumerate(
+            side for _, piece_sides in pieces for side in piece_sides)]
+    results = _bisect([intg.owner(j, side, gap) for gap in gaps
+                       for intg, j, side in sides])
     for _ in gaps:
-        yield _arcs_mean(plans, span, cfg, results)
-
-
-def _sampler(intg: _ArcIntegrand, method: str):
-    """intg's method as quad._bisect calls it, fn(points, gaps), with the
-    gap of each point."""
-    def fn(points, gaps):
-        intg._gap = gaps
-        return getattr(intg, method)(points)
-    return fn
+        yield _total([_piecewise(pieces, sub, results)
+                      for _, sub, pieces in plans], cfg, scale=span)
 
 
 # ---------------------------------------------------------------------------
@@ -367,19 +360,18 @@ def _divergence_probe(ev: BoundaryEvaluator, p: float,
     shrinking cuts."""
     if not structure.singular:
         return False
-    arcs = _build_arcs(structure)
+    arcs = [(arc, _ArcIntegrand(ev, p, arc)) for arc in _build_arcs(structure)]
     sub = QuadConfig(abs_tol=1e-8, rel_tol=1e-5, max_evaluations=40000)
 
     def truncated(cut):
         pieces = []
-        for arc in arcs:
+        for arc, intg in arcs:
             lo = arc.lo + (cut if arc.left is not None else 0.0)
             hi = arc.hi - (cut if arc.right is not None else 0.0)
             if hi - lo < 4.0 * cut:
                 continue
             bps = [lo, *(t for t in arc.kinks if lo + 1e-9 < t < hi - 1e-9),
                    hi]
-            intg = _ArcIntegrand(ev, p, 0.0, arc)
             pieces.append(integrate_piecewise(intg, bps, sub).value)
         return fsum(pieces)
 

@@ -24,12 +24,13 @@ bisection, or all initial panels) share one request, and each panel's sums
 use only its own samples; an integrand's sample_ahead hook may sample the
 next few requests first (_adaptive).  Each distinct request's node table is
 built once (_nodes) and shared read-only; a plain callable receives a copy
-of it.  _bisect runs many bisections at once (_rounds), with their panels
-in arrays, each in the heap's order and arithmetic, so bit for bit as the
-heap runs it, provided the samples reach the stacked sums (_sums) as a
-fresh C-contiguous array: numpy sums a stride-0 broadcast, such as a
-constant integrand returns, in another order.  When that raises, it runs
-each alone by heap in its turn, so each fails as it would alone.  Either
+of it.  _bisect runs bisections that share one arg by heap, and those of
+several at once (_rounds), with their panels in arrays, each in the heap's
+order and arithmetic, so bit for bit as the heap runs it, provided the
+samples reach the stacked sums (_sums) as a fresh C-contiguous array:
+numpy sums a stride-0 broadcast, such as a constant integrand returns, in
+another order.  When that raises, it runs each alone by heap in its turn,
+so each fails as it would alone.  Either
 way _finish_side adds each side's tail and checks its convergence, and
 _total sums the sides, pieces and means and checks theirs.
 """
@@ -223,8 +224,7 @@ def _panel(fn, bounds: Sequence[tuple[float, float]], L: float = 0.0):
 
 @dataclass(frozen=True)
 class _Plan:
-    """One bisection; L > 0 for a singular side of transform depth W and
-    block width blockw (see _singular_side)."""
+    """One bisection; L > 0 for a singular side of depth W (_side_plan)."""
     method: str
     edges: tuple
     abs_tol: float
@@ -232,7 +232,6 @@ class _Plan:
     budget: int
     L: float = 0.0
     W: float = 0.0
-    blockw: float = 0.0
     tail_at: Optional[float] = None
 
 
@@ -297,19 +296,22 @@ def _adaptive(fn, plan: _Plan, ahead=None):
 
 def _bisect(owners):
     """Yield the _finish_side of each of owners, (fn, arg, plan) each, in
-    order, all bisected at once by _rounds; when that raises anything, each
-    owner runs alone (_alone) in its turn, and fails as it would alone."""
-    try:
-        done = _rounds(owners)
-    except Exception:
-        done = (_alone(*owner) for owner in owners)
+    order: alone (_alone) when they share one arg, as one integral runs,
+    else at once by _rounds, and when that raises anything, each alone in
+    its turn, failing as it would alone."""
+    done = (_alone(*owner) for owner in owners)
+    if len({arg for _, arg, _ in owners}) > 1:
+        try:
+            done = _rounds(owners)
+        except Exception:
+            pass                    # the owners run alone
     for (_, _, plan), d in zip(owners, done):
         yield _finish_side(plan, *d)
 
 
 def _alone(fn, arg, plan: _Plan):
-    """The _adaptive of one of _bisect's owners."""
-    return _adaptive(lambda x: fn(x, np.full(x.size, arg)), plan)
+    """The _adaptive of one of _bisect's owners, fn(points, arg)."""
+    return _adaptive(lambda x: fn(x, arg), plan)
 
 
 def _rounds(owners):
@@ -444,7 +446,7 @@ def _side_plan(intg, lo: float, hi: float, side: Optional[str],
     edges = tuple(sorted({0.0, W - 3.0 * blockw, W - 2.0 * blockw,
                           W - blockw, W}))
     return _Plan("from_" + side, edges, abs_tol, rel_tol, budget, L, W,
-                 blockw, _tail_at(intg, L, W))
+                 _tail_at(intg, L, W))
 
 
 def _tail_at(intg, L: float, W: float) -> Optional[float]:
@@ -477,14 +479,13 @@ def _finish_side(plan: _Plan, result, y_end: Optional[float]):
         evals += 1
         err += _SAFETY * abs(y_end) * plan.tail_at
     elif plan.L:
-        tail, ok = _tail_estimate(panels, plan.W, plan.blockw, plan.abs_tol,
-                                  abs(value))
+        tail, ok = _tail_estimate(panels, plan.W, plan.abs_tol, abs(value))
         err += tail
     return value, err, evals, ok and err <= max(plan.abs_tol,
                                                 plan.rel_tol * abs(value))
 
 
-def _tail_estimate(panels, W: float, blockw: float, abs_tol: float,
+def _tail_estimate(panels, W: float, abs_tol: float,
                    scale: float) -> tuple[float, bool]:
     """Truncation-tail bound from the last three w-blocks of the transform.
 
@@ -494,6 +495,8 @@ def _tail_estimate(panels, W: float, blockw: float, abs_tol: float,
     sums that fail to decay signal a non-integrable endpoint; the tail is
     then uncontrolled and convergence is withdrawn.
     """
+    blockw = min(1.0, W / 3.0)          # as _side_plan cuts the blocks
+
     def block(j: int) -> float:
         lo_cut = W - (j + 1) * blockw
         hi_cut = W - j * blockw

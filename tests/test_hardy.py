@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -374,23 +375,50 @@ def test_lockstep_means_equal_sequential(text, p, env, angles):
         repr(_sequential(ev, p, st, gaps, cfg))
 
 
+def _fresh_ends(arc, p, gap):
+    """What quad._side_plan reads of the arc at gap, worked out afresh:
+    offsets capped at blowup max(1, p) smax below gap 10^(-270 / that
+    blowup), and the circle flat below 1e-3 gap."""
+    smax = max((s.blowup for s in (arc.left, arc.right) if s is not None),
+               default=0.0)
+    cap = max(1.0, p) * smax
+    return types.SimpleNamespace(
+        deep_left=arc.left is not None, deep_right=arc.right is not None,
+        offset_blowup=(None if smax <= 0.0 or gap >= 10.0 ** (-270.0 / cap)
+                       else cap),
+        flat_below=1e-3 * gap if gap > 0.0 else 0.0)
+
+
+def _bisected(monkeypatch, call):
+    """The owners, (fn, gap, plan) each, of the quad._bisect calls that the
+    circle means of call make, in order."""
+    owners = []
+    bisect = hardy._bisect
+    monkeypatch.setattr(hardy, "_bisect",
+                        lambda given: owners.extend(given) or bisect(given))
+    call()
+    return owners
+
+
 @pytest.mark.parametrize("case", ["pole", "z2-leaves"])
-def test_arc_sides_plan_each_side_as_a_fresh_integrand(case):
+def test_side_plans_by_gap_class_equal_fresh_plans(monkeypatch, case):
     # a side is planned once per offset_blowup and tail class, not per gap;
     # at 1e-136 (pole) and 5e-101 (z2 leaves) the offsets are capped, as at
     # 1e-250 and 0, but flat_below reaches the capped depth, so both tail
     # classes meet within one offset_blowup
     text, p, env, angles = _MEANS[_MEANS_IDS.index(case)]
     p, ev, st = hardy._setup(parse(text), p, env, angles)
-    plans = hardy._arc_pieces(*hardy._layout(ev, st), QuadConfig())
+    cfg = QuadConfig(max_evaluations=20000)
     gaps = _GAPS + [0.0, 1e-136, 5e-101]
-    sides = hardy._arc_sides(ev, p, plans, gaps)
-    assert [(gap, plan) for gap, _, plan in sides] == [
-        (gap, quad._side_plan(hardy._ArcIntegrand(ev, p, gap, arc), *side))
+    owners = _bisected(monkeypatch, lambda: _lockstep(ev, p, st, gaps, cfg))
+    plans = hardy._arc_pieces(*hardy._layout(ev, st), cfg)
+    assert [(gap, plan) for _, gap, plan in owners] == [
+        (gap, quad._side_plan(_fresh_ends(arc, p, gap), *side))
         for gap in gaps for arc, _, pieces in plans
         for _, piece_sides in pieces for side in piece_sides]
-    classes = {(intg.offset_blowup, plan.tail_at is None)
-               for _, intg, plan in sides}
+    assert all(fn.__name__ == plan.method for fn, _, plan in owners)
+    classes = {(_fresh_ends(fn.__self__._arc, p, gap).offset_blowup,
+                plan.tail_at is None) for fn, gap, plan in owners}
     assert len(classes) == 3 and len({c for c, _ in classes}) == 2
 
 
@@ -407,13 +435,13 @@ def test_lockstep_covers_plain_refinement_and_one_sample_tail(monkeypatch):
     values = hardy._ArcIntegrand.values
     from_left = hardy._ArcIntegrand.from_left
 
-    def spy_values(self, x):
+    def spy_values(self, x, gap=0.0):
         seen["plain"] += self._arc.right is not None and self._arc.hi == t
-        return values(self, x)
+        return values(self, x, gap)
 
-    def spy_from_left(self, d):
+    def spy_from_left(self, d, gap=0.0):
         seen["tail"] += np.size(d) == 1
-        return from_left(self, d)
+        return from_left(self, d, gap)
 
     monkeypatch.setattr(hardy._ArcIntegrand, "values", spy_values)
     monkeypatch.setattr(hardy._ArcIntegrand, "from_left", spy_from_left)
@@ -424,9 +452,10 @@ def test_lockstep_covers_plain_refinement_and_one_sample_tail(monkeypatch):
 
 
 def test_lockstep_plans_each_arc_once_per_call(monkeypatch):
-    # the arcs' pieces and sides are planned once per call, and each gap
-    # builds one integrand per arc for its side plans, which also sample
-    p, ev, st = hardy._setup(parse("1/(1-z^2)"), 0.6, None)
+    # the arcs' pieces and sides are planned once per call, and each arc
+    # has one integrand, which plans its sides and samples every gap; the
+    # complex coefficient keeps the full circle, two arcs
+    p, ev, st = hardy._setup(parse("i*z/(1-z^2)"), 0.6, None)
     built = {"configs": 0, "integrands": 0}
     post_init = QuadConfig.__post_init__
     arc_init = hardy._ArcIntegrand.__init__
@@ -447,9 +476,9 @@ def test_lockstep_plans_each_arc_once_per_call(monkeypatch):
         built.update(configs=0, integrands=0)
         _lockstep(ev, p, st, gaps, cfg)
         counts.append(dict(built))
-    arcs = len(hardy._build_arcs(st))
+    arcs = len(hardy._layout(ev, st)[0])
     assert arcs == 2
-    assert counts[1]["integrands"] <= len(_GAPS) * arcs
+    assert counts[0]["integrands"] == counts[1]["integrands"] == arcs
     assert counts[1]["configs"] == counts[0]["configs"] > 0
 
 
@@ -542,20 +571,19 @@ def test_lockstep_raises_first_failure_in_gap_order(bad):
 
 def _sides_by_key(text, p, gap):
     """The results of the sides of the full-circle mean of text at gap,
-    each run alone by heap (quad._singular_side), by the root of its mirror
-    pair: its own root from the left, the conjugate of its root from the
-    right."""
+    each run alone by heap (quad._bisect of its owner alone), by the root of
+    its mirror pair: its own root from the left, the conjugate of its root
+    from the right."""
     p, ev, st = hardy._setup(parse(text), p, None)
     by_key = {}
     for arc, _, pieces in hardy._arc_pieces(hardy._build_arcs(st),
                                             2.0 * math.pi, QuadConfig()):
-        intg = hardy._ArcIntegrand(ev, p, gap, arc)
-        for _, sides in pieces:
-            for side in sides:
-                root = (arc.left.root if side[2] == "left"
-                        else arc.right.root.conjugate())
-                by_key.setdefault(root, []).append(
-                    (side[2], quad._singular_side(intg, *side)))
+        intg = hardy._ArcIntegrand(ev, p, arc)
+        for j, side in enumerate(s for _, sides in pieces for s in sides):
+            root = (arc.left.root if side[2] == "left"
+                    else arc.right.root.conjugate())
+            by_key.setdefault(root, []).append(
+                (side[2], next(quad._bisect([intg.owner(j, side, gap)]))))
     return by_key
 
 

@@ -497,15 +497,16 @@ def test_engine_runs_owners_together_as_the_heap_runs_each():
 def _failing_owners(calls):
     """Owners that fail: the first only once its bisection samples past
     0.9993 (its initial nodes end at 0.99858), the second at once (inf
-    samples); each call appends its owner's name to calls."""
+    samples); each call appends its owner's name to calls.  Their args
+    differ, so _bisect runs them by _rounds first."""
     def log(name, fn):
         return lambda x, _: calls.append(name) or fn(x)
 
     late = lambda x: np.where(x > 0.9993, np.nan, _smooth(x))
     return [(log("late", late), 0.0, _plain(_THIRDS, abs_tol=1e-14)),
-            (log("inf", lambda x: np.full_like(x, np.inf)), 0.0,
+            (log("inf", lambda x: np.full_like(x, np.inf)), 1.0,
              _plain(_THIRDS)),
-            (log("smooth", _smooth), 0.0, _plain(_THIRDS))]
+            (log("smooth", _smooth), 2.0, _plain(_THIRDS))]
 
 
 def test_engine_propagates_the_first_exception_it_meets():
@@ -521,14 +522,44 @@ def test_engine_propagates_the_first_exception_it_meets():
 def test_bisect_fails_as_the_owners_alone_in_order():
     # the engine's first failure is the inf owner's, but alone the late
     # owner runs first and raises its own, past 0.9993
-    owners = _failing_owners([])
+    calls = []
+    owners = _failing_owners(calls)
     with pytest.raises(NonFiniteSampleError) as alone:
         for fn, arg, plan in owners:
             quad._adaptive(lambda x: fn(x, arg), plan)
+    calls.clear()
     with pytest.raises(NonFiniteSampleError) as info:
         list(quad._bisect(owners))
     assert info.value.x == alone.value.x > 0.9993
     assert str(info.value) == str(alone.value)
+    assert calls[:2] == ["late", "inf"] and "inf" not in calls[2:]
+
+
+def _spied_rounds(monkeypatch, owners):
+    """The reprs of quad._bisect's sides of owners and the number of its
+    _rounds calls."""
+    rounds = []
+    engine = quad._rounds
+
+    def spy(given):
+        rounds.append(len(given))
+        return engine(given)
+
+    monkeypatch.setattr(quad, "_rounds", spy)
+    return [repr(side) for side in quad._bisect(owners)], len(rounds)
+
+
+@pytest.mark.parametrize("args", [[0.0], [0.2], [0.0, 1.0], [0.0, 0.2, 0.2]])
+def test_bisect_runs_owners_of_one_arg_alone(monkeypatch, args):
+    # owners of one arg run alone by heap, as one integral runs; those of
+    # two or more are bisected at once by one _rounds call; the arg is
+    # unused here, so both give the same sides
+    owners = [(lambda x, _, fn=fn: fn(x), args[j % len(args)], plan)
+              for j, (fn, plan) in enumerate(_OWNERS)]
+    sides, rounds = _spied_rounds(monkeypatch, owners)
+    assert rounds == (len(set(args)) > 1)
+    assert sides == _spied_rounds(
+        monkeypatch, [(fn, 0.0, plan) for fn, _, plan in owners])[0]
 
 
 # fn(x, args) of engine owners: smooth and shifted by the arg, a kink at the
