@@ -535,31 +535,21 @@ def test_bisect_fails_as_the_owners_alone_in_order():
     assert calls[:2] == ["late", "inf"] and "inf" not in calls[2:]
 
 
-def _spied_rounds(monkeypatch, owners):
-    """The reprs of quad._bisect's sides of owners and the number of its
-    _rounds calls."""
-    rounds = []
-    engine = quad._rounds
-
-    def spy(given):
-        rounds.append(len(given))
-        return engine(given)
-
-    monkeypatch.setattr(quad, "_rounds", spy)
-    return [repr(side) for side in quad._bisect(owners)], len(rounds)
-
-
 @pytest.mark.parametrize("args", [[0.0], [0.2], [0.0, 1.0], [0.0, 0.2, 0.2]])
 def test_bisect_runs_owners_of_one_arg_alone(monkeypatch, args):
     # owners of one arg run alone by heap, as one integral runs; those of
     # two or more are bisected at once by one _rounds call; the arg is
-    # unused here, so both give the same sides
+    # unused here, so both give the sides of the owners alone
     owners = [(lambda x, _, fn=fn: fn(x), args[j % len(args)], plan)
               for j, (fn, plan) in enumerate(_OWNERS)]
-    sides, rounds = _spied_rounds(monkeypatch, owners)
-    assert rounds == (len(set(args)) > 1)
-    assert sides == _spied_rounds(
-        monkeypatch, [(fn, 0.0, plan) for fn, _, plan in owners])[0]
+    alone = [repr(quad._finish_side(plan, *quad._alone(*owner)))
+             for owner, (_, plan) in zip(owners, _OWNERS)]
+    rounds = []
+    engine = quad._rounds
+    monkeypatch.setattr(quad, "_rounds",
+                        lambda given: rounds.append(given) or engine(given))
+    assert [repr(side) for side in quad._bisect(owners)] == alone
+    assert len(rounds) == (len(set(args)) > 1)
 
 
 # fn(x, args) of engine owners: smooth and shifted by the arg, a kink at the
