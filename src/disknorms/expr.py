@@ -657,8 +657,9 @@ def _summed(i: int, forms: list):
 
 def _product(form, vals: list, logs: list, p: Optional[float] = None):
     """A form (c, log|c|, terms, steps) after its steps: c times its integer
-    powers, by products, and one exp(sum_j s_j Log leaf_j) over the rest;
-    with p, exp(p log|c| + sum_j p s_j log|leaf_j|), or |leaf|^(p s)."""
+    powers, by products, and one exp(sum_j s_j Log leaf_j) over the rest,
+    Log w = log|w| + i atan2(Im w, Re w) from real parts; with p,
+    exp(p log|c| + sum_j p s_j log|leaf_j|), or |leaf|^(p s)."""
     c, logc, terms, steps = form
     for step in steps:
         step(vals, logs)
@@ -683,7 +684,10 @@ def _product(form, vals: list, logs: list, p: Optional[float] = None):
     if reals:
         for i, _ in reals:
             if logs[i] is None:
-                logs[i] = np.log(vals[i])
+                # numpy's complex log is about ten times slower
+                w_i = vals[i]
+                logs[i] = (np.log(np.abs(w_i))
+                           + 1j * np.arctan2(w_i.imag, w_i.real))
         x = np.exp(sum((s * logs[i] for i, s in reals[1:]),
                        reals[0][1] * logs[reals[0][0]]))
         w = x if w is None else w * x
@@ -792,7 +796,8 @@ class BoundaryEvaluator:
     Both run one _Plan, compiled on first use (value is near at anchor 0):
     each product node is c * prod leaf_j^s_j over distinct leaves, each
     evaluated and logged once per call, so f and -f(-z), which share 1 +- z,
-    take two complex logs between them.  Given p, both return |f|^p, for a
+    take two logs between them, each formed from log|w| and atan2 rather
+    than by numpy's complex log.  Given p, both return |f|^p, for a
     product exp(p log|c| + sum_j p s_j log|leaf_j|) from real logs only,
     finite wherever p log|f| fits a double; a sum that is not affine adds
     its products, one complex exp each at most.  Under np.errstate, inf, 0

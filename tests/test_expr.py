@@ -729,19 +729,45 @@ def test_log_form_is_finite_where_the_complex_form_overflows():
     _agree(ev.near(1 + 0j, delta, 0.0, 0.5), np.exp(pl), 1.0 + np.abs(pl))
 
 
+def _counted(monkeypatch, *names):
+    """The arguments of every call to np.<name>, for each name."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def counted(*args, _fn=getattr(np, name), _name=name, **kwargs):
+            calls[_name].append(args)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np, name, counted)
+    return calls
+
+
+def _times_given(calls, *want):
+    """How many of calls had the arrays want as their arguments."""
+    return sum(len(args) == len(want) and all(
+        np.allclose(a, w, rtol=1e-12, atol=0.0) for a, w in zip(args, want))
+        for args in calls)
+
+
 def test_shared_leaves_are_logged_once_per_call(monkeypatch):
-    # f and g = -f(-z) share the leaves 1 + z and 1 - z: two complex logs
+    # f and g = -f(-z) share the leaves 1 + z and 1 - z: each is logged
+    # once per call, from real parts, and never by numpy's complex log
     ev = BoundaryEvaluator(parse(f"{_F} + {_G}"), {"eps": 0.5})
-    logs = []
-    log = np.log
-
-    def counted(x, *args, **kwargs):
-        logs.append(np.iscomplexobj(x))
-        return log(x, *args, **kwargs)
-
-    monkeypatch.setattr(np, "log", counted)
-    ev.near(1 + 0j, np.array([1e-3, -1e-5]), 0.0, 0.5)
-    assert logs.count(True) == 2
+    delta = np.array([1e-3, -1e-5])
+    dz = np.expm1(1j * delta)                   # z - 1 on the circle
+    calls = _counted(monkeypatch, "log", "arctan2")
+    ev.near(1 + 0j, delta, 0.0, 0.5)
+    assert not any(np.iscomplexobj(args[0]) for args in calls["log"])
+    for leaf in (2.0 + dz, -dz):
+        assert _times_given(calls["log"], np.abs(leaf)) == 1
+    # the complex path: one atan2 per leaf under a non-integer power
+    for call, leaves in ((lambda: ev.value(POINTS), (1 + POINTS, 1 - POINTS)),
+                         (lambda: ev.near(1 + 0j, delta, 0.0), (2 + dz, -dz))):
+        calls["log"].clear()
+        calls["arctan2"].clear()
+        call()
+        assert not any(np.iscomplexobj(args[0]) for args in calls["log"])
+        assert len(calls["arctan2"]) == 2
+        for leaf in leaves:
+            assert _times_given(calls["arctan2"], leaf.imag, leaf.real) == 1
 
 
 # Each cause of EvalDomainError, alone and before or after another: the
