@@ -613,7 +613,7 @@ def _affine_leaf(a: complex, b: complex, k: int):
 
 
 def _fails(msg: str):
-    def step(vals, logs):
+    def step(vals, logs, p):
         raise EvalDomainError(msg)
     return step
 
@@ -625,7 +625,7 @@ def _nonzero(c: complex, terms: dict, msg: str):
         return _fails(msg)
     idx = [i for i, s in terms.items() if s > 0]
 
-    def step(vals, logs):
+    def step(vals, logs, p):
         for i in idx:
             if np.count_nonzero(vals[i]) < vals[i].size:
                 raise EvalDomainError(msg)
@@ -634,7 +634,7 @@ def _nonzero(c: complex, terms: dict, msg: str):
 
 def _branch(i: int, s: float):
     """The principal-branch check of leaf i under the non-integer power s."""
-    def step(vals, logs):
+    def step(vals, logs, p):
         w = np.asarray(vals[i])
         # it can only fire where some imaginary part is 0
         if np.count_nonzero(w.imag) < w.size:
@@ -646,25 +646,49 @@ def _branch(i: int, s: float):
     return step
 
 
-def _summed(i: int, forms: list):
-    """The step that evaluates leaf i, once per call, as a sum of forms."""
-    def step(vals, logs):
-        if vals[i] is None:
+def _summed(i: int, forms: list, reduced=None):
+    """The step that evaluates leaf i, once per call, as a sum of forms; on
+    the p path, with reduced = (m, rest) from _reduced, its log modulus
+    sum_j m_j log|leaf_j| + log|sum rest| into logs[i] instead."""
+    def step(vals, logs, p):
+        if reduced and p is not None:
+            if logs[i] is None:
+                w = [_product(form, vals, logs) for form in reduced[1]]
+                logs[i] = np.log(np.abs(sum(w[1:], w[0]))) + sum(
+                    m * np.log(np.abs(vals[j])) for j, m in reduced[0])
+        elif vals[i] is None:
             w = [_product(form, vals, logs) for form in forms]
             vals[i] = np.asarray(sum(w[1:], w[0]))
     return step
 
 
+def _reduced(forms: list):
+    """(m, rest) with sum forms = prod_j leaf_j^m_j * sum rest, m_j = min_k
+    s_kj and rest_k = c_k prod_j leaf_j^(s_kj - m_j) of integer powers (to 4
+    ulps), as principal powers of one base multiply exactly; None when they
+    are not, or when every s_kj is an integer."""
+    s = [dict(form[2]) for form in forms]
+    m = {j: min(t.get(j, 0.0) for t in s) for t in s for j in t}
+    n = [{j: round(t.get(j, 0.0) - mj) for j, mj in m.items()} for t in s]
+    if all(x.is_integer() for t in s for x in t.values()) or any(
+            abs(t.get(j, 0.0) - mj - k[j]) > 4 * _EPS * (abs(mj) + k[j])
+            for t, k in zip(s, n) for j, mj in m.items()):
+        return None
+    return ([(j, mj) for j, mj in m.items() if mj],
+            [(c, logc, tuple((j, float(x)) for j, x in k.items() if x), steps)
+             for (c, logc, _, steps), k in zip(forms, n)])
+
+
 def _product(form, vals: list, logs: list, p: Optional[float] = None):
     """A form (c, log|c|, terms, steps) after its steps: c times its integer
     powers, by products, and one exp(sum_j s_j Log leaf_j) over the rest,
-    Log w = log|w| + i atan2(Im w, Re w) from real parts; with p,
-    exp(p log|c| + sum_j p s_j log|leaf_j|), or |leaf|^(p s)."""
+    Log w = log|w| + i atan2(Im w, Re w); with p, exp(p log|c| + sum_j p s_j
+    log|leaf_j|), a _reduced sum's log|leaf| read from logs, or |leaf|^ps."""
     c, logc, terms, steps = form
     for step in steps:
-        step(vals, logs)
+        step(vals, logs, p)
     if p is not None:
-        if len(terms) == 1 and not logc:
+        if len(terms) == 1 and not logc and vals[terms[0][0]] is not None:
             return np.abs(vals[terms[0][0]]) ** (p * terms[0][1])
         acc = p * logc
         for k, (i, s) in enumerate(terms):
@@ -698,8 +722,9 @@ class _Plan:
     """An expression's forms c * prod leaf_j^s_j over one table of leaves.
 
     A leaf a + b*z^k is keyed by (a, b, k); another base (a non-affine sum,
-    or a product under a non-integer power) is keyed by its expression and
-    evaluated as a sum of forms by a step.  A form's steps are the checks
+    or a product under a non-integer power) is keyed by its expression, or
+    ("|", e) for a sum in its _reduced form, and evaluated as a sum of
+    forms by a step.  A form's steps are the checks
     and leaf evaluations of the tree walk in its order (operands left to
     right, a quotient's denominator first), so each EvalDomainError is
     raised first where the walk raises it, with p or not.  real says
@@ -710,19 +735,20 @@ class _Plan:
     def __init__(self, node: _Node, env: dict):
         self.env, self.keys, self.affine, self.squares = env, {}, [], False
         self.real = True
-        self.top = self.form(node)
+        self.top = self.form(node, mod=True)
 
-    def form(self, node: _Node, steps=None, c=None, terms=None) -> tuple:
+    def form(self, node: _Node, steps=None, c=None, terms=None,
+             mod=False) -> tuple:
         """(c, log|c|, terms, steps) of node, or of a walk's c and terms."""
         if c is None:
             steps = []
-            c, terms = self.walk(node, steps)
+            c, terms = self.walk(node, steps, mod)
         # an integer power of a negative constant can come back complex
         self.real &= complex(c).imag == 0
         logc = math.log(abs(c)) if c != 0 else -math.inf
         return c, logc, tuple((i, s) for i, s in terms.items() if s), steps
 
-    def leaf(self, key, forms=None, steps=None) -> int:
+    def leaf(self, key, forms=None, steps=None, reduced=None) -> int:
         """key's leaf, added on first sight; forms' step goes to steps."""
         if key not in self.keys:
             self.keys[key] = len(self.affine)
@@ -731,11 +757,13 @@ class _Plan:
                 self.squares |= key[2] == 2
                 self.real &= key[0].imag == key[1].imag == 0
         if forms:
-            steps.append(_summed(self.keys[key], forms))
+            steps.append(_summed(self.keys[key], forms, reduced))
         return self.keys[key]
 
-    def walk(self, node: _Node, steps: list):
-        """(c, {leaf: s}) of node as a product; appends node's steps."""
+    def walk(self, node: _Node, steps: list, mod=False):
+        """(c, {leaf: s}) of node as a product; appends node's steps.  mod:
+        node is read only through |node| on the p path, so a sum there may
+        take its _reduced form, a leaf of its own."""
         e, kids, aff = node.e, node.kids, node.aff
         if aff is not None:
             a, b, ks = aff
@@ -744,25 +772,28 @@ class _Plan:
             steps.append(_fails(f"unbound parameter {e.name!r}"))
             return 1, {}
         if isinstance(e, Add):
-            return 1, {self.leaf(e, [self.form(k) for k in kids], steps): 1.0}
+            forms = [self.form(k) for k in kids]
+            red = _reduced(forms) if mod else None
+            return 1, {self.leaf(("|", e) if red else e, forms, steps,
+                                 red): 1.0}
         if isinstance(e, Neg):
-            c, t = self.walk(kids[0], steps)
+            c, t = self.walk(kids[0], steps, mod)
             return -c, t
         if not isinstance(e, Pow):
             # a quotient's denominator is walked, and checked, first
             sign = 1.0 if isinstance(e, Mul) else -1.0
-            d, u = self.walk(kids[sign < 0], steps)
+            d, u = self.walk(kids[sign < 0], steps, mod and sign > 0)
             if sign < 0:
                 steps.append(_nonzero(d, u, "division by zero"))
-            c, t = self.walk(kids[sign > 0], steps)
+            c, t = self.walk(kids[sign > 0], steps, mod)
             return (c * d if sign > 0 else c / (d or 1)), {
                 i: t.get(i, 0.0) + sign * u.get(i, 0.0) for i in {**t, **u}}
         sub, s, n = [], node.s, node.n
-        b, t = self.walk(kids[0], sub)
+        b, t = self.walk(kids[0], sub, mod and (n or 0) > 0)
         if s is None:
             # re-resolved, and so raised afresh, on every call that reaches it
-            steps += sub + [lambda vals, logs: exponent_value(e.exponent,
-                                                              self.env)]
+            steps += sub + [lambda vals, logs, p: exponent_value(
+                e.exponent, self.env)]
             return 1, {}
         if n is not None:
             # an s that _is_int snaps to an integer n bypasses the branch cut
@@ -796,11 +827,14 @@ class BoundaryEvaluator:
     Both run one _Plan, compiled on first use (value is near at anchor 0):
     each product node is c * prod leaf_j^s_j over distinct leaves, each
     evaluated and logged once per call, so f and -f(-z), which share 1 +- z,
-    take two logs between them, each formed from log|w| and atan2 rather
-    than by numpy's complex log.  Given p, both return |f|^p, for a
-    product exp(p log|c| + sum_j p s_j log|leaf_j|) from real logs only,
-    finite wherever p log|f| fits a double; a sum that is not affine adds
-    its products, one complex exp each at most.  Under np.errstate, inf, 0
+    take two logs between them, each from log|w| and atan2, not numpy's
+    complex log.  Given p, both return |f|^p, for a product
+    exp(p log|c| + sum_j p s_j log|leaf_j|) from real logs only, finite
+    wherever p log|f| fits a double.  A sum that is not affine adds its
+    products, one complex exp each at most; read only through its modulus,
+    with each leaf's powers apart by integers, it is
+    prod_j |leaf_j|^m_j |sum of integer powers| (_reduced) instead, so
+    |f + g|^p takes no complex log or exp.  Under np.errstate, inf, 0
     and log 0 = -inf are the results meant; the checks raise EvalDomainError.
     """
 

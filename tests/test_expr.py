@@ -626,26 +626,51 @@ _F = "(1+z)^(2-eps)/(1-z)^(2+eps)"
 _G = "-((1-z)^(2-eps)/(1+z)^(2+eps))"
 
 
+_PAIR = {_F: [(1, 1, 1, "2-eps"), (1, -1, 1, "-2-eps")],
+         _G: [(1, -1, 1, "2-eps"), (1, 1, 1, "-2-eps")]}
+
+
+def _pair_factors(eps):
+    """(a, b, k, s) of each factor of f and of g = -f(-z) at eps."""
+    return {text: [(a, b, k, exponent_value(parse(s), {"eps": eps}))
+                   for a, b, k, s in factors]
+            for text, factors in _PAIR.items()}
+
+
+def _sum_cond(eps, p, at, leaf):
+    """The condition of |f + g|^p on the complex path, which adds f and g:
+    the cancellation (|f| + |g|)/|f + g| times the conditions of f and g,
+    at at(ev) = the complex samples of ev, and leaf(a, b, k) as in
+    _log_terms."""
+    f, g = (at(BoundaryEvaluator(parse(t), {"eps": eps})) for t in _PAIR)
+    cancel = (np.abs(f) + np.abs(g)) / np.abs(f + g)
+    return cancel * sum(_log_terms(factors, p, leaf)[1]
+                        for factors in _pair_factors(eps).values())
+
+
 @pytest.mark.parametrize("p", P_VALUES)
 @pytest.mark.parametrize("eps", [0.4, 0.7, 1.0])
 def test_log_form_matches_complex_form_on_the_paper_pair(p, eps):
-    # f, g = -f(-z) and f + g; |f + g|^p is the modulus of the same sum
-    pair = {_F: [(1, 1, 1, 2 - eps), (1, -1, 1, -2 - eps)],
-            _G: [(1, -1, 1, 2 - eps), (1, 1, 1, -2 - eps)],
-            f"{_F} + {_G}": None}
+    # f, g = -f(-z) and f + g; |f + g|^p is the modulus of the same sum, to
+    # the cancellation of the complex path's f + g
+    pair = {**_pair_factors(eps), f"{_F} + {_G}": None}
     for text, factors in pair.items():
         ev = BoundaryEvaluator(parse(text), {"eps": eps})
 
-        def cond(leaf):
-            return 1.0 if factors is None else _log_terms(factors, p, leaf)[1]
+        def cond(leaf, at):
+            if factors is None:
+                return _sum_cond(eps, p, at, leaf)
+            return _log_terms(factors, p, leaf)[1]
         _agree(ev.value(POINTS, p), np.abs(ev.value(POINTS)) ** p,
-               [cond(lambda a, b, k: a + b * z ** k) for z in POINTS])
+               [cond(lambda a, b, k: a + b * z ** k,
+                     lambda e: e.value(np.array([z]))[0]) for z in POINTS])
         for anchor in (1 + 0j, -1 + 0j, 1j):
             for gap in (0.0, 1e-3):
                 _agree(ev.near(anchor, _MODERATE, gap, p),
                        np.abs(ev.near(anchor, _MODERATE, gap)) ** p,
                        [cond(lambda a, b, k: _leaf_at(a, b, k, anchor, d,
-                                                      gap))
+                                                      gap),
+                             lambda e: e.near(anchor, np.array([d]), gap)[0])
                         for d in _MODERATE])
             if factors is None:
                 continue
@@ -747,6 +772,51 @@ def _times_given(calls, *want):
         for args in calls)
 
 
+def _em1(x, y):
+    """e^(x + iy) - 1 without cancellation."""
+    return complex(math.expm1(x) * math.cos(y) - 2.0 * math.sin(y / 2) ** 2,
+                   math.exp(x) * math.sin(y))
+
+
+def _closed_form_log(r, d, gap, p, eps):
+    """(p log|8z(1+z^2)/(1-z^2)^(2+eps)|, its condition, counted over the
+    leaves of f and g too) at z = r(1-gap)e^{id}, r = +-1, from the
+    leaves' exact offsets z = r(1 + e1), z^2 = 1 + e2."""
+    e1 = _em1(math.log1p(-gap), d)
+    e2 = _em1(2.0 * math.log1p(-gap), 2.0 * d)
+    lz, lp2, lm2 = (math.log(abs(w)) for w in (1 + e1, 2 + e2, -e2))
+    lp1, lm1 = (math.log(abs(w)) for w in (1 + r + r * e1, 1 - r - r * e1))
+    s = 2.0 + eps
+    pl = p * (math.log(8.0) + lz + lp2 - s * lm2)
+    cond = 1.0 + p * (abs(lz) + abs(lp2) + s * abs(lm2)
+                      + 2.0 * s * (abs(lp1) + abs(lm1)) + 8.0 * math.pi)
+    # the cancellation (|f| + |g|)/|f + g|, in logs: |f|/|g| = |(1+z)/(1-z)|^4
+    big = max(lp1, lm1) * (2.0 - eps) - min(lp1, lm1) * s
+    cancel = math.exp(big - pl / p) * (1.0 + math.exp(-4.0 * abs(lp1 - lm1)))
+    return pl, cond * cancel
+
+
+_DS = np.logspace(-1.0, -200.0, 34) * np.tile([1.0, -1.0], 17)
+
+
+@pytest.mark.parametrize("p,eps", [(0.6, 0.7), (0.75, 0.4)])
+def test_near_of_the_sum_follows_the_papers_closed_form(p, eps):
+    # f + g = 8z(1+z^2)/(1-z^2)^(2+eps), a product, at offsets where the
+    # complex path overflows; scalar gaps and a gap per point
+    ev = BoundaryEvaluator(parse(f"{_F} + {_G}"), {"eps": eps})
+    array_gap = np.logspace(-2.0, -250.0, _DS.size)
+    for r in (1 + 0j, -1 + 0j):
+        for gap in (0.0, 1e-3, 1e-250, array_gap):
+            gaps = np.broadcast_to(gap, _DS.shape)
+            pl, cond = np.array([_closed_form_log(r.real, d, g, p, eps)
+                                 for d, g in zip(_DS, gaps)]).T
+            got = ev.near(r, _DS, gap, p)
+            fits = np.abs(pl) < 700.0
+            assert fits.sum() >= 12
+            assert np.all(np.isfinite(got[fits]))
+            _agree(got[fits], np.exp(pl[fits]), cond[fits])
+
+
 def test_shared_leaves_are_logged_once_per_call(monkeypatch):
     # f and g = -f(-z) share the leaves 1 + z and 1 - z: each is logged
     # once per call, from real parts, and never by numpy's complex log
@@ -758,6 +828,9 @@ def test_shared_leaves_are_logged_once_per_call(monkeypatch):
     assert not any(np.iscomplexobj(args[0]) for args in calls["log"])
     for leaf in (2.0 + dz, -dz):
         assert _times_given(calls["log"], np.abs(leaf)) == 1
+    # |f + g| = |1 + z|^m |1 - z|^m |(1 + z)^4 - (1 - z)^4|: no Log at all
+    assert not calls["arctan2"]
+    assert _times_given(calls["log"], np.abs((2 + dz) ** 4 - dz ** 4)) == 1
     # the complex path: one atan2 per leaf under a non-integer power
     for call, leaves in ((lambda: ev.value(POINTS), (1 + POINTS, 1 - POINTS)),
                          (lambda: ev.near(1 + 0j, delta, 0.0), (2 + dz, -dz))):
@@ -811,6 +884,50 @@ def test_every_domain_error_is_kept_with_and_without_p(cause):
         # the denominator first
         quotient = BoundaryEvaluator(parse(f"({text2})/(({text})*(1-z))"))
         assert _raised(quotient) == [msg] * 4
+
+
+def _sum_of(text):
+    """A sum whose |.|^p takes _reduced's form, with text in each term."""
+    return f"({text})*(z+3)^0.5 + (z+3)^1.5*({text})"
+
+
+def _reduced_sums(ev):
+    return sum(isinstance(k, tuple) and k[0] == "|"
+               for k in ev._compiled().keys)
+
+
+@pytest.mark.parametrize("cause", sorted(_CAUSES))
+def test_every_domain_error_is_kept_in_a_reduced_sum(cause):
+    text, msg = _CAUSES[cause]
+    ev = BoundaryEvaluator(parse(_sum_of(text)))
+    assert _reduced_sums(ev) == 1
+    assert _raised(ev) == [msg] * 4
+    for other, (text2, msg2) in _CAUSES.items():
+        if other != cause:
+            first = BoundaryEvaluator(parse(_sum_of(f"({text})*({text2})")))
+            assert _raised(first) == [msg] * 4
+            # a reduced sum under a quotient, and one in its denominator
+            quotient = BoundaryEvaluator(parse(
+                f"({_sum_of(text2)})/(({text})*(1-z))"))
+            assert _raised(quotient) == [msg] * 4
+            below = BoundaryEvaluator(parse(f"({text2})/({_sum_of(text)})"))
+            assert _reduced_sums(below) == 0
+            assert _raised(below) == [msg] * 4
+
+
+def test_reduced_sum_is_finite_where_the_complex_sum_overflows():
+    # |1 - z| = 0.05 and 0.1: |1 - z|^-400.5 overflows, its square root not
+    ev = BoundaryEvaluator(parse(
+        "(1+z)^0.5/(1-z)^400.5 + (1-z)^0.5/(1+z)^400.5"))
+    assert _reduced_sums(ev) == 1
+    delta = np.array([0.05, -0.1])
+    assert not np.any(np.isfinite(np.abs(ev.near(1 + 0j, delta, 0.0))))
+    lp, lm = (np.log(np.abs(w)) for w in (2.0 + np.expm1(1j * delta),
+                                          np.expm1(1j * delta)))
+    # the second term is below the first by |(1-z)/(1+z)|^401 < 1e-600
+    pl = 0.5 * (0.5 * lp - 400.5 * lm)
+    _agree(ev.near(1 + 0j, delta, 0.0, 0.5), np.exp(pl),
+           1.0 + 0.5 * (0.5 * np.abs(lp) + 400.5 * np.abs(lm) + 401 * np.pi))
 
 
 @pytest.mark.parametrize("text", ["(1-z)^3*(1+z)^0.5", "(1-z)^2/(1+z)",
