@@ -106,9 +106,9 @@ GOLDEN = [
     ("ap-large-p report, p=0.6, eps=0.7",
      lambda: verify_ap_large_p(0.6, 0.7),
      "VerificationReport(case_id='ap-large-p', inputs={'p': 0.6, 'eps': 0.7,"
-     " 'kappa': 10.0, 'scale': 1.0}, lhs=31.39316256700578,"
-     " rhs=21.68823215215943, defect=9.704930414846352,"
-     " margin=1.3765839429471542e-06, verdict='Confirmed', sub_results=("
+     " 'kappa': 10.0, 'scale': 1.0}, lhs=31.393162567005774,"
+     " rhs=21.68823215215943, defect=9.704930414846345,"
+     " margin=1.3765839126672582e-06, verdict='Confirmed', sub_results=("
      "('membership', MembershipVerdict(alpha=2.7, p=0.6, product=1.62,"
      " classification='Member', evidence=(), diagnostic=None)),"
      " ('precondition', BoundCheck(description='membership exponent product"
@@ -120,8 +120,8 @@ GOLDEN = [
      " value_p=4.179424599556673, value=10.844116076079715,"
      " abs_err_est=2.4968414870920557e-09, converged=True, divergent=False)),"
      " ('norm_sum', NormResult(space='Bergman', p=0.6,"
-     " value_p=7.9086260586535895, value=31.39316256700578,"
-     " abs_err_est=1.754339228229438e-08, converged=True, divergent=False)),"
+     " value_p=7.908626058653589, value=31.393162567005774,"
+     " abs_err_est=1.7543391824604192e-08, converged=True, divergent=False)),"
      " ('closed_form', IdentityCheck(description='f + g ="
      " 8z(1+z^2)/(1-z^2)^(2+eps)', max_rel_diff=1.1701194046711145e-15,"
      " tolerance=1e-10, points=64, passed=True))))"),
