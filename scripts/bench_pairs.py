@@ -2,7 +2,7 @@
 """Compare two checkouts on one benchmark workload, in alternating pairs.
 
     python3 scripts/bench_pairs.py PARENT CHANGE --workload W --pairs N \\
-        --seeds S [S ...] [--seconds 25] [--trace-seed T] [--out FILE]
+        --seeds S [S ...] [--seconds 25] [--trace-seed T [T ...]] [--out FILE]
 
 Runs ``perfbench/run.py --trace 0`` from each checkout once per pair, with
 the pair's seed; the parent runs first on even pairs and the change on odd
@@ -13,9 +13,12 @@ each end-to-end metric, the medians, the quartiles (numpy.percentile 25 and
 the change's BENCHMARK.json; ties count for neither) and a verdict (see
 verdict), the same spread of the raw wall_s seconds with no verdict,
 whether every run was correct, and the distinct outputs_sha256 digests of
-each side.  With --trace-seed it adds one ``--trace 1`` run per
-side, their per-layer values and the names of the per-layer counts that
-differ (counts_differ).  The block is printed; with --out it is also stored
+each side.  With --trace-seed it adds one ``--trace 1`` run per side and
+seed, alternating as the pairs do, and reports each per-layer value as the
+median of that side's traced runs, the names of the per-layer counts whose
+medians differ between the sides (counts_differ) and, per side, of those
+that differ between that side's own runs (counts_unrepeated), since a count
+must repeat exactly.  The block is printed; with --out it is also stored
 under ["workloads"][W] of that JSON file, which is created when missing.
 """
 import argparse
@@ -137,25 +140,34 @@ def summarize(runs: dict, better: dict, bounds: dict = None) -> dict:
 
 
 def per_layer(traced: dict) -> dict:
-    """The per-layer values of one traced run per side, side by side, and
-    counts_differ: the names of the metrics of unit count whose values
-    differ between the sides."""
-    names = traced["change"]["metrics"]
+    """The per-layer values of the traced runs traced[side] (a list), each
+    side's median and runs side by side; counts_differ, the names of the
+    metrics of unit count whose medians differ between the sides; and
+    counts_unrepeated, per side, the names of those whose values differ
+    between that side's runs."""
+    names = traced["change"][0]["metrics"]
+    values = {side: {name: [r["metrics"][name]["value"] for r in traced[side]]
+                     for name in names} for side in SIDES}
     layers = {name: {"unit": names[name]["unit"],
-                     **{side: traced[side]["metrics"][name]["value"]
-                        for side in SIDES}}
+                     **{side: statistics.median(values[side][name])
+                        for side in SIDES},
+                     **{f"{side}_runs": values[side][name] for side in SIDES}}
               for name in names}
+    counts = [name for name in names if names[name]["unit"] == "count"]
     return {
         "per_layer": layers,
-        "counts_differ": [name for name, m in layers.items()
-                          if m["unit"] == "count"
-                          and m["parent"] != m["change"]],
-        "traced_failed_of_attempted": {
-            side: [traced[side]["failed"], traced[side]["attempted"]]
+        "counts_differ": [name for name in counts
+                          if layers[name]["parent"] != layers[name]["change"]],
+        "counts_unrepeated": {
+            side: [name for name in counts if len(set(values[side][name])) > 1]
             for side in SIDES},
-        "traced_outputs_sha256": {side: traced[side].get("digest")
-                                  for side in SIDES},
-        "traced_runs_correct": {side: traced[side]["correct"]
+        "traced_failed_of_attempted": {
+            side: [[r["failed"], r["attempted"]] for r in traced[side]]
+            for side in SIDES},
+        "traced_outputs_sha256": {
+            side: sorted({r.get("digest") for r in traced[side]})
+            for side in SIDES},
+        "traced_runs_correct": {side: all(r["correct"] for r in traced[side])
                                 for side in SIDES},
     }
 
@@ -168,7 +180,7 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
     ap.add_argument("--seconds", type=float, default=25.0)
-    ap.add_argument("--trace-seed", type=int)
+    ap.add_argument("--trace-seed", type=int, nargs="+")
     ap.add_argument("--out", type=pathlib.Path)
     args = ap.parse_args(argv)
     if args.pairs < 1:
@@ -188,22 +200,24 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
-    runs = {side: [] for side in SIDES}
-    for i, seed in enumerate(seeds):
-        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-            result = run(checkouts[side], args.workload, seed, args.seconds, 0)
-            runs[side].append(result)
-            print(f"# pair {i} seed {seed} {side}: "
-                  f"correct={result['correct']} wall_ref="
-                  f"{result['metrics']['wall_ref']['value']:.6g} "
-                  f"wall_s={result.get('wall_s')}",
-                  file=sys.stderr, flush=True)
-    block = summarize(runs, better, bounds)
-    if args.trace_seed is not None:
-        block.update(per_layer({
-            side: run(checkouts[side], args.workload, args.trace_seed,
-                      args.seconds, 1)
-            for side in SIDES}))
+    def alternating(seeds: list, trace: int) -> dict:
+        """One run per seed and side, the parent first on even seeds."""
+        runs = {side: [] for side in SIDES}
+        for i, seed in enumerate(seeds):
+            for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                result = run(checkouts[side], args.workload, seed,
+                             args.seconds, trace)
+                runs[side].append(result)
+                wall_ref = result["metrics"].get("wall_ref", {}).get("value")
+                print(f"# {'traced' if trace else 'pair'} {i} seed {seed} "
+                      f"{side}: correct={result['correct']} "
+                      f"wall_ref={wall_ref} wall_s={result.get('wall_s')}",
+                      file=sys.stderr, flush=True)
+        return runs
+
+    block = summarize(alternating(seeds, 0), better, bounds)
+    if args.trace_seed:
+        block.update(per_layer(alternating(args.trace_seed, 1)))
 
     print(json.dumps(block, indent=2))
     if args.out:

@@ -195,12 +195,59 @@ def test_per_layer_lists_the_counts_that_differ():
     change = {**parent, "quad.panel.self_s": (0.4, "s"),
               "trace.spans": (910, "count"),
               "quad.integrate.converged_frac": (0.75, "frac")}
-    block = bench_pairs.per_layer({"parent": _traced(parent),
-                                   "change": _traced(change)})
+    block = bench_pairs.per_layer({"parent": [_traced(parent)],
+                                   "change": [_traced(change)]})
     # seconds and fractions may move; only counts are listed
     assert block["counts_differ"] == ["trace.spans"]
     assert block["per_layer"]["trace.spans"] == {
-        "unit": "count", "parent": 900, "change": 910}
-    same = bench_pairs.per_layer({"parent": _traced(parent),
-                                  "change": _traced(parent)})
+        "unit": "count", "parent": 900, "change": 910,
+        "parent_runs": [900], "change_runs": [910]}
+    assert block["counts_unrepeated"] == {"parent": [], "change": []}
+    same = bench_pairs.per_layer({"parent": [_traced(parent)],
+                                  "change": [_traced(parent)]})
     assert same["counts_differ"] == []
+
+
+def test_traced_runs_alternate_by_seed_and_report_medians(tmp_path,
+                                                          monkeypatch):
+    calls = []
+    # the change's second traced run counts one more span than its others
+    spans = {("parent", 5): 900, ("change", 5): 900, ("parent", 6): 900,
+             ("change", 6): 901, ("parent", 7): 900, ("change", 7): 900}
+    self_s = {("parent", 5): 0.5, ("change", 5): 0.4, ("parent", 6): 0.9,
+              ("change", 6): 0.2, ("parent", 7): 0.6, ("change", 7): 0.3}
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        side = pathlib.Path(checkout).name
+        calls.append((side, seed, trace))
+        if not trace:
+            return bench_pairs.parse_run(_stdout(100, 11.0))
+        return _traced({"quad.panel.self_s": (self_s[side, seed], "s"),
+                        "trace.spans": (spans[side, seed], "count"),
+                        "quad.panel.calls": (120, "count")},
+                       digest=f"{side}-digest")
+
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main([*_checkouts(tmp_path), "--workload", "w",
+                             "--pairs", "1", "--seeds", "3",
+                             "--trace-seed", "5", "6", "7",
+                             "--out", str(out)]) == 0
+    # one traced run per seed and side, the parent first on even seeds
+    assert calls == [("parent", 3, 0), ("change", 3, 0),
+                     ("parent", 5, 1), ("change", 5, 1),
+                     ("change", 6, 1), ("parent", 6, 1),
+                     ("parent", 7, 1), ("change", 7, 1)]
+    block = json.loads(out.read_text())["workloads"]["w"]
+    assert block["per_layer"]["quad.panel.self_s"] == {
+        "unit": "s", "parent": 0.6, "change": 0.3,
+        "parent_runs": [0.5, 0.9, 0.6], "change_runs": [0.4, 0.2, 0.3]}
+    # medians equal, but the change's runs do not repeat their count
+    assert block["counts_differ"] == []
+    assert block["counts_unrepeated"] == {"parent": [],
+                                          "change": ["trace.spans"]}
+    assert block["traced_failed_of_attempted"] == {
+        "parent": [[0, 12]] * 3, "change": [[0, 12]] * 3}
+    assert block["traced_outputs_sha256"] == {"parent": ["parent-digest"],
+                                              "change": ["change-digest"]}
+    assert block["traced_runs_correct"] == {"parent": True, "change": True}
