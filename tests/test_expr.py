@@ -626,54 +626,55 @@ _F = "(1+z)^(2-eps)/(1-z)^(2+eps)"
 _G = "-((1-z)^(2-eps)/(1+z)^(2+eps))"
 
 
-_PAIR = {_F: [(1, 1, 1, "2-eps"), (1, -1, 1, "-2-eps")],
-         _G: [(1, -1, 1, "2-eps"), (1, 1, 1, "-2-eps")]}
+def _em1(x, y):
+    """e^(x + iy) - 1 without cancellation."""
+    return complex(math.expm1(x) * math.cos(y) - 2.0 * math.sin(y / 2) ** 2,
+                   math.exp(x) * math.sin(y))
 
 
-def _pair_factors(eps):
-    """(a, b, k, s) of each factor of f and of g = -f(-z) at eps."""
-    return {text: [(a, b, k, exponent_value(parse(s), {"eps": eps}))
-                   for a, b, k, s in factors]
-            for text, factors in _PAIR.items()}
+def _on_circle(r, d, gap):
+    """(z, 1 + z^2, 1 - z^2) at z = r(1-gap)e^{id}, r = +-1 or i, from the
+    exact offsets z = r(1 + e1), z^2 = r^2(1 + e2): one of 1 +- z^2 is
+    -r^2 e2, the other 2 + e2."""
+    e1 = _em1(math.log1p(-gap), d)
+    e2 = _em1(2.0 * math.log1p(-gap), 2.0 * d)
+    r2 = (r * r).real
+    return r * (1 + e1), 1 + r2 + r2 * e2, 1 - r2 - r2 * e2
 
 
-def _sum_cond(eps, p, at, leaf):
-    """The condition of |f + g|^p on the complex path, which adds f and g:
-    the cancellation (|f| + |g|)/|f + g| times the conditions of f and g,
-    at at(ev) = the complex samples of ev, and leaf(a, b, k) as in
-    _log_terms."""
-    f, g = (at(BoundaryEvaluator(parse(t), {"eps": eps})) for t in _PAIR)
-    cancel = (np.abs(f) + np.abs(g)) / np.abs(f + g)
-    return cancel * sum(_log_terms(factors, p, leaf)[1]
-                        for factors in _pair_factors(eps).values())
+def _closed_form_log(z, p2, m2, p, eps):
+    """(p log|8z(1+z^2)/(1-z^2)^(2+eps)|, the condition of that product
+    times the cancellation (|f| + |g|)/|f + g|) from z, p2 = 1 + z^2 and
+    m2 = 1 - z^2.  f + g is that product; the cancellation, |f|/|g| =
+    |(1+z)/(1-z)|^4, is near 1 but where 1 + z^2 is near 0, at +-i."""
+    leaves = {(0, 1, 1): z, (1, 1, 2): p2, (1, -1, 2): m2}
+    pl, cond = _log_terms([(0, 1, 1, 1.0), (1, 1, 2, 1.0),
+                           (1, -1, 2, -2.0 - eps)], p,
+                          lambda a, b, k: leaves[a, b, k])
+    cancel = (abs(1 + z) ** 4 + abs(1 - z) ** 4) / (8.0 * abs(z * p2))
+    return pl + p * math.log(8.0), cond * cancel
 
 
 @pytest.mark.parametrize("p", P_VALUES)
 @pytest.mark.parametrize("eps", [0.4, 0.7, 1.0])
 def test_log_form_matches_complex_form_on_the_paper_pair(p, eps):
-    # f, g = -f(-z) and f + g; |f + g|^p is the modulus of the same sum, to
-    # the cancellation of the complex path's f + g
-    pair = {**_pair_factors(eps), f"{_F} + {_G}": None}
+    # f and g = -f(-z): |f|^p is the modulus of the complex path's f
+    pair = {_F: [(1, 1, 1, 2 - eps), (1, -1, 1, -2 - eps)],
+            _G: [(1, -1, 1, 2 - eps), (1, 1, 1, -2 - eps)]}
     for text, factors in pair.items():
         ev = BoundaryEvaluator(parse(text), {"eps": eps})
 
-        def cond(leaf, at):
-            if factors is None:
-                return _sum_cond(eps, p, at, leaf)
+        def cond(leaf):
             return _log_terms(factors, p, leaf)[1]
         _agree(ev.value(POINTS, p), np.abs(ev.value(POINTS)) ** p,
-               [cond(lambda a, b, k: a + b * z ** k,
-                     lambda e: e.value(np.array([z]))[0]) for z in POINTS])
+               [cond(lambda a, b, k: a + b * z ** k) for z in POINTS])
         for anchor in (1 + 0j, -1 + 0j, 1j):
             for gap in (0.0, 1e-3):
                 _agree(ev.near(anchor, _MODERATE, gap, p),
                        np.abs(ev.near(anchor, _MODERATE, gap)) ** p,
                        [cond(lambda a, b, k: _leaf_at(a, b, k, anchor, d,
-                                                      gap),
-                             lambda e: e.near(anchor, np.array([d]), gap)[0])
+                                                      gap))
                         for d in _MODERATE])
-            if factors is None:
-                continue
             # f and g stay finite at offsets where |f| overflows a double
             pl, cnd = np.array([_log_terms(factors, p, lambda a, b, k: _leaf_at(
                 a, b, k, anchor, d, 0.0)) for d in _DEEP]).T
@@ -681,6 +682,19 @@ def test_log_form_matches_complex_form_on_the_paper_pair(p, eps):
             got = ev.near(anchor, _DEEP, 0.0, p)
             assert np.all(np.isfinite(got[fits]))
             _agree(got[fits], np.exp(pl[fits]), cnd[fits])
+    # |f + g|^p, which the p path takes from moduli and (1+z)^4 - (1-z)^4,
+    # is the paper's closed form, a product
+    ev = BoundaryEvaluator(parse(f"{_F} + {_G}"), {"eps": eps})
+
+    def closed(leaves):
+        pl, cond = np.array([_closed_form_log(*w, p, eps) for w in leaves]).T
+        return np.exp(pl), cond
+    _agree(ev.value(POINTS, p),
+           *closed((z, 1 + z * z, 1 - z * z) for z in POINTS))
+    for anchor in (1 + 0j, -1 + 0j, 1j):
+        for gap in (0.0, 1e-3):
+            _agree(ev.near(anchor, _MODERATE, gap, p),
+                   *closed(_on_circle(anchor, d, gap) for d in _MODERATE))
 
 
 # conjugation: with real coefficients, |f(conj z)| = |f(z)| bit for bit
@@ -772,30 +786,6 @@ def _times_given(calls, *want):
         for args in calls)
 
 
-def _em1(x, y):
-    """e^(x + iy) - 1 without cancellation."""
-    return complex(math.expm1(x) * math.cos(y) - 2.0 * math.sin(y / 2) ** 2,
-                   math.exp(x) * math.sin(y))
-
-
-def _closed_form_log(r, d, gap, p, eps):
-    """(p log|8z(1+z^2)/(1-z^2)^(2+eps)|, its condition, counted over the
-    leaves of f and g too) at z = r(1-gap)e^{id}, r = +-1, from the
-    leaves' exact offsets z = r(1 + e1), z^2 = 1 + e2."""
-    e1 = _em1(math.log1p(-gap), d)
-    e2 = _em1(2.0 * math.log1p(-gap), 2.0 * d)
-    lz, lp2, lm2 = (math.log(abs(w)) for w in (1 + e1, 2 + e2, -e2))
-    lp1, lm1 = (math.log(abs(w)) for w in (1 + r + r * e1, 1 - r - r * e1))
-    s = 2.0 + eps
-    pl = p * (math.log(8.0) + lz + lp2 - s * lm2)
-    cond = 1.0 + p * (abs(lz) + abs(lp2) + s * abs(lm2)
-                      + 2.0 * s * (abs(lp1) + abs(lm1)) + 8.0 * math.pi)
-    # the cancellation (|f| + |g|)/|f + g|, in logs: |f|/|g| = |(1+z)/(1-z)|^4
-    big = max(lp1, lm1) * (2.0 - eps) - min(lp1, lm1) * s
-    cancel = math.exp(big - pl / p) * (1.0 + math.exp(-4.0 * abs(lp1 - lm1)))
-    return pl, cond * cancel
-
-
 _DS = np.logspace(-1.0, -200.0, 34) * np.tile([1.0, -1.0], 17)
 
 
@@ -808,7 +798,8 @@ def test_near_of_the_sum_follows_the_papers_closed_form(p, eps):
     for r in (1 + 0j, -1 + 0j):
         for gap in (0.0, 1e-3, 1e-250, array_gap):
             gaps = np.broadcast_to(gap, _DS.shape)
-            pl, cond = np.array([_closed_form_log(r.real, d, g, p, eps)
+            pl, cond = np.array([_closed_form_log(*_on_circle(r, d, g), p,
+                                                  eps)
                                  for d, g in zip(_DS, gaps)]).T
             got = ev.near(r, _DS, gap, p)
             fits = np.abs(pl) < 700.0
