@@ -11,9 +11,10 @@ panels sampled ahead, run at once (hardy._circle_means).  The outer radial
 integral receives gaps directly from the singular-endpoint transform, so
 radii exponentially close to 1 never suffer the 1 - r rounding collapse.
 bergman_norm hands this radial integral, and a probe that truncates it at
-1 - cut, to the norm driver of the hardy module.  The probe's three rungs
-bisect at once (quad._bisect), their inner means in one request per round,
-and each fails as it would alone.  For p = 2 the norm is also available
+1 - cut, to the norm driver of the hardy module.  Each of the probe's three
+rungs is the radial integral's singular side with its transform stopped at
+the gap cut; they bisect at once (quad._bisect), their inner means in one
+request per round, and each fails as it would alone.  For p = 2 the norm is also available
 exactly from Taylor coefficients as sum |a_n|^2/(n+1).
 """
 
@@ -30,6 +31,7 @@ from .expr import BoundaryEvaluator, BoundaryStructure, Expr
 from .hardy import (
     _CUTS,
     NormResult,
+    _Ends,
     _circle_means,
     _ladder_says_divergent,
     _norm,
@@ -157,20 +159,22 @@ def _radial_integral(ev: BoundaryEvaluator, p: float,
 def _radial_divergence_probe(ev: BoundaryEvaluator, p: float,
                              structure: BoundaryStructure) -> bool:
     """Truncate the radial integral at 1 - cut for shrinking cuts and apply
-    the ladder growth test.  The rungs bisect at once, owners of one
-    quad._bisect call on one integrand, bit for bit as each rung alone, and
-    fail as each would alone, so the ladder fails as it did."""
+    the ladder growth test.  A rung is the right singular side of [0, 1]
+    whose depth floor 10^(-280/offset_blowup) (quad._side_plan) is cut.  The
+    rungs bisect at once, owners of one quad._bisect call on one integrand,
+    bit for bit as each rung alone, and fail as each would alone."""
     if not structure.singular:
         return False
     inner = QuadConfig(abs_tol=1e-7, rel_tol=1e-6, max_evaluations=60000)
-    outer = QuadConfig(abs_tol=1e-6, rel_tol=1e-4, max_evaluations=3000)
+    outer = QuadConfig(abs_tol=1e-6, rel_tol=1e-4, max_evaluations=3000,
+                       singular_right=True)
     intg = _RadialIntegrand(ev, p, structure, inner)
 
-    def fn(r, _):
-        return intg.values(r)
+    def fn(d, _):
+        return intg.from_right(d)
 
-    owners = [(fn, cut, _side_plan(intg, *_sides(0.0, 1.0 - cut, outer)[0]))
-              for cut in _CUTS]
+    owners = [(fn, cut, _side_plan(_Ends(False, True, 280.0 / math.log10(
+        1.0 / cut), 0.0), *_sides(0.0, 1.0, outer)[0])) for cut in _CUTS]
     sides = _bisect(owners)
     return _ladder_says_divergent(lambda cut: next(sides)[0])
 

@@ -517,6 +517,18 @@ def _exact_root(r: complex) -> complex:
     return r
 
 
+def _add_at_root(table: dict, root: complex, x: float) -> None:
+    """Add x at root to table, angle: (root, sum), roots snapped
+    (_exact_root) and merged within 1e-12 of angle, also across 2 pi."""
+    root = _exact_root(root)
+    ang = _canonical_angle(math.atan2(root.imag, root.real))
+    for known, (r0, s0) in table.items():
+        if abs(known - ang) < 1e-12 or abs(abs(known - ang) - _TWO_PI) < 1e-12:
+            table[known] = (r0, s0 + x)
+            return
+    table[ang] = (root, x)
+
+
 def boundary_structure(e: Expr, env: Optional[ParamEnv] = None) -> BoundaryStructure:
     """Boundary roots of the multiplicative factors of e.
 
@@ -530,16 +542,6 @@ def boundary_structure(e: Expr, env: Optional[ParamEnv] = None) -> BoundaryStruc
     node = e if isinstance(e, _Node) else _resolve(e, check_param_env(env))
     singular: dict[float, tuple[complex, float]] = {}
     zeros: list[float] = []
-
-    def add_singular(root: complex, strength: float) -> None:
-        root = _exact_root(root)
-        ang = _canonical_angle(math.atan2(root.imag, root.real))
-        for known in singular:
-            if abs(known - ang) < 1e-12 or abs(abs(known - ang) - _TWO_PI) < 1e-12:
-                r0, s0 = singular[known]
-                singular[known] = (r0, s0 + strength)
-                return
-        singular[ang] = (root, strength)
 
     def add_zero(root: complex) -> None:
         ang = _canonical_angle(math.atan2(root.imag, root.real))
@@ -559,9 +561,9 @@ def boundary_structure(e: Expr, env: Optional[ParamEnv] = None) -> BoundaryStruc
             a, b, ks = node.aff
             for r in _circle_roots(a, b, squared=ks[0] == 2):
                 if mult is None:
-                    add_singular(r, 1.0)
+                    _add_at_root(singular, r, 1.0)
                 elif mult < 0:
-                    add_singular(r, -mult)
+                    _add_at_root(singular, r, -mult)
                 else:
                     add_zero(r)
         elif isinstance(e, Add) and not (mult is not None and mult > 0):
@@ -863,6 +865,23 @@ class BoundaryEvaluator:
         the principal branch, so |f(conj z)| = |f(z)|, which lets a circle
         mean run over [0, pi] alone (hardy._layout)."""
         return self._compiled().real
+
+    def net_exponents(self) -> Optional[list]:
+        """The net exponent sigma = -sum s_j of the leaves that vanish at each
+        boundary root (|f| ~ |z - root|^-sigma there, roots matched as in
+        boundary_structure) of a plan whose top form is c * prod leaf_j^s_j,
+        c != 0, over affine leaves alone; else None."""
+        plan = self._compiled()
+        c, _, terms, _ = plan.top
+        if c == 0 or any(plan.affine[i] is None for i, _ in terms):
+            return None
+        key = {i: k for k, i in plan.keys.items()}
+        net: dict = {}
+        for i, s in terms:
+            a, b, k = key[i]
+            for r in _circle_roots(a, b, squared=k == 2):
+                _add_at_root(net, r, -s)
+        return [sigma for _, sigma in net.values()]
 
     @np.errstate(all="ignore")
     def _run(self, anchor: complex, dz, p: Optional[float]) -> np.ndarray:

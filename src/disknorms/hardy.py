@@ -25,8 +25,10 @@ over [0, pi] alone (_layout): then f(conj z) = conj f(z), so |f| at angle
 
 The norm driver _norm serves both spaces: _setup checks p and the
 parameters, compiles f and finds its boundary structure; the space's
-integral runs; and when it does not converge, the space's probe looks for
-divergence along the one truncation ladder, _ladder_says_divergent.
+integral runs; and when it does not converge, a product form is divergent
+where p times its net exponent at a boundary root reaches 1 on the circle or
+2 on the disk (BoundaryEvaluator.net_exponents), and otherwise the space's
+probe looks for divergence along the one truncation ladder.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _CUTS = (1e-4, 1e-6, 1e-8)      # the rungs of the truncation ladder
+_CRITICAL = {"Hardy": 1.0, "Bergman": 2.0}  # p*sigma where a norm is infinite
 
 
 @dataclass(frozen=True)
@@ -403,7 +406,8 @@ def _norm(space: str, integral, probe, f: Expr, p: float, env,
           cfg: Optional[QuadConfig], singular_angles) -> NormResult:
     """The norm driver of both spaces: integral(ev, p, structure, cfg) ->
     (value_p, abs_err_est, converged), and, when that does not converge,
-    probe(ev, p, structure) -> divergent.  An integral that blows up
+    divergent where p*sigma reaches _CRITICAL at a located root of a product
+    form, else probe(ev, p, structure).  An integral that blows up
     (NonFiniteSampleError) is inf and not converged, never an exception."""
     cfg = cfg or QuadConfig()
     p, ev, structure = _setup(f, p, env, singular_angles)
@@ -412,7 +416,9 @@ def _norm(space: str, integral, probe, f: Expr, p: float, env,
     except NonFiniteSampleError:
         # samples or inner means overflowed despite the depth caps
         value, err, conv = math.inf, math.inf, False
-    div = False if conv else probe(ev, p, structure)
+    div = not conv and (singular_angles is None and any(
+        p * s >= _CRITICAL[space] for s in ev.net_exponents() or ())
+        or probe(ev, p, structure))
     return _norm_result(space, p, value, err, conv, div)
 
 

@@ -931,3 +931,20 @@ def test_zero_leaf_with_positive_power_gives_zero(text):
     for p in (None, 0.5):
         for w in (ev.value(z, p), ev.near(1 + 0j, delta, 0.0, p)):
             assert w.tolist() == [0]
+
+
+@pytest.mark.parametrize("text,env,net", [
+    ("1/(1-z)^2", None, [2.0]),
+    ("1/((1-z)*(2-2*z))", None, [2.0]),       # two leaves at one root
+    ("(1-z)^0.5/(1-z)", None, [0.5]),         # a zero offsets the pole
+    ("1/(1-z^2)^2", None, [2.0, 2.0]),        # one leaf, two roots
+    ("1e300/(1-z)^3", None, [3.0]),
+    ("(1+z)^(2-eps)/(1-z)^(2+eps)", {"eps": 0.5}, [-1.5, 2.5]),
+    ("z^3/(2-z)", None, []),                  # no root on the circle
+    ("1/(1-z) + 1/(1-z)", None, None),        # a sum
+    ("((1-z)*(1+z))^0.5", None, None),        # a product under a power
+    ("0/(1-z)", None, None),                  # c = 0
+])
+def test_net_exponents_of_product_forms(text, env, net):
+    got = BoundaryEvaluator(parse(text), env).net_exponents()
+    assert got == (None if net is None else pytest.approx(net, rel=1e-15))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from disknorms import expr, hardy, quad
+from disknorms import bergman, expr, hardy, quad
 from disknorms.expr import (BoundaryStructure, EvalDomainError, SingularPoint,
                             UnsupportedFormError, parse, substitute_rotate)
 from disknorms.bergman import (InnerIntegralError, _RadialIntegrand,
@@ -196,6 +196,73 @@ def test_divergent_cases_are_flagged(text, p):
     r = hardy_norm(parse(text), p)
     assert r.divergent
     assert not r.converged
+
+
+def _spy_probe(monkeypatch, module, name):
+    """The p of each call of module's divergence probe name, as it runs."""
+    calls = []
+    probe = getattr(module, name)
+
+    def spy(ev, p, structure):
+        calls.append(p)
+        return probe(ev, p, structure)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+# (space, text, p): unconverged product forms with p*sigma at or above the
+# critical value at a root, which the net exponents flag with no probe
+_NET_DIVERGENT = [
+    ("hardy", "1/(1-z)", 1.0),
+    ("hardy", "1/(1-z)^2", 0.6),
+    ("hardy", "1/((1-z)*(2-2*z))", 0.5),     # two leaves at one root
+    ("hardy", "1e300/(1-z)^3", 1.0),
+    ("bergman", "1/(1-z)^2", 1.0),
+    ("bergman", "1/(1-z^2)^2", 1.0),         # two roots
+    ("bergman", "1e300/(1-z)^3", 1.0),
+]
+_PROBES = {"hardy": (hardy, "_divergence_probe", hardy_norm),
+           "bergman": (bergman, "_radial_divergence_probe", bergman_norm)}
+
+
+@pytest.mark.parametrize("space,text,p", _NET_DIVERGENT)
+def test_net_exponents_flag_divergence_without_probe(monkeypatch, space,
+                                                     text, p):
+    module, name, norm = _PROBES[space]
+    calls = _spy_probe(monkeypatch, module, name)
+    r = norm(parse(text), p)
+    assert r.divergent and not r.converged
+    assert calls == []
+
+
+# (space, text, p, singular_angles, divergent): unconverged norms the net
+# exponents cannot decide, so the ladder does
+_LADDER_DECIDES = [
+    ("hardy", "(1-z)^0.5/(1-z)", 1.9, None, False),  # net sigma 0.5
+    ("hardy", "1/(1-z)+1/(1-z)", 1.0, None, True),   # a sum
+    ("hardy", "1/(1-z)", 1.0, [0.0], True),          # declared angles
+    ("bergman", "1/(1-z)^2", 2.0, [0.0], True),
+    ("bergman", "1/(1-z)^2", 0.999, None, True),     # finite, still flagged
+]
+
+
+@pytest.mark.parametrize("space,text,p,angles,divergent", _LADDER_DECIDES)
+def test_ladder_decides_what_net_exponents_cannot(monkeypatch, space, text,
+                                                  p, angles, divergent):
+    module, name, norm = _PROBES[space]
+    calls = _spy_probe(monkeypatch, module, name)
+    r = norm(parse(text), p, singular_angles=angles)
+    assert not r.converged and r.divergent is divergent
+    assert calls == [p]
+
+
+def test_far_supercritical_flagged_divergent(monkeypatch):
+    # the Hardy twin of the Bergman test: p*alpha = 400 > 1
+    calls = _spy_probe(monkeypatch, hardy, "_divergence_probe")
+    r = hardy_norm(parse("1/(1-z)^400"), 1.0)
+    assert r.divergent and not r.converged
+    assert calls == []
 
 
 def test_convergent_singular_cases_not_flagged():
