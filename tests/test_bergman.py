@@ -274,8 +274,8 @@ def test_sample_ahead_changes_no_bit(monkeypatch, f, p, env):
         assert max(started) == 120
 
 
-# the probe's configurations; the plain rung is [0, 1 - cut] as it ran
-# before the rungs took the singular transform
+# the probe's configurations, and the plain rung on [0, 1 - cut] that its
+# transformed rungs are checked against
 _PROBE_INNER = QuadConfig(abs_tol=1e-7, rel_tol=1e-6, max_evaluations=60000)
 _PROBE_OUTER = QuadConfig(abs_tol=1e-6, rel_tol=1e-4, max_evaluations=3000)
 _PROBE_CASES = [

@@ -91,7 +91,8 @@ GOLDEN = [
      "NormResult(space='Bergman', p=1.5, value_p=2.1574104047535045,"
      " value=1.6696361757231208, abs_err_est=1.0752839433307809e-09,"
      " converged=True, divergent=False)"),
-    # not converged and flagged divergent: the integrate-then-probe path
+    # not converged and flagged divergent: the integral runs, then p times
+    # the net exponent at z = 1 reaches the critical value, with no probe
     ("hardy 1/(1-z), p=1 (divergent)",
      lambda: hardy_norm(parse("1/(1-z)"), 1.0),
      "NormResult(space='Hardy', p=1.0, value_p=205.66323888654443,"
