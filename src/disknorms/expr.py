@@ -866,11 +866,11 @@ class BoundaryEvaluator:
         mean run over [0, pi] alone (hardy._layout)."""
         return self._compiled().real
 
-    def net_exponents(self) -> Optional[list]:
+    def net_exponents(self) -> Optional[dict]:
         """The net exponent sigma = -sum s_j of the leaves that vanish at each
-        boundary root (|f| ~ |z - root|^-sigma there, roots matched as in
-        boundary_structure) of a plan whose top form is c * prod leaf_j^s_j,
-        c != 0, over affine leaves alone; else None."""
+        boundary root (|f| ~ |z - root|^-sigma there), keyed by the root as
+        boundary_structure matches and snaps it, of a plan whose top form is
+        c * prod leaf_j^s_j, c != 0, over affine leaves alone; else None."""
         plan = self._compiled()
         c, _, terms, _ = plan.top
         if c == 0 or any(plan.affine[i] is None for i, _ in terms):
@@ -881,7 +881,7 @@ class BoundaryEvaluator:
             a, b, k = key[i]
             for r in _circle_roots(a, b, squared=k == 2):
                 _add_at_root(net, r, -s)
-        return [sigma for _, sigma in net.values()]
+        return dict(net.values())
 
     @np.errstate(all="ignore")
     def _run(self, anchor: complex, dz, p: Optional[float]) -> np.ndarray:

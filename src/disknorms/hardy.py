@@ -387,16 +387,21 @@ def _divergence_probe(ev: BoundaryEvaluator, p: float,
 
 def _setup(f: Expr, p: float, env, singular_angles=None):
     """The checked p and env, the compiled evaluator and the boundary
-    structure: located structurally from the evaluator's resolved form, or
-    probed at the declared singular_angles.  Returns (p, evaluator,
-    structure)."""
+    structure: located structurally from the evaluator's resolved form, each
+    root's strength its net exponent where f is a product form (so that a
+    zero at a pole lowers the strength the depth floors read), or probed at
+    the declared singular_angles.  Returns (p, evaluator, structure)."""
     p = float(p)
     if not 0.0 < p < math.inf:
         raise ValueError(f"p must be positive and finite, got {p}")
     env = check_param_env(env)
     ev = BoundaryEvaluator(f, env)
     if singular_angles is None:
-        structure = boundary_structure(ev.resolved())
+        net = ev.net_exponents() or {}
+        found = boundary_structure(ev.resolved())
+        structure = BoundaryStructure(tuple(SingularPoint(
+            s.angle, s.root, net.get(s.root, s.blowup))
+            for s in found.singular), found.zeros)
     else:
         structure = _declared_structure(ev, p, singular_angles)
     return p, ev, structure
@@ -416,9 +421,9 @@ def _norm(space: str, integral, probe, f: Expr, p: float, env,
     except NonFiniteSampleError:
         # samples or inner means overflowed despite the depth caps
         value, err, conv = math.inf, math.inf, False
+    net = (ev.net_exponents() or {}).values()
     div = not conv and (singular_angles is None and any(
-        p * s >= _CRITICAL[space] for s in ev.net_exponents() or ())
-        or probe(ev, p, structure))
+        p * s >= _CRITICAL[space] for s in net) or probe(ev, p, structure))
     return _norm_result(space, p, value, err, conv, div)
 
 

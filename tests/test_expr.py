@@ -934,16 +934,17 @@ def test_zero_leaf_with_positive_power_gives_zero(text):
 
 
 @pytest.mark.parametrize("text,env,net", [
-    ("1/(1-z)^2", None, [2.0]),
-    ("1/((1-z)*(2-2*z))", None, [2.0]),       # two leaves at one root
-    ("(1-z)^0.5/(1-z)", None, [0.5]),         # a zero offsets the pole
-    ("1/(1-z^2)^2", None, [2.0, 2.0]),        # one leaf, two roots
-    ("1e300/(1-z)^3", None, [3.0]),
-    ("(1+z)^(2-eps)/(1-z)^(2+eps)", {"eps": 0.5}, [-1.5, 2.5]),
-    ("z^3/(2-z)", None, []),                  # no root on the circle
+    ("1/(1-z)^2", None, {1: 2.0}),
+    ("1/((1-z)*(2-2*z))", None, {1: 2.0}),    # two leaves at one root
+    ("(1-z)^0.5/(1-z)", None, {1: 0.5}),      # a zero offsets the pole
+    ("1/(1-z^2)^2", None, {1: 2.0, -1: 2.0}),  # one leaf, two roots
+    ("1e300/(1-z)^3", None, {1: 3.0}),
+    ("(1+z)^(2-eps)/(1-z)^(2+eps)", {"eps": 0.5}, {-1: -1.5, 1: 2.5}),
+    ("z^3/(2-z)", None, {}),                  # no root on the circle
     ("1/(1-z) + 1/(1-z)", None, None),        # a sum
     ("((1-z)*(1+z))^0.5", None, None),        # a product under a power
     ("0/(1-z)", None, None),                  # c = 0
+    ("1/(1+z^2)", None, {1j: 1.0, -1j: 1.0}),  # roots snapped as +-i
 ])
 def test_net_exponents_of_product_forms(text, env, net):
     got = BoundaryEvaluator(parse(text), env).net_exponents()

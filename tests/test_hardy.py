@@ -239,7 +239,7 @@ def test_net_exponents_flag_divergence_without_probe(monkeypatch, space,
 # (space, text, p, singular_angles, divergent): unconverged norms the net
 # exponents cannot decide, so the ladder does
 _LADDER_DECIDES = [
-    ("hardy", "(1-z)^0.5/(1-z)", 1.9, None, False),  # net sigma 0.5
+    ("hardy", "(1+z)/(1-z)", 0.97, None, False),     # p*sigma below 1
     ("hardy", "1/(1-z)+1/(1-z)", 1.0, None, True),   # a sum
     ("hardy", "1/(1-z)", 1.0, [0.0], True),          # declared angles
     ("bergman", "1/(1-z)^2", 2.0, [0.0], True),
@@ -255,6 +255,29 @@ def test_ladder_decides_what_net_exponents_cannot(monkeypatch, space, text,
     r = norm(parse(text), p, singular_angles=angles)
     assert not r.converged and r.divergent is divergent
     assert calls == [p]
+
+
+# (text, p, alpha): product forms with |f| = |1 - z|^-alpha on the circle,
+# whose ||f||^p is Gamma(1 - p alpha)/Gamma(1 - p alpha/2)^2.  A zero at the
+# pole offsets the strength that boundary_structure reads there, and the
+# depth floor of the singular sides reads the net exponent alpha: with the
+# strength 1 of (1-z)^0.5/(1-z), the mass below the floor was 1.6 times the
+# estimate at p = 1.9
+_HONEST = [
+    ("1/(1-z)", 0.5, 1.0),
+    ("(1-z)^-0.5", 1.9, 0.5),
+    ("(1-z)^0.5/(1-z)", 1.9, 0.5),
+    ("(1-z)^1.5/(1-z)^2", 1.9, 0.5),
+    ("(1-z)^0.25/(1-z)^1.15", 1.05, 0.9),
+]
+
+
+@pytest.mark.parametrize("text,p,alpha", _HONEST)
+def test_product_form_errors_within_estimate(text, p, alpha):
+    r = hardy_norm(parse(text), p)
+    exact = math.gamma(1.0 - p * alpha) / math.gamma(1.0 - p * alpha / 2) ** 2
+    assert r.converged and not r.divergent
+    assert abs(r.value_p - exact) <= r.abs_err_est
 
 
 def test_far_supercritical_flagged_divergent(monkeypatch):
