@@ -85,7 +85,7 @@ class _RadialIntegrand:
         self._st = structure
         self._inner = inner_cfg
         self._k = weight_pow
-        smax = structure.max_blowup
+        smax = max((s.blowup for s in structure.singular), default=0.0)
         self.deep_right = bool(structure.singular)
         if smax > 0.0:
             self.offset_blowup = max(max(0.0, p * smax - 1.0) + 0.25,

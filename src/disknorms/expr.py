@@ -15,8 +15,10 @@ form, and neither of them recognises or resolves anything itself.
 """
 from __future__ import annotations
 
+import functools
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
@@ -481,10 +483,6 @@ class BoundaryStructure:
     singular: tuple[SingularPoint, ...]
     zeros: tuple[float, ...]     # boundary zeros of positive-power factors
 
-    @property
-    def max_blowup(self) -> float:
-        return max((s.blowup for s in self.singular), default=0.0)
-
 
 def _canonical_angle(t: float) -> float:
     t = math.fmod(t, _TWO_PI)
@@ -736,7 +734,7 @@ class _Plan:
 
     def __init__(self, node: _Node, env: dict):
         self.env, self.keys, self.affine, self.squares = env, {}, [], False
-        self.real = True
+        self.real, self.forms, self.cut = True, {}, set()
         self.top = self.form(node, mod=True)
 
     def form(self, node: _Node, steps=None, c=None, terms=None,
@@ -759,6 +757,7 @@ class _Plan:
                 self.squares |= key[2] == 2
                 self.real &= key[0].imag == key[1].imag == 0
         if forms:
+            self.forms.setdefault(self.keys[key], forms)
             steps.append(_summed(self.keys[key], forms, reduced))
         return self.keys[key]
 
@@ -812,6 +811,7 @@ class _Plan:
             # (c * prod w^r)^s is not c^s * prod w^(r s) on the principal
             # branch, so a base that is not a leaf is a leaf of its own
             i = self.leaf(e.base, [self.form(kids[0], sub, b, t)], steps)
+        self.cut.add(i)
         steps.append(_branch(i, s))
         return 1, {i: s}
 
@@ -865,6 +865,32 @@ class BoundaryEvaluator:
         the principal branch, so |f(conj z)| = |f(z)|, which lets a circle
         mean run over [0, pi] alone (hardy._layout)."""
         return self._compiled().real
+
+    @functools.cached_property
+    def even_modulus(self) -> bool:
+        """Whether the plan proves |f(-z)| = |f(z)|, as for the paper's odd
+        f + g: z -> -z takes leaf i to leaf j (to[i] = j + 1), a + b*z to
+        a - b*z, a + b*z^2 to itself, any other to the leaf its forms become,
+        their leaves mapped so, or to its negation (-(j + 1)) if no branch
+        check reads it; then the top form keeps its (leaf, s), and a checked
+        leaf maps to one.  to[i] - 1 < 0 reads "no exact image"."""
+        plan, to = self._compiled(), {}
+        own = {i: Counter((c, tuple(sorted(t))) for c, _, t, _ in forms)
+               for i, forms in plan.forms.items()}
+        for key, i in plan.keys.items():        # operands before their sums
+            if i not in own:
+                to[i] = 1 + plan.keys.get(
+                    (key[0], -key[1], 1) if key[2] == 1 else key, -1)
+                continue
+            ts = [(c, tuple(sorted((to[j] - 1, s) for j, s in t)))
+                  for c, _, t, _ in plan.forms[i]]
+            want = [(sg, Counter((sg * c, t) for c, t in ts))
+                    for sg in ((1,) if i in plan.cut else (1, -1))]
+            to[i] = next((sg * (j + 1) for sg, w in want for j in own
+                          if own[j] == w), 0)
+        top = sorted(plan.top[2])
+        return (sorted((abs(to[i]) - 1, s) for i, s in top) == top
+                and all(to[i] - 1 in plan.cut for i in plan.cut))
 
     def net_exponents(self) -> Optional[dict]:
         """The net exponent sigma = -sum s_j of the leaves that vanish at each

@@ -62,6 +62,7 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 _CUTS = (1e-4, 1e-6, 1e-8)      # the rungs of the truncation ladder
 _CRITICAL = {"Hardy": 1.0, "Bergman": 2.0}  # p*sigma where a norm is infinite
+_AXES = (0.0, math.pi, 0.5 * math.pi, _canonical_angle(-0.5 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -141,29 +142,35 @@ def _build_arcs(structure: BoundaryStructure) -> list[_Arc]:
 
 
 def _layout(ev: BoundaryEvaluator, structure: BoundaryStructure):
-    """(arcs, span) of the circle means of f: the arcs of [0, pi] between
-    its singular angles and pi, when every coefficient of f is real and the
-    singular angles are symmetric under t -> 2 pi - t (within 1e-12, and
-    those within 1e-12 of 0 or pi exactly there); else _build_arcs and
-    2 pi.  The half is exact: on the principal branch f(conj z) =
-    conj f(z), so |f|^p at -t is |f|^p at t, and a base on the branch cut
-    at t is on it at -t, so a sample raises at both or neither."""
-    sing = structure.singular
+    """(arcs, span) of the circle means of f: the arcs of [0, span] between
+    its singular angles and span, with span pi when every coefficient of f
+    is real and the singular angles are invariant under t -> -t, and pi/2
+    when also |f(-z)| = |f(z)| (BoundaryEvaluator.even_modulus) and they and
+    the zeros are invariant under t -> t + pi; else _build_arcs and 2 pi.
+    Each is exact: on the principal branch f(conj z) = conj f(z), and
+    even_modulus maps the leaves at z onto those at -z, so |f|^p, and whether
+    a branch check raises, are the same at t, -t and t + pi, a group with
+    [0, pi/2] for a fundamental domain."""
+    sing = [s.angle for s in structure.singular]
 
-    def mirrored(s):
-        if abs(math.remainder(2.0 * s.angle, _TWO_PI)) < 1e-12:
-            return s.angle in (0.0, math.pi)
-        return any(abs(math.remainder(s.angle + u.angle, _TWO_PI)) < 1e-12
-                   for u in sing)
+    def invariant(angles, k):
+        # under t -> -t and, for k = 4, t -> t + pi, within 1e-12; an angle
+        # within 1e-12 of a multiple of 2 pi/k is that of 1, -1, i or -i
+        def near(u):
+            return any(abs(math.remainder(u - v, _TWO_PI)) < 1e-12
+                       for v in angles)
+        return all(near(-t) and (k == 2 or near(t + math.pi)) and (
+            t in _AXES[:k] or abs(math.remainder(k * t, _TWO_PI)) >= 1e-12)
+            for t in angles)
 
-    if not (ev.real_coefficients and all(map(mirrored, sing))):
+    if not (ev.real_coefficients and invariant(sing, 2)):
         return _build_arcs(structure), _TWO_PI
-    points = [(s.angle, s) for s in sing if s.angle <= math.pi]
-    if not points or points[0][0] > 0.0:
-        points.insert(0, (0.0, None))
-    if points[-1][0] < math.pi:
-        points.append((math.pi, None))
-    return _arcs(points, structure.zeros), math.pi
+    span = (0.5 * math.pi if ev.even_modulus and invariant(sing, 4)
+            and invariant(structure.zeros, 4) else math.pi)
+    points = ([] if 0.0 in sing else [(0.0, None)]) + [
+        (s.angle, s) for s in structure.singular if s.angle <= span] + (
+        [] if span in sing else [(span, None)])
+    return _arcs(points, structure.zeros), span
 
 
 class _Ends(NamedTuple):

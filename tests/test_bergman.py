@@ -191,14 +191,16 @@ def test_inner_means_share_evaluator_calls(monkeypatch):
 
 
 def test_node_tables_built_once_per_distinct_request():
-    # the heap's panel requests, which single integrals make: 49 requests
+    # the heap's panel requests, which single integrals make: 44 requests
     # of 22 distinct (bounds, L) in verify_hp_counterexample(0.5); each node
-    # table is built on the first of its requests and looked up after that
+    # table is built on the first of its requests and looked up after that.
+    # f + g runs over [0, pi/2] (hardy._layout), one side from 1 where
+    # [0, pi] had two, so the mirror side's 5 requests, all repeats, are gone
     from disknorms.verify import verify_hp_counterexample
     quad._nodes.cache_clear()
     verify_hp_counterexample(0.5)
     info = quad._nodes.cache_info()
-    assert (info.misses, info.hits + info.misses) == (22, 49)
+    assert (info.misses, info.hits + info.misses) == (22, 44)
 
 
 def test_inner_means_take_one_near_call_per_group_and_round(monkeypatch):

@@ -11,7 +11,7 @@ from disknorms.expr import (Add, Const, Div, EvalDomainError, Mul, Neg,
                             substitute_negate, substitute_rotate,
                             substitute_square, BoundaryEvaluator, _is_int,
                             _resolve)
-from disknorms.verify import _pair
+from disknorms.verify import _disk_points, _pair
 from printing import to_string
 
 RNG = np.random.default_rng(42)
@@ -757,6 +757,66 @@ def test_complex_coefficients_are_not_real():
     assert not ev.real_coefficients
     assert _bits(lambda: ev.near(-1j, -_MIRROR_D, 1e-3, 1.0)) != \
         _bits(lambda: ev.near(1j, _MIRROR_D, 1e-3, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# even_modulus: |f(-z)| = |f(z)| proved from the plan
+
+# the f of each triangle case and its environment, ap-small-p at an integer
+# 4/p and at a non-integer one, whose leaves are branch-checked
+_TRIANGLE_F = [("(1+z)/(1-z)", None), ("1/(1-z)", None),
+               ("(1+z)^(2-eps) / (1-z)^(2+eps)", {"p": 0.6, "eps": 5 / 6}),
+               ("(1+z)^(4/p)", {"p": 0.1}), ("(1+z)^(4/p)", {"p": 0.49})]
+
+
+@pytest.mark.parametrize("text,env", _TRIANGLE_F)
+def test_triangle_sums_read_even_and_their_terms_do_not(text, env):
+    # f + g with g = -f(-z) is odd, so |f + g| is even; f and g are not
+    f, g, total, _ = _pair(text, 1.0, None, 1.0, env, None)
+    assert [BoundaryEvaluator(e, env).even_modulus
+            for e in (f, g, total)] == [False, False, True]
+
+
+@pytest.mark.parametrize("text,even", [
+    ("1/(1-z^2)", True),                  # an a + b*z^2 leaf maps to itself
+    ("(1+z)*(1-z)", True),                # 1 + z and 1 - z trade places
+    ("(1+z)^0.5+(1-z)^0.5", True),        # a sum whose forms trade places
+    ("(1+z)^3-(1-z)^3", True),            # an odd sum, read by its modulus
+    ("(1+z)^3", False),                   # 1 - z is not a leaf
+    ("(1+z)/(1-z)", False),               # the exponents do not trade
+    ("i*z/(1-z)", False),                 # a bare z leaf has no image
+    ("(1+z)^2+2*(1-z)^2", False),         # the coefficients do not trade
+    ("4*z/(1-z^2)", False),               # even, but a bare z: not proved
+    # an odd sum under a non-integer power: its branch check raises on
+    # one side only
+    ("((1+z)^3-(1-z)^3)^0.5", False),
+    # the moduli trade, but only 0.5 + z is branch-checked
+    ("((0.5+z)^0.5)^2*(0.5-z)", False),
+])
+def test_even_modulus_truth_table(text, even):
+    assert BoundaryEvaluator(parse(text)).even_modulus is even
+
+
+@st.composite
+def _products_and_sums(draw):
+    """A circle_factor_products e, a sum of two of them, or e with e(-z) as
+    the paper pairs f and g: e - e(-z), e + e(-z) or e * e(-z)."""
+    e, _ = draw(circle_factor_products(real=draw(st.booleans())))
+    kind = draw(st.sampled_from(["one", "sum", "odd", "even", "product"]))
+    if kind == "sum":
+        return Add(e, draw(circle_factor_products())[0])
+    m = substitute_negate(e)
+    return {"one": e, "odd": Add(e, Neg(m)), "even": Add(e, m),
+            "product": Mul(e, m)}[kind]
+
+
+@given(_products_and_sums(), st.sampled_from([0.4, 1.0, 2.5]))
+def test_even_modulus_has_no_false_positive(e, p):
+    ev = BoundaryEvaluator(e)
+    if ev.even_modulus:
+        z = _disk_points(64)
+        a, b = ev.value(z, p), ev.value(-z, p)
+        assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(a, b))
 
 
 def test_log_form_is_finite_where_the_complex_form_overflows():

@@ -584,15 +584,18 @@ class _FailingEvaluator:
     bad_circles, how as bad_circles[gap] says: "raise" raises as near
     does, "inf" returns inf there.  real_coefficients is False unless the
     faults are conjugate-symmetric, as those of a real-coefficient f are,
-    and the mean is to run over [0, pi] alone (hardy._layout)."""
+    and the mean is to run over [0, pi] alone (hardy._layout); even_modulus
+    is False unless they are also symmetric under z -> -z, and the mean is
+    to run over [0, pi/2] alone."""
 
     def __init__(self, ev, bad, inf_tail=None, bad_circles=None,
-                 real_coefficients=False):
+                 real_coefficients=False, even_modulus=False):
         self._ev = ev
         self._bad = bad
         self._inf_tail = inf_tail
         self._bad_circles = bad_circles or {}
         self.real_coefficients = real_coefficients
+        self.even_modulus = even_modulus
         self.raised = []
 
     def value(self, z, p=None):
@@ -732,6 +735,7 @@ class _AngleSpy:
     def __init__(self, ev):
         self._ev = ev
         self.real_coefficients = ev.real_coefficients
+        self.even_modulus = ev.even_modulus
         self.angles = []
 
     def value(self, z, p=None):
@@ -765,6 +769,28 @@ def test_real_coefficients_sample_the_upper_half_only(text, mean, gap):
         assert t.max() <= math.pi
     else:
         assert t.min() < 1.0 and t.max() > math.pi + 1.0
+
+
+# even_modulus: f + g of two triangle cases, an even product, a pole pair
+# on the imaginary axis, a sum whose forms trade places and an odd sum
+_QUARTERS = ["(1+z)/(1-z) - (1-z)/(1+z)", "1/(1-z) - 1/(1+z)",
+             "(1+z)*(1-z)", "1/(1+z^2)", "(1+z)^0.5+(1-z)^0.5",
+             "(1+z)^3-(1-z)^3"]
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-3])
+@pytest.mark.parametrize("mean", [_sequential, _lockstep])
+@pytest.mark.parametrize("text", _QUARTERS)
+def test_even_modulus_samples_the_first_quarter_only(text, mean, gap):
+    # |f(-z)| = |f(z)| and |f(conj z)| = |f(z)|, so the means run over
+    # [0, pi/2], and they agree with the full circle's within the estimates
+    p, ev, st = hardy._setup(parse(text), 0.6, None)
+    assert ev.even_modulus and hardy._layout(ev, st)[1] == 0.5 * math.pi
+    spy = _AngleSpy(ev)
+    (quarter,) = mean(spy, p, st, [gap], QuadConfig())
+    assert spy.sampled().max() <= 0.5 * math.pi
+    (full,) = mean(_FailingEvaluator(ev, {}), p, st, [gap], QuadConfig())
+    assert abs(quarter[0] - full[0]) <= quarter[1] + full[1]
 
 
 # (declared angles, the full-circle numbers of the H^{1/2} norm of 1/(1-z)):
