@@ -869,11 +869,11 @@ class BoundaryEvaluator:
     @functools.cached_property
     def even_modulus(self) -> bool:
         """Whether the plan proves |f(-z)| = |f(z)|, as for the paper's odd
-        f + g: z -> -z takes leaf i to leaf j (to[i] = j + 1), a + b*z to
-        a - b*z, a + b*z^2 to itself, any other to the leaf its forms become,
-        their leaves mapped so, or to its negation (-(j + 1)) if no branch
-        check reads it; then the top form keeps its (leaf, s), and a checked
-        leaf maps to one.  to[i] - 1 < 0 reads "no exact image"."""
+        f + g.  z -> -z takes a leaf a + b*z to the leaf a - b*z, fixes
+        a + b*z^2, and takes any other leaf to the one whose forms its forms
+        become, or to minus one if no branch check reads it; then the top
+        form must keep its (leaf, s), and each checked leaf map to one.
+        to[i] is j + 1 for the image j of leaf i, -(j + 1) for minus j."""
         plan, to = self._compiled(), {}
         own = {i: Counter((c, tuple(sorted(t))) for c, _, t, _ in forms)
                for i, forms in plan.forms.items()}

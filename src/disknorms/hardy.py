@@ -20,8 +20,9 @@ once, sampling each arc and method with one evaluator call per round.
 
 When every coefficient of f is real (BoundaryEvaluator.real_coefficients)
 and its singular angles are symmetric under t -> 2 pi - t, each mean runs
-over [0, pi] alone (_layout): then f(conj z) = conj f(z), so |f| at angle
--t is |f| at t, and the mean over the circle is the mean over the half.
+over [0, pi] alone (_layout), as |f| at -t is |f| at t; when also |f(-z)| =
+|f(z)| (BoundaryEvaluator.even_modulus, as for the paper's odd f + g), over
+[0, pi/2], as |f| at t + pi is too.
 
 The norm driver _norm serves both spaces: _setup checks p and the
 parameters, compiles f and finds its boundary structure; the space's
@@ -165,8 +166,8 @@ def _layout(ev: BoundaryEvaluator, structure: BoundaryStructure):
 
     if not (ev.real_coefficients and invariant(sing, 2)):
         return _build_arcs(structure), _TWO_PI
-    span = (0.5 * math.pi if ev.even_modulus and invariant(sing, 4)
-            and invariant(structure.zeros, 4) else math.pi)
+    span = (0.5 * math.pi if invariant(sing, 4)
+            and invariant(structure.zeros, 4) and ev.even_modulus else math.pi)
     points = ([] if 0.0 in sing else [(0.0, None)]) + [
         (s.angle, s) for s in structure.singular if s.angle <= span] + (
         [] if span in sing else [(span, None)])
@@ -428,9 +429,10 @@ def _norm(space: str, integral, probe, f: Expr, p: float, env,
     except NonFiniteSampleError:
         # samples or inner means overflowed despite the depth caps
         value, err, conv = math.inf, math.inf, False
-    net = (ev.net_exponents() or {}).values()
     div = not conv and (singular_angles is None and any(
-        p * s >= _CRITICAL[space] for s in net) or probe(ev, p, structure))
+        p * s >= _CRITICAL[space]
+        for s in (ev.net_exponents() or {}).values())
+        or probe(ev, p, structure))
     return _norm_result(space, p, value, err, conv, div)
 
 
