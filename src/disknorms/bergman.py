@@ -236,6 +236,10 @@ def _truncated_disk_integral(s: float, R: float) -> float:
     At angle t from the center z = 1 the disk |z| <= R is met for radii
     between r- and r+ = cos t +- sqrt(cos^2 t - (1 - R^2)); the radial
     integral of r^{1-s} is elementary, leaving a 1D angular integral.
+    At t = asin R the two radii meet and the integrand goes to zero like
+    the square root of cos^2 t - (1 - R^2), so the right end is a
+    square-root endpoint: plain bisection converges there only slowly,
+    and the singular transform samples it at double-exponential rates.
     For s > 2, r-^{2-s} may overflow; the integral is then inf.
     """
     one_m_R2 = (1.0 - R) * (1.0 + R)
@@ -256,7 +260,7 @@ def _truncated_disk_integral(s: float, R: float) -> float:
     try:
         r = integrate(G, 0.0, tmax,
                       QuadConfig(abs_tol=1e-10, rel_tol=1e-9,
-                                 max_evaluations=200000))
+                                 max_evaluations=200000, singular_right=True))
     except NonFiniteSampleError:
         return math.inf
     return 2.0 * r.value / math.pi
