@@ -236,6 +236,8 @@ def _truncated_disk_integral(s: float, R: float) -> float:
     At angle t from the center z = 1 the disk |z| <= R is met for radii
     between r- and r+ = cos t +- sqrt(cos^2 t - (1 - R^2)); the radial
     integral of r^{1-s} is elementary, leaving a 1D angular integral.
+    Its form (r+^q - r-^q)/q, q = 2 - s, is taken as the difference of
+    expm1(q log r+-), which does not cancel as q -> 0 (log(r+/r-) at 0).
     At t = asin R the two radii meet and the integrand goes to zero like
     the square root of cos^2 t - (1 - R^2), so the right end is a
     square-root endpoint: plain bisection converges there only slowly,
@@ -251,11 +253,11 @@ def _truncated_disk_integral(s: float, R: float) -> float:
         disc = np.maximum(c * c - one_m_R2, 0.0)
         rp = c + np.sqrt(disc)
         rm = one_m_R2 / rp
-        if abs(s - 2.0) < 1e-14:
-            return np.log(rp / rm)
         q = 2.0 - s
+        if q == 0.0:
+            return np.log(rp / rm)
         with np.errstate(over="ignore", invalid="ignore"):
-            return (rp ** q - rm ** q) / q
+            return (np.expm1(q * np.log(rp)) - np.expm1(q * np.log(rm))) / q
 
     try:
         r = integrate(G, 0.0, tmax,
