@@ -534,6 +534,50 @@ def test_evidence_validates_radii():
         membership_evidence(1.0, 1.0, radii=[0.5, 0.6, 0.7, 1.1])
 
 
+# I(R) = R^2 2F1(s/2, s/2; 2; R^2) is elementary at even s
+_TRUNCATED_CLOSED_FORMS = {
+    2.0: lambda x: -math.log1p(-x),
+    4.0: lambda x: x / (1.0 - x) ** 2,
+    6.0: lambda x: x * (1.0 + x / 2.0) / (1.0 - x) ** 4,
+}
+
+
+@pytest.mark.parametrize("s", sorted(_TRUNCATED_CLOSED_FORMS))
+def test_truncated_disk_integral_matches_closed_forms(s):
+    # the square-root end at asin R is transformed, not bisected: plain
+    # bisection there was 1.1e-11 to 2.8e-11 off
+    for R in bergman._default_radii():
+        exact = _TRUNCATED_CLOSED_FORMS[s](R * R)
+        assert bergman._truncated_disk_integral(s, R) == pytest.approx(
+            exact, rel=1e-13, abs=0.0), R
+
+
+@pytest.mark.parametrize("s", [2.0 - 1e-12, 2.0 + 1e-12,
+                               2.0 - 1e-14, 2.0 + 1e-14])
+def test_truncated_disk_integral_does_not_cancel_near_two(s):
+    # (r+^q - r-^q)/q cancelled as q = 2 - s -> 0: 1.3e-3 off at worst
+    for R in bergman._default_radii():
+        assert bergman._truncated_disk_integral(s, R) == pytest.approx(
+            -math.log1p(-R * R), rel=1e-9, abs=0.0), R
+
+
+def test_membership_grid_evaluations(monkeypatch):
+    # the work of the 4x4 grid of scripts/membership_grid.py; plain
+    # bisection of the square-root end took 67,170
+    evaluations = []
+
+    def spy(*args, **kwargs):
+        r = integrate(*args, **kwargs)
+        evaluations.append(r.evaluations)
+        return r
+
+    monkeypatch.setattr(bergman, "integrate", spy)
+    for alpha in (0.5, 1.0, 2.0, 4.0):
+        for p in (0.25, 0.5, 0.9, 1.5):
+            membership_evidence(alpha, p)
+    assert sum(evaluations) == 11730
+
+
 # ---------------------------------------------------------------------------
 # consistency across spaces and configs
 
