@@ -29,6 +29,7 @@ import numpy as np
 
 from .expr import BoundaryEvaluator, BoundaryStructure, Expr
 from .hardy import (
+    _CRITICAL,
     _CUTS,
     NormResult,
     _Ends,
@@ -212,9 +213,10 @@ class MembershipVerdict:
 
 
 def _classify(product: float) -> str:
-    if product < 2.0 - _MEMBERSHIP_BAND:
+    critical = _CRITICAL["Bergman"]
+    if product < critical - _MEMBERSHIP_BAND:
         return "Member"
-    if abs(product - 2.0) <= _MEMBERSHIP_BAND:
+    if abs(product - critical) <= _MEMBERSHIP_BAND:
         # on the critical line the function is not in A^p, but the marginal
         # case is tagged so front ends can display it distinctly
         return "Boundary"
