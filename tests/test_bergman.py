@@ -544,8 +544,6 @@ _TRUNCATED_CLOSED_FORMS = {
 
 @pytest.mark.parametrize("s", sorted(_TRUNCATED_CLOSED_FORMS))
 def test_truncated_disk_integral_matches_closed_forms(s):
-    # the square-root end at asin R is transformed, not bisected: plain
-    # bisection there was 1.1e-11 to 2.8e-11 off
     for R in bergman._default_radii():
         exact = _TRUNCATED_CLOSED_FORMS[s](R * R)
         assert bergman._truncated_disk_integral(s, R) == pytest.approx(
@@ -555,15 +553,15 @@ def test_truncated_disk_integral_matches_closed_forms(s):
 @pytest.mark.parametrize("s", [2.0 - 1e-12, 2.0 + 1e-12,
                                2.0 - 1e-14, 2.0 + 1e-14])
 def test_truncated_disk_integral_does_not_cancel_near_two(s):
-    # (r+^q - r-^q)/q cancelled as q = 2 - s -> 0: 1.3e-3 off at worst
+    # just off q = 2 - s = 0, where the log form is not taken
     for R in bergman._default_radii():
         assert bergman._truncated_disk_integral(s, R) == pytest.approx(
             -math.log1p(-R * R), rel=1e-9, abs=0.0), R
 
 
 def test_membership_grid_evaluations(monkeypatch):
-    # the work of the 4x4 grid of scripts/membership_grid.py; plain
-    # bisection of the square-root end took 67,170
+    # the 4x4 grid of scripts/membership_grid.py; the count holds only while
+    # the square-root end at asin R goes through the singular transform
     evaluations = []
 
     def spy(*args, **kwargs):
