@@ -6,8 +6,10 @@ The A^p quasi-norm is computed from the radial form
 
 with the area measure normalized so the disk has measure 1.  The inner
 circle integral reuses the arc machinery of the hardy module at radius
-1 - gap; the means at all radii of one outer request, or of four outer
-panels sampled ahead, run at once (hardy._circle_means).  The outer radial
+1 - gap; the means at all radii of one outer request run at once
+(hardy._circle_means), and where the outer error spreads over several
+panels, as at the kinks that zeros of f put into M_p^p, one request
+bisects up to four of them (_RadialIntegrand.batch).  The outer radial
 integral receives gaps directly from the singular-endpoint transform, so
 radii exponentially close to 1 never suffer the 1 - r rounding collapse.
 bergman_norm hands this radial integral, and a probe that truncates it at
@@ -72,11 +74,15 @@ class _RadialIntegrand:
     The offset depth is capped so that the inner peak plateau gap^{-s}
     stays representable in double precision; below that depth the inner
     means are not computable and the outer transform's extrapolated tail
-    accounts for the truncation.  Means sampled ahead are read in order.
+    accounts for the truncation.  The outer heap bisects up to batch
+    panels per step (quad._adaptive), so one request of up to 120 radii
+    runs their inner means at once, as many as verify_ap_large_p's 240
+    inner bisections.
     """
 
     deep_left = False
     flat_below = 0.0
+    batch = 4
 
     def __init__(self, ev: BoundaryEvaluator, p: float,
                  structure: BoundaryStructure, inner_cfg: QuadConfig,
@@ -95,29 +101,13 @@ class _RadialIntegrand:
             self.offset_blowup = None
         self.inner_evals = 0
         self.max_inner_rel = 0.0
-        self._ahead = {}    # gap: inner mean sampled ahead, None if it raised
-
-    def sample_ahead(self, method, points):
-        """Keep the inner means at the gaps of method's points, run at once,
-        unless those of the popped pair (the first 30) are kept already; the
-        gaps of a request that raised are kept as None, never tried again."""
-        gaps = list(points if method == "from_right" else 1.0 - points)
-        if any(g not in self._ahead for g in gaps[:30]):
-            todo = [g for g in gaps if g not in self._ahead]
-            try:
-                self._ahead.update(zip(todo, list(_circle_means(
-                    self._ev, self._p, self._st, todo, self._inner))))
-            except Exception:       # the heap's own call raises it again
-                self._ahead.update(dict.fromkeys(todo))
 
     def _terms(self, radii, gaps):
-        """2 r^{1+k} M_p^p(r) at each radius r = 1 - gap; the inner means not
-        sampled ahead run at once, and their bookkeeping in radius order."""
+        """2 r^{1+k} M_p^p(r) at each radius r = 1 - gap; the inner means
+        run at once, their bookkeeping and failures in radius order."""
         out = np.empty(len(gaps))
-        todo = [g for g in gaps if self._ahead.get(g) is None]
-        rest = _circle_means(self._ev, self._p, self._st, todo, self._inner)
-        for j, g in enumerate(gaps):
-            m, e, n, _ = self._ahead.get(g) or next(rest)
+        means = _circle_means(self._ev, self._p, self._st, gaps, self._inner)
+        for j, (g, (m, e, n, _)) in enumerate(zip(gaps, means)):
             self.inner_evals += n
             if not (math.isfinite(m) and math.isfinite(e)):
                 raise InnerIntegralError(1.0 - g)

@@ -19,20 +19,22 @@ the unreachable tail folded into the error estimate.
 An integral is planned as data: _pieces and _sides give its pieces and
 their sides, (lo, hi, side, tolerances, budget) each.  A single integral
 bisects each side by heap (_singular_side), one request (fn, points) at a
-time, fn a method of the integrand; sibling panels (the halves of a
-bisection, or all initial panels) share one request, and each panel's sums
-use only its own samples; an integrand's sample_ahead hook may sample the
-next few requests first (_adaptive).  Each distinct request's node table is
-built once (_nodes) and shared read-only; a plain callable receives a copy
-of it.  _bisect runs bisections that share one arg by heap, and those of
-several at once (_rounds), with their panels in arrays, each in the heap's
-order and arithmetic, so bit for bit as the heap runs it, provided the
-samples reach the stacked sums (_sums) as a fresh C-contiguous array:
-numpy sums a stride-0 broadcast, such as a constant integrand returns, in
-another order.  When that raises, it runs each alone by heap in its turn,
-so each fails as it would alone.  Either
-way _finish_side adds each side's tail and checks its convergence, and
-_total sums the sides, pieces and means and checks theirs.
+time, fn a method of the integrand; sibling panels (the halves of the
+panels one step bisects, or all initial panels) share one request, and
+each panel's sums use only its own samples.  A step bisects the
+largest-error panel and, up to the integrand's batch, the next ones while
+the error not yet taken is at least tol/8 (_adaptive).  Each distinct
+request's node table is built once (_nodes) and shared read-only; a plain
+callable receives a copy of it.  _bisect runs bisections that share one
+arg by heap, one panel a step, and those of several at once (_rounds),
+with their panels in arrays, each in the heap's order and arithmetic, so
+bit for bit as the heap runs it, provided the samples reach the stacked
+sums (_sums) as a fresh C-contiguous array: numpy sums a stride-0
+broadcast, such as a constant integrand returns, in another order.  When
+that raises, it runs each alone by heap in its turn, so each fails as it
+would alone.  Either way _finish_side adds each side's tail and checks its
+convergence, and _total sums the sides, pieces and means and checks
+theirs.
 """
 from __future__ import annotations
 
@@ -75,7 +77,6 @@ _GK_WG = np.array([d[2] for d in _GK_DATA[:-1]] +
 _SAFETY = 4.0
 _W_MAX = 6.5          # exp(-2 sinh 6.5) ~ 1.2e-289, safely above underflow
 _NODE_TABLES = 4096     # node tables kept by _nodes, least recently used out
-_AHEAD = 4               # panels per sample-ahead (_adaptive)
 
 
 class QuadError(ValueError):
@@ -235,14 +236,14 @@ class _Plan:
     tail_at: Optional[float] = None
 
 
-def _adaptive(fn, plan: _Plan, ahead=None):
+def _adaptive(fn, plan: _Plan, batch: int = 1):
     """[(value, err, evaluations, leaf panels), tail sample] of
-    largest-error-first bisection of plan, by heap, as _rounds.  Each
-    bisection first hands ahead the nodes of the halves of the popped panel
-    and of the next in heap order, taken while their error sum is at most
-    total_e - tol/8 (scipy.integrate.quad_vec's rule), up to _AHEAD panels:
-    at 120 radii, 240 inner bisections, as many as verify_ap_large_p
-    runs."""
+    largest-error-first bisection of plan, by heap, as _rounds for batch 1.
+    Each step bisects the largest-error panel and, in heap order, up to
+    batch - 1 more, taken while the errors taken sum to at most total_e -
+    tol/8 (scipy.integrate.quad_vec's rule) and the budget allows, all
+    halves in one request; a panel of no error or at floating-point
+    resolution ends the batch, and the next step takes it alone."""
     abs_tol, rel_tol, budget = plan.abs_tol, plan.rel_tol, plan.budget
     heap: list = []
     done: list = []
@@ -261,28 +262,31 @@ def _adaptive(fn, plan: _Plan, ahead=None):
         if e <= 0.0:
             done.append((lo, hi, v, e))
             break
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
+        if not (lo < 0.5 * (lo + hi) < hi):
             # interval at floating-point resolution; freeze it
             done.append((lo, hi, v, e))
             continue
-        if ahead:
-            halves, err = [(lo, mid), (mid, hi)], e
-            for _, _, a, b, _, ea in heapq.nsmallest(_AHEAD - 1, heap):
-                if err > total_e - max(abs_tol, rel_tol * abs(total_v)) / 8:
-                    break
-                m, err = 0.5 * (a + b), err + ea
-                halves += [(a, m), (m, b)]
-            if len(halves) > 2:
-                ahead(plan.method, _node_arrays(*np.array(halves).T, np.full(
-                    len(halves), plan.L))[2].ravel())
-        (v1, e1), (v2, e2) = _panel(fn, [(lo, mid), (mid, hi)], plan.L)
-        evals += 30
-        total_v += (v1 + v2) - v
-        total_e += (e1 + e2) - e
-        heapq.heappush(heap, (-e1, seq, lo, mid, v1, e1))
-        heapq.heappush(heap, (-e2, seq + 1, mid, hi, v2, e2))
-        seq += 2
+        step, err = [(lo, hi, v, e)], e
+        cap = total_e - max(abs_tol, rel_tol * abs(total_v)) / 8
+        while (len(step) < batch and heap and err <= cap
+               and evals + 30 * (len(step) + 1) <= budget):
+            _, _, lo, hi, v, e = heap[0]
+            if e <= 0.0 or not (lo < 0.5 * (lo + hi) < hi):
+                break
+            step.append(heapq.heappop(heap)[2:])
+            err += e
+        halves = [h for lo, hi, _, _ in step
+                  for h in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi))]
+        sums = _panel(fn, halves, plan.L)
+        evals += 15 * len(halves)
+        for (lo, hi, v, e), (v1, e1), (v2, e2) in zip(step, sums[0::2],
+                                                      sums[1::2]):
+            mid = 0.5 * (lo + hi)
+            total_v += (v1 + v2) - v
+            total_e += (e1 + e2) - e
+            heapq.heappush(heap, (-e1, seq, lo, mid, v1, e1))
+            heapq.heappush(heap, (-e2, seq + 1, mid, hi, v2, e2))
+            seq += 2
 
     panels = done + [(lo, hi, v, e) for (_, _, lo, hi, v, e) in heap]
     try:
@@ -465,7 +469,7 @@ def _singular_side(intg, *side):
     (_sides) run alone by heap (_finish_side)."""
     plan = _side_plan(intg, *side)
     return _finish_side(plan, *_adaptive(getattr(intg, plan.method), plan,
-                                         getattr(intg, "sample_ahead", None)))
+                                         getattr(intg, "batch", 1)))
 
 
 def _finish_side(plan: _Plan, result, y_end: Optional[float]):

@@ -249,31 +249,44 @@ def _radial_and_norm(f, p, env):
 
 _AP_SMALL_SUM = verify._pair("(1+z)^(4/p)", 1.0, bergman_norm, 0.1,
                              {"p": 0.1}, None)[2]
-_SAMPLE_AHEAD_CASES = [
-    (_AP_SMALL_SUM, 0.1, {"p": 0.1}),
+
+
+def _radial_requests(monkeypatch, batch):
+    """The result of the radial integral of _AP_SMALL_SUM at p = 0.1 with
+    the outer heap bisecting up to batch panels a step, and the radius
+    count of each of its inner requests."""
+    started = _started_circle_means(monkeypatch)
+    monkeypatch.setattr(bergman._RadialIntegrand, "batch", batch)
+    _, ev, st = hardy._setup(_AP_SMALL_SUM, 0.1, {"p": 0.1})
+    return bergman._radial_integral(ev, 0.1, st, QuadConfig()), started
+
+
+def test_outer_heap_bisects_kinked_panels_in_batches(monkeypatch):
+    # the zeros of f + g put kinks into the radial integrand, so the outer
+    # error spreads over several panels and the heap bisects up to four a
+    # step: 17 requests of up to 120 radii instead of 64 of 30, for the
+    # same 1,935 radii and the same bits
+    expected = (6.0496084528139535, 2.752896356966791e-08, True, 322260)
+    batched, started = _radial_requests(monkeypatch, 4)
+    assert (batched, len(started), max(started), sum(started)) == (
+        expected, 17, 120, 1935)
+    alone, started = _radial_requests(monkeypatch, 1)
+    assert (alone, len(started), sum(started)) == (expected, 64, 1935)
+
+
+@pytest.mark.parametrize("f,p,env", [
     (parse("(1+z)^(2-eps) / (1-z)^(2+eps)"), 0.6, {"p": 0.6, "eps": 0.7}),
     (parse("1/(1-z)^2"), 0.999, None),          # stops at the outer budget
     (parse("1e300/(1-z)^3"), 1.0, None),        # inner means overflow
-]
-
-
-@pytest.mark.parametrize("f,p,env", _SAMPLE_AHEAD_CASES,
-                         ids=["ap-small-p-sum", "ap-large-p-f", "budget",
-                              "overflow"])
-def test_sample_ahead_changes_no_bit(monkeypatch, f, p, env):
-    # the outer heap samples up to four panels ahead, and reads the means
-    # back in its own order: values, estimates, evaluation counts and
-    # failures are those of the heap without the hook
-    started = _started_circle_means(monkeypatch)
-    with_hook = _radial_and_norm(f, p, env)
-    calls = len(started)
-    monkeypatch.setattr(bergman._RadialIntegrand, "sample_ahead", None)
-    assert _radial_and_norm(f, p, env) == with_hook
-    if f is _AP_SMALL_SUM:
-        # 64 requests of 30 radii each come down to 21 of up to 120, in the
-        # radial integral and again in the norm
-        assert (calls, len(started) - calls) == (42, 128)
-        assert max(started) == 120
+], ids=["ap-large-p-f", "budget", "overflow"])
+def test_outer_heap_takes_a_boundary_pole_one_panel_a_step(monkeypatch, f,
+                                                           p, env):
+    # the outer error sits at the singular end, so no step takes a second
+    # panel: values, estimates, evaluation counts and failures are those of
+    # one panel a step
+    batched = _radial_and_norm(f, p, env)
+    monkeypatch.setattr(bergman._RadialIntegrand, "batch", 1)
+    assert _radial_and_norm(f, p, env) == batched
 
 
 # the probe's configurations, and the plain rung on [0, 1 - cut] that its

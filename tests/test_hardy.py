@@ -12,7 +12,7 @@ from disknorms.bergman import (InnerIntegralError, _RadialIntegrand,
                                bergman_norm)
 from disknorms.hardy import (NormResult, _ladder_says_divergent, hardy_norm,
                              integral_means)
-from disknorms.quad import NonFiniteSampleError, QuadConfig, integrate
+from disknorms.quad import NonFiniteSampleError, QuadConfig
 
 from oracles import circle_mean_p
 
@@ -872,76 +872,6 @@ def test_radial_lockstep_keeps_inner_failure_order(bad):
     assert seq.startswith("InnerIntegralError" if first == 1e-6
                           else "EvalDomainError")
     assert _outcome(lambda: list(intg.from_right(d))) == seq
-
-
-class _Lookahead(_RadialIntegrand):
-    """A radial integrand that also keeps the gaps the outer heap reads
-    (read) and those sample_ahead is handed (ahead)."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.read, self.ahead = [], []
-
-    def sample_ahead(self, method, points):
-        self.ahead.extend((1.0 - points).tolist())     # method is "values"
-        super().sample_ahead(method, points)
-
-    def _terms(self, radii, gaps):
-        self.read.extend(gaps)
-        return super()._terms(radii, gaps)
-
-
-class _Hookless(_RadialIntegrand):
-    sample_ahead = None
-
-
-# f + g of ap-small-p at p = 0.4: its zeros inside the disk put kinks at
-# two radii, so the outer heap samples ahead
-_SMALL_P_SUM = hardy._setup(parse("(1+z)^(4/p) - (1-z)^(4/p)"), 0.4,
-                            {"p": 0.4})
-
-
-def _small_p_radial(ev, cls=_RadialIntegrand):
-    """The integrand of class cls of the radial integral of _SMALL_P_SUM,
-    evaluated by ev, and the outcome of integrating it."""
-    p, _, st = _SMALL_P_SUM
-    intg = cls(ev, p, st, QuadConfig(abs_tol=1e-9, rel_tol=1e-7))
-    return intg, _outcome(lambda: integrate(
-        intg, 0.0, 1.0, QuadConfig(abs_tol=1e-8, rel_tol=1e-6,
-                                   max_evaluations=6000)))
-
-
-def _lookahead_gaps():
-    """A gap that only a sample-ahead reaches and one the heap reads too,
-    each the farthest from every gap read but itself."""
-    intg, _ = _small_p_radial(_SMALL_P_SUM[1], _Lookahead)
-    read = np.array(intg.read)
-    only = sorted(set(intg.ahead) - set(intg.read))
-    both = sorted(set(intg.ahead) & set(intg.read))
-    far = lambda g: np.sort(np.abs(read - g))[1 if g in both else 0]
-    return max(only, key=far), max(both, key=far)
-
-
-@pytest.mark.parametrize("how", ["raise", "inf"])
-@pytest.mark.parametrize("reached", [False, True])
-def test_sample_ahead_keeps_the_failure_order(how, reached):
-    # a failure that only a batch sampled ahead meets is dropped, and one
-    # the heap reaches too is raised as the heap raises it without the hook.
-    # A failed batch is not sampled ahead again, so it raises once, in
-    # _bisect and in the rerun of its gaps, before the heap's own try
-    gap = _lookahead_gaps()[reached]
-    fev = _FailingEvaluator(_SMALL_P_SUM[1], {}, bad_circles={gap: how})
-    _, with_hook = _small_p_radial(fev)
-    raised = len(fev.raised)
-    fev.raised.clear()
-    _, hookless = _small_p_radial(fev, _Hookless)
-    assert with_hook == hookless
-    assert (raised, len(fev.raised)) == (
-        ((4, 2) if reached else (2, 0)) if how == "raise" else (0, 0))
-    assert with_hook.startswith(
-        ("EvalDomainError: bad gap" if how == "raise" else
-         "NonFiniteSampleError: non-finite sample") if reached
-        else "QuadResult(")
 
 
 def _spied_reruns(monkeypatch, call):

@@ -451,6 +451,24 @@ def test_engine_cases_cover_freezing_and_ties():
     assert len(set(errors)) < len(errors)
 
 
+@pytest.mark.parametrize("case", range(len(_OWNERS)))
+def test_batched_heap_keeps_to_the_budget_and_tiles_the_plan(case):
+    # up to four panels a step, their halves in one request: the steps
+    # stop within the budget, the leaves still tile the plan's edges, and
+    # the value agrees with one panel a step within the two estimates
+    fn, plan = _OWNERS[case]
+    sizes = []
+    (v, e, evals, panels), _ = quad._adaptive(
+        lambda x: sizes.append(x.size) or fn(x), plan, 4)
+    (v1, e1, _, _), _ = quad._adaptive(fn, plan)
+    assert evals == sum(sizes) <= plan.budget
+    assert set(sizes[1:]) <= {30, 60, 90, 120}
+    leaves = sorted((lo, hi) for lo, hi, _, _ in panels)
+    assert [leaves[0][0], leaves[-1][1]] == [plan.edges[0], plan.edges[-1]]
+    assert all(a[1] == b[0] for a, b in zip(leaves, leaves[1:]))
+    assert abs(v - v1) <= e + e1
+
+
 def _as_read(result, plan):
     """The repr of result, [(value, err, evaluations, panels), tail sample],
     as _finish_side reads it: its panels, in any order, only for an
