@@ -151,8 +151,8 @@ GOLDEN = [
      " converged=True, divergent=False)"),
     ("bergman 1/(1-z)^2 + i*z, p=0.9",
      lambda: bergman_norm(parse("1/(1-z)^2 + i*z"), 0.9),
-     "NormResult(space='Bergman', p=0.9, value_p=5.272512969190348,"
-     " value=6.34222785554611, abs_err_est=8.37333930441402e-09,"
+     "NormResult(space='Bergman', p=0.9, value_p=5.272512969190301,"
+     " value=6.342227855546047, abs_err_est=4.289262061353409e-09,"
      " converged=True, divergent=False)"),
     # two singular angles and z^2 leaves
     ("bergman 8z(1+z^2)/(1-z^2)^(2+eps), p=0.6, eps=0.7",
