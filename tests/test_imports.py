@@ -66,3 +66,29 @@ def _unreferenced_private_definitions(trees: list) -> list:
 def test_every_private_definition_is_referenced():
     trees = [ast.parse(p.read_text()) for p in sorted(_SRC.glob("*.py"))]
     assert _unreferenced_private_definitions(trees) == []
+
+
+def _unread_private_constants(trees: list) -> list:
+    """The private (_-prefixed, non-dunder) names that trees assign at
+    module level and that no name or attribute in trees reads."""
+    read = {getattr(n, "id", getattr(n, "attr", None))
+            for tree in trees for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute)
+            or (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))}
+    assigned = [t.id for tree in trees for node in tree.body
+                if isinstance(node, (ast.Assign, ast.AnnAssign))
+                for target in (node.targets if isinstance(node, ast.Assign)
+                               else [node.target])
+                for t in ast.walk(target) if isinstance(t, ast.Name)]
+    return [name for name in assigned if name.startswith("_")
+            and not name.endswith("__") and name not in read]
+
+
+def test_unread_private_constants_are_found():
+    tree = ast.parse("_STALE = 4\n_A, _B = 1, 2\n_C: int = 3\nx = _B + f._C\n")
+    assert _unread_private_constants([tree]) == ["_STALE", "_A"]
+
+
+def test_every_private_constant_is_read():
+    trees = [ast.parse(p.read_text()) for p in sorted(_SRC.glob("*.py"))]
+    assert _unread_private_constants(trees) == []
