@@ -13,6 +13,7 @@ import time
 
 from disknorms.cli import (SWEEP_CASES, plot_csv, run_sweep, sweep_csv,
                            sweep_exit_code)
+from disknorms.verify import DEFAULT_KAPPA
 
 # per-case default p-ranges; the large-p case stops at 0.9 because the
 # boundary exponent p*(2+eps) creeps toward 2 and the integrals get slow
@@ -35,8 +36,9 @@ def main(argv=None):
                     help="directory for the CSV output (default: results)")
     ap.add_argument("--steps", type=int, default=9,
                     help="grid points per sweep (default: 9)")
-    ap.add_argument("--kappa", type=float, default=10.0,
-                    help="margin multiplier on summed error estimates")
+    ap.add_argument("--kappa", type=float, default=DEFAULT_KAPPA,
+                    help="margin multiplier on summed error estimates "
+                         f"(default: {DEFAULT_KAPPA:g})")
     ap.add_argument("--case", action="append", choices=sorted(RANGES),
                     help="restrict to one or more cases (default: all)")
     args = ap.parse_args(argv)
