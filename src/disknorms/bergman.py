@@ -75,9 +75,9 @@ class _RadialIntegrand:
     stays representable in double precision; below that depth the inner
     means are not computable and the outer transform's extrapolated tail
     accounts for the truncation.  The outer heap bisects up to batch
-    panels per step (quad._adaptive), so one request of up to 120 radii
-    runs their inner means at once, as many as verify_ap_large_p's 240
-    inner bisections.
+    panels a step (quad._adaptive), so one request runs the inner means of
+    up to 120 radii at once: 240 inner bisections, as many as
+    verify_ap_large_p runs.
     """
 
     deep_left = False
