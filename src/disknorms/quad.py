@@ -262,26 +262,26 @@ def _adaptive(fn, plan: _Plan, batch: int = 1):
         if e <= 0.0:
             done.append((lo, hi, v, e))
             break
-        if not (lo < 0.5 * (lo + hi) < hi):
+        mid = 0.5 * (lo + hi)
+        if not (lo < mid < hi):
             # interval at floating-point resolution; freeze it
             done.append((lo, hi, v, e))
             continue
-        step, err = [(lo, hi, v, e)], e
-        cap = total_e - max(abs_tol, rel_tol * abs(total_v)) / 8
-        while (len(step) < batch and heap and err <= cap
+        step, halves, err = [(lo, mid, hi, v, e)], [(lo, mid), (mid, hi)], e
+        while (len(step) < batch and heap
+               and err <= total_e - max(abs_tol, rel_tol * abs(total_v)) / 8
                and evals + 30 * (len(step) + 1) <= budget):
             _, _, lo, hi, v, e = heap[0]
-            if e <= 0.0 or not (lo < 0.5 * (lo + hi) < hi):
-                break
-            step.append(heapq.heappop(heap)[2:])
-            err += e
-        halves = [h for lo, hi, _, _ in step
-                  for h in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi))]
-        sums = _panel(fn, halves, plan.L)
-        evals += 15 * len(halves)
-        for (lo, hi, v, e), (v1, e1), (v2, e2) in zip(step, sums[0::2],
-                                                      sums[1::2]):
             mid = 0.5 * (lo + hi)
+            if e <= 0.0 or not (lo < mid < hi):
+                break
+            heapq.heappop(heap)
+            step.append((lo, mid, hi, v, e))
+            halves += [(lo, mid), (mid, hi)]
+            err += e
+        evals += 15 * len(halves)
+        sums = iter(_panel(fn, halves, plan.L))
+        for (lo, mid, hi, v, e), (v1, e1), (v2, e2) in zip(step, sums, sums):
             total_v += (v1 + v2) - v
             total_e += (e1 + e2) - e
             heapq.heappush(heap, (-e1, seq, lo, mid, v1, e1))
