@@ -280,7 +280,7 @@ def _adaptive(fn, plan: _Plan, batch: int = 1):
             halves += [(lo, mid), (mid, hi)]
             err += e
         evals += 15 * len(halves)
-        sums = iter(_panel(fn, halves, plan.L))
+        sums = iter(_panel(fn, halves, plan.L))     # read in pairs of halves
         for (lo, mid, hi, v, e), (v1, e1), (v2, e2) in zip(step, sums, sums):
             total_v += (v1 + v2) - v
             total_e += (e1 + e2) - e
