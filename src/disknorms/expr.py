@@ -9,9 +9,10 @@ substitutions z -> -z and z -> z^2.
 
 Under a parameter binding, an expression is resolved once, bottom up
 (_resolve): each node records its affine parts a + b*z^k (k = 1, 2) when
-it has them, and each power its exponent.  BoundaryEvaluator (compiled
-once into a _Plan of product forms) and boundary_structure both read that
-form, and neither of them recognises or resolves anything itself.
+it has them, and each power its exponent.  BoundaryEvaluator compiles that
+form once into a _Plan of product forms, which evaluation, boundary-offset
+evaluation and the boundary structure (BoundaryEvaluator.structure) all
+read; none of them recognises or resolves anything itself.
 """
 from __future__ import annotations
 
@@ -394,7 +395,7 @@ def substitute_rotate(e: Expr, lam: complex) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# The resolved form, read by boundary_structure and _Plan
+# The resolved form, compiled by _Plan
 
 
 class _Node:
@@ -475,7 +476,7 @@ class SingularPoint:
     """A boundary point where a denominator/negative-power factor vanishes."""
     angle: float          # in [0, 2*pi)
     root: complex         # the exact factor root, normalized to |root| = 1
-    blowup: float         # accumulated |negative exponent| of factors there
+    blowup: float         # its strength (BoundaryEvaluator.structure)
 
 
 @dataclass(frozen=True)
@@ -515,80 +516,24 @@ def _exact_root(r: complex) -> complex:
     return r
 
 
-def _add_at_root(table: dict, root: complex, x: float) -> None:
+def _add_at_root(table: dict, root: complex, x: float) -> float:
     """Add x at root to table, angle: (root, sum), roots snapped
-    (_exact_root) and merged within 1e-12 of angle, also across 2 pi."""
+    (_exact_root) and merged within 1e-12 of angle, also across 2 pi;
+    returns the angle it is kept at."""
     root = _exact_root(root)
     ang = _canonical_angle(math.atan2(root.imag, root.real))
     for known, (r0, s0) in table.items():
         if abs(known - ang) < 1e-12 or abs(abs(known - ang) - _TWO_PI) < 1e-12:
             table[known] = (r0, s0 + x)
-            return
+            return known
     table[ang] = (root, x)
+    return ang
 
 
 def boundary_structure(e: Expr, env: Optional[ParamEnv] = None) -> BoundaryStructure:
-    """Boundary roots of the multiplicative factors of e.
-
-    Factors reached through denominators or negative resolved exponents
-    contribute singular points; positive-power factors contribute plain
-    zeros (kinks of |e|^p on the circle).  Sums that are not affine in z or
-    z^2 are recursed into as sums, except inside a denominator, where their
-    zeros cannot be located structurally (UnsupportedFormError).  e may
-    also be an evaluator's resolved form (BoundaryEvaluator.resolved).
-    """
-    node = e if isinstance(e, _Node) else _resolve(e, check_param_env(env))
-    singular: dict[float, tuple[complex, float]] = {}
-    zeros: list[float] = []
-
-    def add_zero(root: complex) -> None:
-        ang = _canonical_angle(math.atan2(root.imag, root.real))
-        zeros.append(ang)
-
-    def walk(node: _Node, mult: Optional[float]) -> None:
-        # mult: accumulated exponent of the enclosing factor context
-        # (None = sign unknown, treated as potentially singular)
-        e, kids = node.e, node.kids
-        if isinstance(e, Pow):
-            walk(kids[0], None if node.s is None or mult is None
-                 else mult * node.s)
-        elif isinstance(e, Div):
-            walk(kids[0], mult)
-            walk(kids[1], None if mult is None else -mult)
-        elif isinstance(e, Add) and node.aff is not None:
-            a, b, ks = node.aff
-            for r in _circle_roots(a, b, squared=ks[0] == 2):
-                if mult is None:
-                    _add_at_root(singular, r, 1.0)
-                elif mult < 0:
-                    _add_at_root(singular, r, -mult)
-                else:
-                    add_zero(r)
-        elif isinstance(e, Add) and not (mult is not None and mult > 0):
-            raise UnsupportedFormError(
-                "cannot locate boundary zeros of a non-affine "
-                "denominator factor structurally; pass singular "
-                "angles explicitly")
-        else:
-            # a z leaf has its root at the origin, never on the circle; a
-            # sum of terms with positive context has its singular points
-            # in the union over the summands
-            for k in kids:
-                walk(k, mult)
-
-    walk(node, 1.0)
-    pts = tuple(SingularPoint(ang, root, s)
-                for ang, (root, s) in sorted(singular.items()))
-    # drop zeros that coincide with singular angles
-    sing_angles = [p.angle for p in pts]
-    uniq_zeros: list[float] = []
-    for t in sorted(set(zeros)):
-        if any(abs(t - a) < 1e-12 for a in sing_angles):
-            continue
-        if any(abs(t - u) < 1e-12 for u in uniq_zeros):
-            continue
-        uniq_zeros.append(t)
-    return BoundaryStructure(pts, tuple(uniq_zeros))
+    """The boundary singular points and zeros of e, read off its plan
+    (BoundaryEvaluator.structure)."""
+    return BoundaryEvaluator(e, env).structure()
 
 
 # ---------------------------------------------------------------------------
@@ -843,19 +788,13 @@ class BoundaryEvaluator:
     def __init__(self, e: Expr, env: Optional[ParamEnv] = None):
         self.expr = e
         self.env = check_param_env(env)
-        self._node = self._plan = None
-
-    def resolved(self) -> _Node:
-        """The resolved form, built once for the plan and the structure."""
-        if self._node is None:
-            self._node = _resolve(self.expr, self.env)
-        return self._node
+        self._plan = None
 
     def _compiled(self) -> _Plan:
         """The plan, compiled on first use."""
         if self._plan is None:
             with np.errstate(all="ignore"):
-                self._plan = _Plan(self.resolved(), self.env)
+                self._plan = _Plan(_resolve(self.expr, self.env), self.env)
         return self._plan
 
     @property
@@ -892,22 +831,71 @@ class BoundaryEvaluator:
         return (sorted((abs(to[i]) - 1, s) for i, s in top) == top
                 and all(to[i] - 1 in plan.cut for i in plan.cut))
 
+    def _roots(self) -> tuple:
+        """(net, negative, zeros) over the boundary roots of the affine leaves
+        reached from the top form through the forms of sums and other bases,
+        with exponents s multiplied on the way down: net maps each root's
+        angle to (root, -sum s) (_add_at_root), negative to -sum s over the
+        s < 0, and zeros lists the angle of each root of an s > 0.  A sum read
+        through an s <= 0 raises UnsupportedFormError; a power whose exponent
+        does not resolve is only the step that raises, with no root."""
+        plan = self._compiled()
+        key = {i: k for k, i in plan.keys.items()}
+        net: dict[float, tuple[complex, float]] = {}
+        negative: dict[float, float] = {}
+        zeros: list[float] = []
+
+        def walk(terms, mult: float) -> None:
+            for i, s in terms:
+                s *= mult
+                if plan.affine[i] is not None:
+                    a, b, k = key[i]
+                    for r in _circle_roots(a, b, squared=k == 2):
+                        ang = _add_at_root(net, r, -s)
+                        if s < 0:
+                            negative[ang] = negative.get(ang, 0.0) - s
+                        else:
+                            zeros.append(_canonical_angle(
+                                math.atan2(r.imag, r.real)))
+                elif s <= 0 and len(plan.forms[i]) > 1:
+                    raise UnsupportedFormError(
+                        "cannot locate boundary zeros of a non-affine "
+                        "denominator factor structurally; pass singular "
+                        "angles explicitly")
+                else:
+                    for form in plan.forms[i]:
+                        walk(form[2], s)
+
+        walk(plan.top[2], 1.0)
+        return net, negative, zeros
+
     def net_exponents(self) -> Optional[dict]:
         """The net exponent sigma = -sum s_j of the leaves that vanish at each
         boundary root (|f| ~ |z - root|^-sigma there), keyed by the root as
-        boundary_structure matches and snaps it, of a plan whose top form is
+        _add_at_root matches and snaps it, of a plan whose top form is
         c * prod leaf_j^s_j, c != 0, over affine leaves alone; else None."""
         plan = self._compiled()
         c, _, terms, _ = plan.top
         if c == 0 or any(plan.affine[i] is None for i, _ in terms):
             return None
-        key = {i: k for k, i in plan.keys.items()}
-        net: dict = {}
-        for i, s in terms:
-            a, b, k = key[i]
-            for r in _circle_roots(a, b, squared=k == 2):
-                _add_at_root(net, r, -s)
-        return dict(net.values())
+        return dict(self._roots()[0].values())
+
+    def structure(self) -> BoundaryStructure:
+        """The singular points and zeros on the circle (_roots).  A root is
+        singular where a leaf's exponent is negative, with strength its net
+        exponent in a product form (net_exponents) and else the sum of the
+        negative exponents there; any other root is a zero, a kink of |f|^p
+        on the circle, and zeros within 1e-12 of a singular angle or of a
+        smaller zero are dropped."""
+        net, negative, zeros = self._roots()
+        product = self.net_exponents() is not None
+        pts = tuple(SingularPoint(ang, net[ang][0], net[ang][1] if product
+                                  else x) for ang, x in sorted(negative.items()))
+        kept = [p.angle for p in pts]
+        for t in sorted(zeros):
+            if all(abs(t - u) >= 1e-12 for u in kept):
+                kept.append(t)
+        return BoundaryStructure(pts, tuple(kept[len(pts):]))
 
     @np.errstate(all="ignore")
     def _run(self, anchor: complex, dz, p: Optional[float]) -> np.ndarray:

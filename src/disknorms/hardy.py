@@ -25,11 +25,12 @@ over [0, pi] alone (_layout), as |f| at -t is |f| at t; when also |f(-z)| =
 [0, pi/2], as |f| at t + pi is too.
 
 The norm driver _norm serves both spaces: _setup checks p and the
-parameters, compiles f and finds its boundary structure; the space's
-integral runs; and when it does not converge, a product form is divergent
-where p times its net exponent at a boundary root reaches 1 on the circle or
-2 on the disk (BoundaryEvaluator.net_exponents), and otherwise the space's
-probe looks for divergence along the one truncation ladder.
+parameters, compiles f and reads its boundary structure off the compiled
+plan (BoundaryEvaluator.structure); the space's integral runs; and when it
+does not converge, a product form is divergent where p times its net
+exponent at a boundary root reaches 1 on the circle or 2 on the disk
+(BoundaryEvaluator.net_exponents), and otherwise the space's probe looks
+for divergence along the one truncation ladder.
 """
 
 from __future__ import annotations
@@ -48,8 +49,6 @@ from .expr import (
     SingularPoint,
     _canonical_angle,
     _exact_root,
-    boundary_structure,
-    check_param_env,
 )
 from .quad import (NonFiniteSampleError, QuadConfig, _bisect, _pieces,
                    _piecewise, _side_plan, _total, integrate_piecewise)
@@ -394,25 +393,18 @@ def _divergence_probe(ev: BoundaryEvaluator, p: float,
 
 
 def _setup(f: Expr, p: float, env, singular_angles=None):
-    """The checked p and env, the compiled evaluator and the boundary
-    structure: located structurally from the evaluator's resolved form, each
-    root's strength its net exponent where f is a product form (so that a
-    zero at a pole lowers the strength the depth floors read), or probed at
-    the declared singular_angles.  Returns (p, evaluator, structure)."""
+    """The checked p, the evaluator, which checks env, and the boundary
+    structure: read off the evaluator's plan (BoundaryEvaluator.structure,
+    where a zero at a pole of a product form lowers the strength the depth
+    floors read), or probed at the declared singular_angles.  Returns (p,
+    evaluator, structure)."""
     p = float(p)
     if not 0.0 < p < math.inf:
         raise ValueError(f"p must be positive and finite, got {p}")
-    env = check_param_env(env)
     ev = BoundaryEvaluator(f, env)
     if singular_angles is None:
-        net = ev.net_exponents() or {}
-        found = boundary_structure(ev.resolved())
-        structure = BoundaryStructure(tuple(SingularPoint(
-            s.angle, s.root, net.get(s.root, s.blowup))
-            for s in found.singular), found.zeros)
-    else:
-        structure = _declared_structure(ev, p, singular_angles)
-    return p, ev, structure
+        return p, ev, ev.structure()
+    return p, ev, _declared_structure(ev, p, singular_angles)
 
 
 def _norm(space: str, integral, probe, f: Expr, p: float, env,

@@ -184,6 +184,16 @@ def test_norm_param_binding(capsys):
     assert float(_field(out, "value_p")) == pytest.approx(6.0, rel=1e-10)
 
 
+def test_norm_unbound_exponent_parameter_exits_3(capsys):
+    # a power whose exponent does not resolve has no boundary root, so the
+    # error is the unbound parameter, not an unlocatable denominator
+    code = main(["norm", "--space", "hardy", "--expr", "(2 - z - z^2)^(-q)",
+                 "--p", "0.5"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "disknorms: error: unbound parameter 'q'\n")
+
+
 def test_norm_parse_error_exits_3(capsys):
     code = main(["norm", "--space", "hardy", "--expr", "1+***", "--p", "1"])
     err = capsys.readouterr().err

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from disknorms.expr import (Add, Const, Div, EvalDomainError, Mul, Neg,
                             Param, ParseError, Pow, Z, boundary_structure,
@@ -110,8 +110,8 @@ def test_exponent_power_errors_are_domain_errors(text):
         evaluate(e, 0.3)
     with pytest.raises(EvalDomainError):
         BoundaryEvaluator(e).value(np.array([0.3 + 0j]))
-    # boundary_structure treats an exponent it cannot resolve as one of
-    # unknown sign, as it does for an unbound parameter
+    # a power whose exponent does not resolve is compiled to the step that
+    # raises, and has no boundary root, as under an unbound parameter
     assert boundary_structure(e) == boundary_structure(parse("(1+z)^(q)"))
 
 
@@ -238,8 +238,9 @@ _STEP = 2.0 * math.pi / _GRID
 def circle_factor_products(draw, real=False):
     """(e, factors): e a product and quotient of 1 to 4 factors
     (a + b*z^k)^s with |a| = |b|, so that every root lies on the circle;
-    factors lists each one's root grid indices and its exponent in e.
-    With real, every constant is real, and so every root is +-1 or +-i."""
+    factors lists each one's root grid indices, its exponent in e and its
+    leaf (a, b, k).  With real, every constant is real, and so every root
+    is +-1 or +-i."""
     e, factors = None, []
     for _ in range(draw(st.integers(1, 4))):
         j, k = draw(st.integers(0, _GRID - 1)), draw(st.sampled_from([1, 2]))
@@ -253,11 +254,12 @@ def circle_factor_products(draw, real=False):
             u = complex(round(u.real))
         zk = Z() if k == 1 else draw(st.sampled_from(
             [Pow(Z(), Const(2 + 0j)), Mul(Z(), Z())]))
-        f = Pow(Add(Const(complex(rho)), Mul(Const(-rho * u.conjugate()), zk)),
+        leaf = (complex(rho), -rho * u.conjugate(), k)
+        f = Pow(Add(Const(leaf[0]), Mul(Const(leaf[1]), zk)),
                 Const(complex(s)))
         roots = [j] if k == 1 else [j, (j + _GRID // 2) % _GRID]
         if e is None:
-            e, factors = f, [[roots, s]]
+            e, factors = f, [[roots, s, leaf]]
             continue
         op, right = draw(st.sampled_from([Mul, Div])), draw(st.booleans())
         if op is Div and right:
@@ -266,7 +268,7 @@ def circle_factor_products(draw, real=False):
             for fac in factors:
                 fac[1] = -fac[1]
         e = op(e, f) if right else op(f, e)
-        factors.append([roots, s])
+        factors.append([roots, s, leaf])
     return e, factors
 
 
@@ -276,17 +278,31 @@ def _grid_index(angle):
     return i % _GRID
 
 
+_HALF = Add(Const(0.5 + 0j), Mul(Const(-0.5 + 0j), Z()))     # 0.5 - 0.5z
+
+
 @given(circle_factor_products())
+@example(case=(Div(Pow(_HALF, Const(-2.5 + 0j)), Pow(_HALF, Const(-2.5 + 0j))),
+               [[[0], 2.5, (0.5 + 0j, -0.5 + 0j, 1)],
+                [[0], -2.5, (0.5 + 0j, -0.5 + 0j, 1)]]))
 def test_boundary_structure_of_circle_factor_products(case):
     e, factors = case
-    blowup, zeros = {}, set()
-    for roots, s in factors:
-        for i in roots:
+    # factors of one leaf (a, b, k) add their exponents first; a root is
+    # singular where a leaf's net exponent is negative, with strength the
+    # net exponent over the leaves that vanish there, as e is a product form
+    net, roots = {}, {}
+    for rs, s, leaf in factors:
+        net[leaf], roots[leaf] = net.get(leaf, 0.0) + s, rs
+    sigma, singular, zeros = {}, set(), set()
+    for leaf, s in net.items():
+        for i in roots[leaf]:
+            sigma[i] = sigma.get(i, 0.0) - s
             if s < 0:
-                blowup[i] = blowup.get(i, 0.0) - s
-            else:
+                singular.add(i)
+            elif s > 0:
                 zeros.add(i)
-    zeros = sorted(zeros - set(blowup))
+    blowup = {i: sigma[i] for i in singular}
+    zeros = sorted(zeros - singular)
     st_ = boundary_structure(e)
     got = {_grid_index(p.angle): p.blowup for p in st_.singular}
     assert len(got) == len(st_.singular)

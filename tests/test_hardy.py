@@ -259,8 +259,10 @@ def test_ladder_decides_what_net_exponents_cannot(monkeypatch, space, text,
 
 # (text, p, alpha): product forms with |f| = |1 - z|^-alpha on the circle,
 # whose ||f||^p is Gamma(1 - p alpha)/Gamma(1 - p alpha/2)^2.  A zero at the
-# pole offsets the strength that boundary_structure reads there, and the
-# depth floor of the singular sides reads the net exponent alpha: with the
+# pole offsets the strength there: BoundaryEvaluator.structure gives it the
+# net exponent alpha, which the depth floor of the singular sides reads.
+# The plan merges the powers of 1-z into one leaf, while z-1 is a leaf of
+# its own, whose exponent alone would give the strength 2.  With the
 # strength 1 of (1-z)^0.5/(1-z), the mass below the floor was 1.6 times the
 # estimate at p = 1.9
 _HONEST = [
@@ -268,6 +270,7 @@ _HONEST = [
     ("(1-z)^-0.5", 1.9, 0.5),
     ("(1-z)^0.5/(1-z)", 1.9, 0.5),
     ("(1-z)^1.5/(1-z)^2", 1.9, 0.5),
+    ("(1-z)^1.5/(z-1)^2", 1.9, 0.5),
     ("(1-z)^0.25/(1-z)^1.15", 1.05, 0.9),
 ]
 
@@ -405,8 +408,8 @@ def test_inner_integral_error_is_a_non_finite_sample_error():
 
 @pytest.mark.parametrize("norm", [hardy_norm, bergman_norm])
 def test_norm_resolves_its_expression_once(monkeypatch, norm):
-    # the evaluator keeps its resolved form, and the boundary structure is
-    # read from it
+    # the evaluator compiles its resolved form once, and the boundary
+    # structure is read off that plan
     f = parse("(1+z)^(2-eps)/(1-z)^(2+eps)")
     top = []
     resolve = expr._resolve
@@ -815,6 +818,16 @@ def test_declared_angles_off_their_mirror_keep_the_full_circle(angles,
         " divergent=False)")
     p, ev, st = hardy._setup(f, 0.5, None, [0.0])
     assert hardy._layout(ev, st)[1] == math.pi
+
+
+@pytest.mark.parametrize("norm", [hardy_norm, bergman_norm])
+def test_cancelled_leaf_is_a_zero(norm):
+    # the plan merges (1-z)^2/(1-z) into the one leaf 1-z, a zero at 1; as a
+    # singular point of strength -1 it had moved the Hardy value_p at p = 0.7
+    # to 1.1441638374960466 from the 1.1441638375196301 of 1-z
+    f = parse("(1-z)^2/(1-z)")
+    assert expr.boundary_structure(f) == BoundaryStructure((), (0.0,))
+    assert repr(norm(f, 0.7)) == repr(norm(parse("1-z"), 0.7))
 
 
 @pytest.mark.parametrize("angles,alone", [
