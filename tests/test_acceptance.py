@@ -10,7 +10,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from disknorms.bergman import (bergman_norm, bergman_norm_coeffs,
                                membership_classify, membership_evidence)

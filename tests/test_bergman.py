@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from disknorms.bergman import (bergman_norm, bergman_norm_coeffs,
                                membership_classify, membership_evidence)
-from disknorms.expr import (Add, BoundaryEvaluator, Const, Mul, Neg, parse,
+from disknorms.expr import (Add, BoundaryEvaluator, Neg, parse,
                             substitute_negate)
 from disknorms.hardy import hardy_norm
 from disknorms import bergman, hardy, quad, verify

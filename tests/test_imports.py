@@ -6,7 +6,8 @@ import pytest
 
 import disknorms
 
-_SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "disknorms"
+_ROOT = pathlib.Path(__file__).resolve().parent.parent
+_SRC = _ROOT / "src" / "disknorms"
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -23,7 +24,9 @@ def _unused_imports(tree: ast.Module) -> list:
     return [name for name in imported if name not in used | exported]
 
 
-@pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")) + sorted(
+    _ROOT.glob("tests/*.py")) + sorted(_ROOT.glob("scripts/*.py")),
+    ids=lambda p: p.name if p.parent == _SRC else str(p.relative_to(_ROOT)))
 def test_every_import_is_used_or_exported(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
 

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from disknorms import quad
 from disknorms.quad import (NonFiniteSampleError, QuadConfig, QuadError,
-                            QuadResult, integrate, integrate_piecewise,
+                            integrate, integrate_piecewise,
                             _GK_X, _GK_WK, _GK_WG, _panel)
 
 DEFAULT = QuadConfig()

@@ -9,10 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from disknorms import verify as verify_mod
 from disknorms.expr import evaluate, parse
-from disknorms.verify import (BoundCheck, EpsWindow, IdentityCheck,
-                              VerificationReport, eps_window,
-                              verify_ap_large_p, verify_ap_small_p,
-                              verify_elem_inequality,
+from disknorms.verify import (eps_window, verify_ap_large_p,
+                              verify_ap_small_p, verify_elem_inequality,
                               verify_hp_counterexample,
                               verify_hp_equality_case, verify_lemma_ap,
                               verify_lemma_cv, verify_lemma_cvh,
