@@ -16,8 +16,8 @@ bergman_norm hands this radial integral, and a probe that truncates it at
 1 - cut, to the norm driver of the hardy module.  Each of the probe's three
 rungs is the radial integral's singular side with its transform stopped at
 the gap cut; they bisect at once (quad._bisect), their inner means in one
-request per round, and each fails as it would alone.  For p = 2 the norm is also available
-exactly from Taylor coefficients as sum |a_n|^2/(n+1).
+request per round, and each fails as it would alone.  For p = 2 the norm
+is also available exactly from Taylor coefficients as sum |a_n|^2/(n+1).
 """
 
 from __future__ import annotations
