@@ -1,8 +1,8 @@
 """Hardy- and Bergman-space quasi-norms on the unit disk, with mechanical
 verification of the triangle-inequality violations for 0 < p < 1."""
 
-from .bergman import (MembershipVerdict, bergman_norm, bergman_norm_coeffs,
-                      membership_classify, membership_evidence)
+from .bergman import (MembershipVerdict, bergman_norm, membership_classify,
+                      membership_evidence)
 from .expr import (BoundaryEvaluator, BoundaryStructure, EvalDomainError,
                    Expr, ExprError, ParseError, SingularPoint,
                    UnsupportedFormError, boundary_structure, evaluate, parse,
@@ -28,7 +28,7 @@ __all__ = [
     "UnsupportedFormError", "NonFiniteSampleError",
     "QuadConfig", "QuadResult", "integrate", "integrate_piecewise",
     "NormResult", "hardy_norm", "integral_means",
-    "bergman_norm", "bergman_norm_coeffs",
+    "bergman_norm",
     "MembershipVerdict", "membership_classify", "membership_evidence",
     "VerificationReport", "IdentityCheck", "BoundCheck", "EpsWindow",
     "eps_window",

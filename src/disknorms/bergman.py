@@ -16,15 +16,13 @@ bergman_norm hands this radial integral, and a probe that truncates it at
 1 - cut, to the norm driver of the hardy module.  Each of the probe's three
 rungs is the radial integral's singular side with its transform stopped at
 the gap cut; they bisect at once (quad._bisect), their inner means in one
-request per round, and each fails as it would alone.  For p = 2 the norm
-is also available exactly from Taylor coefficients as sum |a_n|^2/(n+1).
+request per round, and each fails as it would alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import fsum
 from typing import Optional
 
 import numpy as np
@@ -38,7 +36,6 @@ from .hardy import (
     _circle_means,
     _ladder_says_divergent,
     _norm,
-    _norm_result,
 )
 from .quad import (NonFiniteSampleError, QuadConfig, _bisect, _side_plan,
                    _sides, integrate)
@@ -47,7 +44,6 @@ __all__ = [
     "InnerIntegralError",
     "MembershipVerdict",
     "bergman_norm",
-    "bergman_norm_coeffs",
     "membership_classify",
     "membership_evidence",
 ]
@@ -181,13 +177,6 @@ def bergman_norm(f: Expr, p: float, env=None,
                  singular_angles)
 
 
-def bergman_norm_coeffs(coeffs) -> NormResult:
-    """Exact A^2 norm from Taylor coefficients: value_p = sum |a_n|^2/(n+1)."""
-    vals = [complex(a) for a in coeffs]
-    vp = fsum(abs(a) ** 2 / (n + 1.0) for n, a in enumerate(vals))
-    return _norm_result("Bergman", 2.0, vp, 0.0, True)
-
-
 # ---------------------------------------------------------------------------
 # Membership of (1-z)^{-alpha}
 
@@ -288,6 +277,8 @@ def membership_evidence(alpha: float, p: float,
     else:
         incs = [b[1] - a[1] for a, b in zip(evidence[:-1], evidence[1:])]
         ratios = sorted(b / a for a, b in zip(incs[:-1], incs[1:]) if a > 0.0)
+        if not ratios:
+            raise ValueError("the integrals I(R) do not grow over the radii")
         tail = ratios[-3:]
         med = tail[len(tail) // 2]
     if med < 0.9:

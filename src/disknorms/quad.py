@@ -104,8 +104,8 @@ class QuadConfig:
             raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
         if not (self.rel_tol >= 0.0 and math.isfinite(self.rel_tol)):
             raise ValueError(f"rel_tol must be nonnegative, got {self.rel_tol}")
-        if self.max_evaluations < 100:
-            raise ValueError("max_evaluations must be at least 100")
+        if not 100 <= self.max_evaluations < math.inf:
+            raise ValueError("max_evaluations must be finite and at least 100")
 
 
 @dataclass(frozen=True)

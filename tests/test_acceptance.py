@@ -11,8 +11,8 @@ import time
 
 import numpy as np
 
-from disknorms.bergman import (bergman_norm, bergman_norm_coeffs,
-                               membership_classify, membership_evidence)
+from disknorms.bergman import (bergman_norm, membership_classify,
+                               membership_evidence)
 from disknorms.cli import main
 from disknorms.expr import Add, Const, Mul, Pow, Z, parse
 from disknorms.hardy import hardy_norm
@@ -23,6 +23,7 @@ from disknorms.verify import (eps_window, verify_ap_large_p,
                               verify_lemma_cvh, verify_means_monotone,
                               verify_rotation_invariance)
 
+from oracles import bergman_p2, parseval_norm_p
 from test_quad import CORPUS
 
 
@@ -49,9 +50,13 @@ def test_criterion_01_exact_constant(capsys):
         _check(failures, abs(payload["value_p"] - 10.0 / 3.0) <= 1e-6,
                f"P={P}: value_p {payload['value_p']!r} not within 1e-6 of 10/3")
         _check(failures, elapsed < 30.0, f"P={P}: took {elapsed:.1f}s")
-    exact = bergman_norm_coeffs([1, 2, 1])
-    _check(failures, abs(exact.value_p - 10.0 / 3.0) <= 5e-15,
-           f"coefficient norm {exact.value_p!r} not 10/3 to machine rounding")
+        series, _ = parseval_norm_p("Bergman", P, plus=4.0 / P)
+        _check(failures, abs(series - 10.0 / 3.0) <= 5e-15,
+               f"P={P}: Parseval series {series!r} not 10/3 to machine "
+               "rounding")
+    exact = bergman_p2([1, 2, 1])
+    _check(failures, abs(exact - 10.0 / 3.0) <= 5e-15,
+           f"coefficient norm {exact!r} not 10/3 to machine rounding")
     with capsys.disabled():
         _finish(1, "closed-form Bergman constant ||(1+z)^(4/p)||^p = 10/3",
                 failures)
@@ -197,7 +202,7 @@ def test_criterion_09_coefficient_cross_check():
             expr = Add(expr, Mul(Const(complex(coeffs[n])),
                                  Pow(Z(), Const(complex(n)))))
         quad_val = bergman_norm(expr, 2.0).value_p
-        coeff_val = bergman_norm_coeffs(coeffs).value_p
+        coeff_val = bergman_p2(coeffs)
         diff = abs(quad_val - coeff_val) / max(1.0, coeff_val)
         worst = max(worst, diff)
     _check(failures, worst <= 1e-8,

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from disknorms.bergman import (bergman_norm, bergman_norm_coeffs,
-                               membership_classify, membership_evidence)
+from disknorms.bergman import (bergman_norm, membership_classify,
+                               membership_evidence)
 from disknorms.expr import (Add, BoundaryEvaluator, Neg, parse,
                             substitute_negate)
 from disknorms.hardy import hardy_norm
 from disknorms import bergman, hardy, quad, verify
 from disknorms.quad import QuadConfig, integrate
 
-from oracles import disk_integral
+from oracles import bergman_p2, disk_integral, parseval_norm_p
 from test_hardy import _FailingEvaluator, _outcome, _spy_probe
 
 # Independent anchors.  The two (p, eps) pairs below were computed with
@@ -66,16 +66,18 @@ def test_constant_norm():
 
 
 def test_coeffs_ten_thirds_exact():
-    r = bergman_norm_coeffs([1, 2, 1])
-    assert r.value_p == 10.0 / 3.0
-    assert r.p == 2.0 and r.converged and r.abs_err_est == 0.0
+    assert bergman_p2([1, 2, 1]) == 10.0 / 3.0
+    # the series of (1+z)^(4/p), whose p/2 power is the polynomial (1+z)^2,
+    # has no tail
+    for p in (0.1, 0.25, 0.4):
+        assert parseval_norm_p("Bergman", p, plus=4.0 / p) == (10.0 / 3.0,
+                                                              0.0)
 
 
 def test_coeffs_formula():
     coeffs = [1 + 1j, 0, 3, -2j]
-    r = bergman_norm_coeffs(coeffs)
     exact = sum(abs(c) ** 2 / (n + 1) for n, c in enumerate(coeffs))
-    assert r.value_p == pytest.approx(exact, rel=1e-15)
+    assert bergman_p2(coeffs) == pytest.approx(exact, rel=1e-15)
 
 
 @given(st.lists(st.integers(-4, 4), min_size=1, max_size=9))
@@ -87,7 +89,7 @@ def test_quadrature_matches_coeffs_at_p_two(coeffs):
             text_terms.append(f"{c}*z^{n}" if n else f"{c}")
     e = parse(" + ".join(text_terms) if text_terms else "0")
     r = bergman_norm(e, 2.0)
-    exact = bergman_norm_coeffs(coeffs).value_p
+    exact = bergman_p2(coeffs)
     assert r.value_p == pytest.approx(exact, abs=1e-10, rel=1e-10)
 
 
@@ -425,6 +427,17 @@ def test_high_degree_monomial_estimate_is_honest():
     assert abs(r.value_p - 2.0 / (n + 2)) <= r.abs_err_est or not r.converged
 
 
+@pytest.mark.xfail(strict=True, reason="open defect: the radial mass below "
+                   "the depth floor 10^(-280/offset_blowup), about "
+                   "C d^(2-s)/(2-s) = 2e-2 at s = 1.975, is in neither the "
+                   "value nor the estimate, so value_p comes back 39.98927 "
+                   "with a converged estimate of 8.0e-8")
+def test_near_critical_pole_estimate_is_honest():
+    r = bergman_norm(parse("(1-z)^-1.975"), 1.0)
+    exact = math.gamma(0.025) / math.gamma(1.0125) ** 2
+    assert abs(r.value_p - exact) <= r.abs_err_est
+
+
 @pytest.mark.parametrize("norm", [hardy_norm, bergman_norm])
 def test_overflowing_samples_are_not_converged_and_divergent(norm):
     # p*3 exceeds both critical exponents, so both norms are infinite; the
@@ -545,6 +558,11 @@ def test_evidence_validates_radii():
         membership_evidence(1.0, 1.0, radii=[0.5, 0.4, 0.6, 0.7])
     with pytest.raises(ValueError):
         membership_evidence(1.0, 1.0, radii=[0.5, 0.6, 0.7, 1.1])
+    # every I(R) underflows to 0, so no increment grows
+    tiny = [1e-300, 2e-300, 3e-300, 4e-300]
+    for call in (membership_evidence, verify.verify_lemma_ap):
+        with pytest.raises(ValueError, match="do not grow"):
+            call(1.0, 1.0, radii=tiny)
 
 
 # I(R) = R^2 2F1(s/2, s/2; 2; R^2) is elementary at even s
@@ -604,7 +622,7 @@ def test_bergman_below_hardy_for_shared_function():
 def test_tight_config():
     cfg = QuadConfig(abs_tol=1e-12, rel_tol=1e-11)
     r = bergman_norm(parse("(1+z)^2"), 2.0, cfg=cfg)
-    exact = bergman_norm_coeffs([1, 2, 1]).value_p
+    exact = bergman_p2([1, 2, 1])
     assert r.value_p == pytest.approx(exact, rel=1e-11)
     assert r.converged
 

@@ -326,6 +326,9 @@ def test_config_validation():
         QuadConfig(rel_tol=-1e-3)
     with pytest.raises(ValueError):
         QuadConfig(max_evaluations=0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="max_evaluations must be finite"):
+            QuadConfig(max_evaluations=bad)
 
 
 # ---------------------------------------------------------------------------
