@@ -15,11 +15,13 @@ from disknorms.cli import (SWEEP_CASES, plot_csv, run_sweep, sweep_csv,
                            sweep_exit_code)
 from disknorms.verify import DEFAULT_KAPPA
 
-# per-case default p-ranges; the large-p case stops at 0.9 because from
-# there on the Bergman norms of the pair are not honest: the radial mass
-# below the depth floor is in neither the value nor its estimate (at the
-# window midpoint the error is 5x the estimate at 0.9, and 0.108 against a
-# converged 2.5e-7 at 0.95; ROADMAP item 3)
+# per-case default p-ranges; the large-p case stops at 0.9 because the
+# Bergman norms of the pair are honest only below it: the radial mass below
+# the depth floor is in neither the value nor its estimate.  At 0.9 (window
+# midpoint) the norms at least come back unconverged, though with an
+# estimate 5x short of the error; above it they come back converged and
+# wrong (error 0.108 against an estimate of 2.5e-7 at 0.95).  Ending the
+# range below 0.9 waits on ROADMAP item 3.
 RANGES = {
     "hp-counterexample": (0.05, 0.95),
     "hp-equality": (0.05, 0.95),

@@ -84,30 +84,35 @@ def _is_int(x):
     return x == math.floor(x)
 
 
-def parseval_norm_p(space, p, c=1.0, m=0, k=1, plus=0.0, minus=0.0,
-                    n=16384):
+# terms in the first of the four partial sums; the accuracy and cost that
+# ROADMAP item 8 records were measured at this count
+_TERMS = 16384
+
+
+def parseval_norm_p(space, p, c=1.0, m=0, k=1, plus=0.0, minus=0.0):
     """(||f||^p, error estimate) of f = c z^m (1 + z^k)^plus (1 - z^k)^minus
     in H^p (space "Hardy") or A^p ("Bergman"), k = 1 or 2.
 
     With h^{p/2} = sum b_j w^j, w = z^k, Parseval gives
     ||f||_{H^p}^p = |c|^p sum |b_j|^2 and
     ||f||_{A^p}^p = |c|^p sum |b_j|^2 / (kj + 1 + pm/2).
-    The sums stop at n, 2n, 4n and 8n terms, and three Richardson steps
-    remove the tail with its known exponents: |b_j|^2 ~ j^(2b-2) from the
-    singularity of h^{p/2} at w = 1, j^(-2a-2) from w = -1, and their cross
-    term (-1)^j j^(b-a-2), whose tail over an even cut-off is a power too,
+    The sums stop at N, 2N, 4N and 8N terms (N = _TERMS), and three
+    Richardson steps remove the tail with its known exponents:
+    |b_j|^2 ~ j^(2b-2) from the singularity of h^{p/2} at w = 1,
+    j^(-2a-2) from w = -1, and their cross term (-1)^j j^(b-a-2), whose
+    tail over an even cut-off is a power too,
     each with its 1/j corrections (a = p plus/2, b = -p minus/2).  The
     estimate is the size of the last step.  Where h^{p/2} has no singular
     point the sum is finite and exact.
     """
     value, err = _parseval_sum(space, p, m, k, 0.5 * p * plus,
-                               -0.5 * p * minus, n)
+                               -0.5 * p * minus)
     scale = abs(c) ** p
     return scale * value, scale * err
 
 
 @functools.lru_cache(maxsize=None)
-def _parseval_sum(space, p, m, k, a, b, n):
+def _parseval_sum(space, p, m, k, a, b):
     """parseval_norm_p at c = 1, cached: the paper's f, g and f + g and
     their closed-form checks share sums."""
     shift = -1.0 if space == "Bergman" else 0.0
@@ -120,12 +125,12 @@ def _parseval_sum(space, p, m, k, a, b, n):
     if exponents and exponents[0] >= 0.0:
         raise ValueError(f"the {space} series diverges")
     # with no singular point h^{p/2} is a polynomial of degree a - b
-    squares = _squared_coefficients(a, b, 8 * n if exponents else
+    squares = _squared_coefficients(a, b, 8 * _TERMS if exponents else
                                     int(a - b) + 1)
     if space == "Bergman":
         squares = [s / (k * j + 1.0 + 0.5 * p * m)
                    for j, s in enumerate(squares)]
-    sums = [fsum(squares[:n << i]) for i in range(4)]
+    sums = [fsum(squares[:_TERMS << i]) for i in range(4)]
     last = sums
     for e in exponents:
         r = 2.0 ** e

