@@ -7,14 +7,15 @@ the mathematical claim from numerical noise by a margin equal to kappa
 times the summed error estimates (kappa = 10 by default): a strict
 inequality is Confirmed only when the computed defect clears that margin,
 and an identity is Confirmed only when the defect stays inside it.
-Closed-form simplifications used by the strict cases (e.g. f + g
-collapsing to a single rational expression) are validated numerically on
-a fixed pseudo-random sample of interior points rather than symbolically.
+Closed forms used by the strict cases (of g, and of f + g collapsing to a
+single rational expression) are validated numerically on a fixed
+pseudo-random sample of interior points rather than symbolically.
 
 Every report is built by _report, which forms the defect and the verdict.
 The four triangle cases build f, g = -f(-z) and f + g with _pair, and
 three of them compare ||f+g|| with ||f|| + ||g|| through _triangle; the
-two cases that compare a norm with itself use _same_norm.
+two cases that compare a norm with itself use _same_norm.  No case
+integrates g: norm_g (norm_k) is f's result by rotation invariance.
 """
 from __future__ import annotations
 
@@ -285,11 +286,11 @@ def _pair(text: str, scale: float, norm_fn, p: float, env, cfg):
     return f, g, Add(f, g), lambda e: norm_fn(e, p, env=env, cfg=cfg)
 
 
-def _triangle(kappa: float, norm_f: NormResult, norm_g: NormResult,
+def _triangle(kappa: float, norm_f: NormResult,
               norm_sum: NormResult) -> tuple[float, float, float]:
-    """(lhs, rhs, margin) of ||f+g|| against ||f|| + ||g||."""
-    return (norm_sum.value, norm_f.value + norm_g.value,
-            _norm_margin(kappa, norm_sum, norm_f, norm_g))
+    """(lhs, rhs, margin) of ||f+g|| against ||f|| + ||g||, ||g|| = ||f||."""
+    return (norm_sum.value, norm_f.value + norm_f.value,
+            _norm_margin(kappa, norm_sum, norm_f, norm_f))
 
 
 def verify_hp_counterexample(p: float, cfg: Optional[QuadConfig] = None, *,
@@ -298,8 +299,10 @@ def verify_hp_counterexample(p: float, cfg: Optional[QuadConfig] = None, *,
     """Strict triangle-inequality failure in the Hardy space, 0 < p < 1.
 
     f = (1+z)/(1-z) and g = -f(-z) have equal norms, yet the norm of the
-    sum exceeds the sum of the norms.  Sub-results record the symmetric
-    norm check, the closed form f + g = 4z/(1-z^2), and the proof-chain
+    sum exceeds the sum of the norms.  The norm of g equals the norm of f
+    identically (the circle measure is symmetric under z -> -z), so it is
+    not recomputed.  Sub-results record the identity check that g is
+    -(1-z)/(1+z), the closed form f + g = 4z/(1-z^2), and the proof-chain
     equality tying the norm of the sum to 4 times the norm of 1/(1-z).
     The optional scale multiplies f by a positive constant; both sides
     scale alike, so the verdict must not depend on it.
@@ -308,14 +311,12 @@ def verify_hp_counterexample(p: float, cfg: Optional[QuadConfig] = None, *,
         raise ValueError("requires 0 < p < 1")
     _check_inputs(kappa=kappa, scale=scale)
     f, g, total, norm = _pair("(1+z)/(1-z)", scale, hardy_norm, p, None, cfg)
-    norm_f, norm_g, norm_sum = norm(f), norm(g), norm(total)
+    norm_f, norm_sum = norm(f), norm(total)
     norm_pole = norm(parse("1/(1-z)"))
-    lhs, rhs, margin = _triangle(kappa, norm_f, norm_g, norm_sum)
+    lhs, rhs, margin = _triangle(kappa, norm_f, norm_sum)
 
-    sym_margin = _norm_margin(kappa, norm_f, norm_g)
-    sym = BoundCheck("norms of f and g agree", norm_f.value, norm_g.value,
-                     sym_margin,
-                     abs(norm_f.value - norm_g.value) <= sym_margin)
+    sym = _identity_check("g = -(1-z)/(1+z)", g,
+                          _scaled(parse("-(1-z)/(1+z)"), scale), None)
     chain_rhs = 4.0 * scale * norm_pole.value
     chain_margin = kappa * (norm_sum.value_abs_err
                             + 4.0 * scale * norm_pole.value_abs_err)
@@ -328,7 +329,7 @@ def verify_hp_counterexample(p: float, cfg: Optional[QuadConfig] = None, *,
     return _report("hp-counterexample",
                    {"p": p, "kappa": kappa, "scale": scale}, lhs, rhs, margin,
                    _strict_verdict,
-                   (("norm_f", norm_f), ("norm_g", norm_g),
+                   (("norm_f", norm_f), ("norm_g", norm_f),
                     ("norm_sum", norm_sum), ("norm_pole", norm_pole),
                     ("symmetry", sym), ("closed_form", ident),
                     ("proof_chain", chain)))
@@ -341,13 +342,15 @@ def verify_hp_equality_case(p: float, cfg: Optional[QuadConfig] = None, *,
 
     With k = -h(-z) = -1/(1+z) the norms add exactly: |h+k| and |h|, |k|
     produce the same boundary integrals after the square substitution.
+    The norm of k equals the norm of h identically (the circle measure is
+    symmetric under z -> -z), so it is not recomputed.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("requires 0 < p < 1")
     _check_inputs(kappa=kappa, scale=scale)
-    h, k, total, norm = _pair("1/(1-z)", scale, hardy_norm, p, None, cfg)
-    norm_h, norm_k, norm_sum = norm(h), norm(k), norm(total)
-    lhs, rhs, margin = _triangle(kappa, norm_h, norm_k, norm_sum)
+    h, _, total, norm = _pair("1/(1-z)", scale, hardy_norm, p, None, cfg)
+    norm_h, norm_sum = norm(h), norm(total)
+    lhs, rhs, margin = _triangle(kappa, norm_h, norm_sum)
 
     chain_rhs = 2.0 * norm_h.value
     chain_margin = kappa * (norm_sum.value_abs_err
@@ -359,7 +362,7 @@ def verify_hp_equality_case(p: float, cfg: Optional[QuadConfig] = None, *,
 
     return _report("hp-equality", {"p": p, "kappa": kappa, "scale": scale},
                    lhs, rhs, margin, _equality_verdict,
-                   (("norm_h", norm_h), ("norm_k", norm_k),
+                   (("norm_h", norm_h), ("norm_k", norm_h),
                     ("norm_sum", norm_sum), ("closed_form", ident),
                     ("proof_chain", chain)))
 
@@ -420,14 +423,16 @@ def verify_ap_large_p(p: float, eps: float,
     f = (1+z)^(2-eps)/(1-z)^(2+eps) with eps in eps_window(p); g = -f(-z).
     An eps outside the window is an input error, not an Inconclusive
     verdict.  Sub-results record the membership precondition p(2+eps) < 2
-    and the closed form f + g = 8z(1+z^2)/(1-z^2)^(2+eps).
+    and the closed form f + g = 8z(1+z^2)/(1-z^2)^(2+eps).  The norm of g
+    equals the norm of f identically (the area measure is symmetric under
+    z -> -z), so it is not recomputed.
     """
     window = eps_window(p)
     if not window.contains(eps):
         raise ValueError(f"eps={eps:g} outside admissible window {window}")
     _check_inputs(kappa=kappa, scale=scale)
     env = {"p": p, "eps": eps}
-    f, g, total, norm = _pair("(1+z)^(2-eps) / (1-z)^(2+eps)", scale,
+    f, _, total, norm = _pair("(1+z)^(2-eps) / (1-z)^(2+eps)", scale,
                               bergman_norm, p, env, cfg)
 
     member = membership_classify(2.0 + eps, p)
@@ -435,8 +440,8 @@ def verify_ap_large_p(p: float, eps: float,
                               member.product, 2.0, 0.0,
                               member.classification == "Member")
 
-    norm_f, norm_g, norm_sum = norm(f), norm(g), norm(total)
-    lhs, rhs, margin = _triangle(kappa, norm_f, norm_g, norm_sum)
+    norm_f, norm_sum = norm(f), norm(total)
+    lhs, rhs, margin = _triangle(kappa, norm_f, norm_sum)
     closed = _scaled(parse("(8*z*(1+z^2)) / (1-z^2)^(2+eps)"), scale)
     ident = _identity_check("f + g = 8z(1+z^2)/(1-z^2)^(2+eps)",
                             total, closed, env)
@@ -445,7 +450,7 @@ def verify_ap_large_p(p: float, eps: float,
                    {"p": p, "eps": eps, "kappa": kappa, "scale": scale},
                    lhs, rhs, margin, _strict_verdict,
                    (("membership", member), ("precondition", precondition),
-                    ("norm_f", norm_f), ("norm_g", norm_g),
+                    ("norm_f", norm_f), ("norm_g", norm_f),
                     ("norm_sum", norm_sum), ("closed_form", ident)))
 
 

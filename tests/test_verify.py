@@ -179,10 +179,37 @@ def test_identity_checks_see_one_read_only_draw(monkeypatch):
     rng = np.random.default_rng(1729)
     r = 0.9 * np.sqrt(rng.uniform(size=64))
     fresh = r * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=64))
-    assert len(seen) == 4 and all(z is seen[0] for z in seen)
+    assert len(seen) == 6 and all(z is seen[0] for z in seen)
     assert seen[0].tobytes() == fresh.tobytes()
     with pytest.raises(ValueError):
         seen[0][0] = 0.0
+
+
+# (case, norms it integrates): f and f + g, never g, whose norm is f's by
+# rotation invariance; hp-counterexample adds the single pole 1/(1-z)
+_DISTINCT_NORMS = [
+    (lambda: verify_hp_counterexample(0.5), 3, ("norm_g", "norm_f")),
+    (lambda: verify_hp_equality_case(0.5), 2, ("norm_k", "norm_h")),
+    (lambda: verify_ap_large_p(0.5, 1.0), 2, ("norm_g", "norm_f")),
+    (lambda: verify_ap_small_p(0.25), 2, None),
+]
+
+
+@pytest.mark.parametrize("case,calls,same", _DISTINCT_NORMS,
+                         ids=["hp-counterexample", "hp-equality",
+                              "ap-large-p", "ap-small-p"])
+def test_triangle_cases_compute_each_distinct_norm_once(monkeypatch, case,
+                                                        calls, same):
+    made = []
+    for name in ("hardy_norm", "bergman_norm"):
+        def counted(*args, _norm=getattr(verify_mod, name), **kwargs):
+            made.append(args[0])
+            return _norm(*args, **kwargs)
+        monkeypatch.setattr(verify_mod, name, counted)
+    subs = dict(case().sub_results)
+    assert len(made) == calls
+    if same is not None:
+        assert subs[same[0]] is subs[same[1]]
 
 
 def test_hp_counterexample_rejects_bad_p():
@@ -343,13 +370,22 @@ def test_means_monotone_validates_grid():
         verify_means_monotone(f, 1.0, [0.5, 1.0])
 
 
-def test_rotation_invariance_both_spaces():
-    f = parse("(1+z)/(1-z)")
-    assert verify_rotation_invariance(f, 0.5).verdict == "Confirmed"
-    g = parse("(1+z)^2")
-    r = verify_rotation_invariance(g, 1.0, angle=2.4, space="bergman")
+# the angle pi rows are the paper's own f, h and Bergman f, whose g = -f(-z)
+# the triangle cases take to have f's norm without integrating it
+@pytest.mark.parametrize("text,p,angle,space,env", [
+    ("(1+z)/(1-z)", 0.5, 0.7, "hardy", None),
+    ("(1+z)^2", 1.0, 2.4, "bergman", None),
+    ("(1+z)/(1-z)", 0.5, math.pi, "hardy", None),
+    ("1/(1-z)", 0.3, math.pi, "hardy", None),
+    ("(1+z)^(2-eps)/(1-z)^(2+eps)", 0.6, math.pi, "bergman",
+     {"p": 0.6, "eps": 0.7}),
+], ids=["hardy-0.7", "bergman-2.4", "hardy-f-pi", "hardy-h-pi",
+        "bergman-f-pi"])
+def test_rotation_invariance_both_spaces(text, p, angle, space, env):
+    r = verify_rotation_invariance(parse(text), p, angle, space=space,
+                                   env=env)
     assert r.verdict == "Confirmed"
-    assert r.inputs["space"] == "bergman"
+    assert r.inputs["space"] == space
 
 
 def test_rotation_invariance_rejects_unknown_space():
