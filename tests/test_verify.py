@@ -185,8 +185,9 @@ def test_identity_checks_see_one_read_only_draw(monkeypatch):
         seen[0][0] = 0.0
 
 
-# (case, norms it integrates): f and f + g, never g, whose norm is f's by
-# rotation invariance; hp-counterexample adds the single pole 1/(1-z)
+# (case, norms it integrates, the g and f sub-results that are one object):
+# f and f + g, never g, whose norm is f's by rotation invariance;
+# hp-counterexample adds the single pole 1/(1-z)
 _DISTINCT_NORMS = [
     (lambda: verify_hp_counterexample(0.5), 3, ("norm_g", "norm_f")),
     (lambda: verify_hp_equality_case(0.5), 2, ("norm_k", "norm_h")),
