@@ -38,8 +38,8 @@ _EXIT_BY_VERDICT = {"Confirmed": 0, "Refuted": 1, "Inconclusive": 2}
 class _Case:
     """One verification case: the flags it needs, its runner
     (args, cfg, env) -> VerificationReport and, when it can be swept over
-    p, the names of its f, g and f+g norm sub-results (a g of None means
-    the norm of g equals that of f)."""
+    p, the names of its f and f+g norm sub-results (the norm of g is that
+    of f)."""
     needs: tuple
     run: Callable
     subs: Optional[tuple] = None
@@ -61,16 +61,16 @@ _CASES = {
         verify_mod.verify_lemma_ap(a.alpha, a.p)),
     "hp-counterexample": _Case(("p",), lambda a, cfg, env:
         verify_mod.verify_hp_counterexample(a.p, cfg, kappa=a.kappa),
-        ("norm_f", "norm_g", "norm_sum")),
+        ("norm_f", "norm_sum")),
     "hp-equality": _Case(("p",), lambda a, cfg, env:
         verify_mod.verify_hp_equality_case(a.p, cfg, kappa=a.kappa),
-        ("norm_h", "norm_k", "norm_sum")),
+        ("norm_h", "norm_sum")),
     "ap-large-p": _Case(("p", "eps"), lambda a, cfg, env:
         verify_mod.verify_ap_large_p(a.p, a.eps, cfg, kappa=a.kappa),
-        ("norm_f", "norm_g", "norm_sum")),
+        ("norm_f", "norm_sum")),
     "ap-small-p": _Case(("p",), lambda a, cfg, env:
         verify_mod.verify_ap_small_p(a.p, cfg, kappa=a.kappa),
-        ("norm_f", None, "norm_sum")),
+        ("norm_f", "norm_sum")),
     "means-monotone": _Case(("expr", "p"), lambda a, cfg, env:
         verify_mod.verify_means_monotone(parse(a.expr), a.p, cfg=cfg,
                                          env=env, kappa=a.kappa)),
@@ -152,7 +152,7 @@ def run_sweep(case: str, p_min: float, p_max: float, steps: int,
             raise ValueError(f"eps rule must be finite, got {eps_rule}")
     _check_inputs(kappa=kappa)
 
-    f_name, g_name, sum_name = spec.subs
+    f_name, sum_name = spec.subs
     rows: list[SweepRow] = []
     for p in np.linspace(p_min, p_max, steps):
         p = float(p)
@@ -170,9 +170,8 @@ def run_sweep(case: str, p_min: float, p_max: float, steps: int,
             continue
         subs = dict(rep.sub_results)
         norm_f = subs[f_name].value
-        norm_g = subs[g_name].value if g_name else norm_f
         norm_sum = subs[sum_name].value
-        rows.append(SweepRow(p=p, eps=eps, norm_f_p=norm_f, norm_g_p=norm_g,
+        rows.append(SweepRow(p=p, eps=eps, norm_f_p=norm_f, norm_g_p=norm_f,
                              norm_sum_p=norm_sum, defect=rep.defect,
                              margin=rep.margin, verdict=rep.verdict))
     return rows

@@ -12,7 +12,8 @@ Under a parameter binding, an expression is resolved once, bottom up
 it has them, and each power its exponent.  BoundaryEvaluator compiles that
 form once into a _Plan of product forms, which evaluation, boundary-offset
 evaluation and the boundary structure (BoundaryEvaluator.structure) all
-read; none of them recognises or resolves anything itself.
+read; none of them recognises or resolves anything itself.  evaluate,
+boundary_structure and the norms share it per object and binding (compiled).
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ __all__ = [
     "parse", "evaluate", "exponent_value",
     "substitute_negate", "substitute_square", "substitute_rotate",
     "boundary_structure", "BoundaryStructure", "SingularPoint",
-    "BoundaryEvaluator", "check_param_env",
+    "BoundaryEvaluator", "check_param_env", "compiled",
 ]
 
 PARAM_NAMES = ("p", "eps", "alpha", "q")
@@ -354,7 +355,7 @@ def evaluate(e: Expr, z, env: Optional[ParamEnv] = None):
     """
     scalar = np.isscalar(z) or (isinstance(z, np.ndarray) and z.ndim == 0)
     zz = np.asarray(z, dtype=complex)
-    out = BoundaryEvaluator(e, env).value(zz)
+    out = compiled(e, env).value(zz)
     return complex(out) if scalar else out
 
 
@@ -533,7 +534,7 @@ def _add_at_root(table: dict, root: complex, x: float) -> float:
 def boundary_structure(e: Expr, env: Optional[ParamEnv] = None) -> BoundaryStructure:
     """The boundary singular points and zeros of e, read off its plan
     (BoundaryEvaluator.structure)."""
-    return BoundaryEvaluator(e, env).structure()
+    return compiled(e, env).structure()
 
 
 # ---------------------------------------------------------------------------
@@ -771,7 +772,8 @@ class BoundaryEvaluator:
     below roundoff scale.  This keeps relative accuracy for offsets far
     below machine epsilon, which the singular quadrature transform needs.
 
-    Both run one _Plan, compiled on first use (value is near at anchor 0):
+    Both run one _Plan, compiled on first use and shared per expression
+    object and binding through compiled (value is near at anchor 0):
     each product node is c * prod leaf_j^s_j over distinct leaves, each
     evaluated and logged once per call, so f and -f(-z), which share 1 +- z,
     take two logs between them, each from log|w| and atan2, not numpy's
@@ -788,14 +790,12 @@ class BoundaryEvaluator:
     def __init__(self, e: Expr, env: Optional[ParamEnv] = None):
         self.expr = e
         self.env = check_param_env(env)
-        self._plan = None
 
-    def _compiled(self) -> _Plan:
+    @functools.cached_property
+    @np.errstate(all="ignore")
+    def _plan(self) -> _Plan:
         """The plan, compiled on first use."""
-        if self._plan is None:
-            with np.errstate(all="ignore"):
-                self._plan = _Plan(_resolve(self.expr, self.env), self.env)
-        return self._plan
+        return _Plan(_resolve(self.expr, self.env), self.env)
 
     @property
     def real_coefficients(self) -> bool:
@@ -803,7 +803,7 @@ class BoundaryEvaluator:
         the expression is; parameters are).  Then f(conj z) = conj f(z) on
         the principal branch, so |f(conj z)| = |f(z)|, which lets a circle
         mean run over [0, pi] alone (hardy._layout)."""
-        return self._compiled().real
+        return self._plan.real
 
     @functools.cached_property
     def even_modulus(self) -> bool:
@@ -813,7 +813,7 @@ class BoundaryEvaluator:
         become, or to minus one if no branch check reads it; then the top
         form must keep its (leaf, s), and each checked leaf map to one.
         to[i] is j + 1 for the image j of leaf i, -(j + 1) for minus j."""
-        plan, to = self._compiled(), {}
+        plan, to = self._plan, {}
         own = {i: Counter((c, tuple(sorted(t))) for c, _, t, _ in forms)
                for i, forms in plan.forms.items()}
         for key, i in plan.keys.items():        # operands before their sums
@@ -831,6 +831,7 @@ class BoundaryEvaluator:
         return (sorted((abs(to[i]) - 1, s) for i, s in top) == top
                 and all(to[i] - 1 in plan.cut for i in plan.cut))
 
+    @functools.cached_property
     def _roots(self) -> tuple:
         """(net, negative, zeros) over the boundary roots of the affine leaves
         reached from the top form through the forms of sums and other bases,
@@ -838,8 +839,9 @@ class BoundaryEvaluator:
         angle to (root, -sum s) (_add_at_root), negative to -sum s over the
         s < 0, and zeros lists the angle of each root of an s > 0.  A sum read
         through an s <= 0 raises UnsupportedFormError; a power whose exponent
-        does not resolve is only the step that raises, with no root."""
-        plan = self._compiled()
+        does not resolve is only the step that raises, with no root.  Walked
+        once; its readers hand out copies."""
+        plan = self._plan
         key = {i: k for k, i in plan.keys.items()}
         net: dict[float, tuple[complex, float]] = {}
         negative: dict[float, float] = {}
@@ -874,11 +876,11 @@ class BoundaryEvaluator:
         boundary root (|f| ~ |z - root|^-sigma there), keyed by the root as
         _add_at_root matches and snaps it, of a plan whose top form is
         c * prod leaf_j^s_j, c != 0, over affine leaves alone; else None."""
-        plan = self._compiled()
+        plan = self._plan
         c, _, terms, _ = plan.top
         if c == 0 or any(plan.affine[i] is None for i, _ in terms):
             return None
-        return dict(self._roots()[0].values())
+        return dict(self._roots[0].values())
 
     def structure(self) -> BoundaryStructure:
         """The singular points and zeros on the circle (_roots).  A root is
@@ -887,7 +889,7 @@ class BoundaryEvaluator:
         negative exponents there; any other root is a zero, a kink of |f|^p
         on the circle, and zeros within 1e-12 of a singular angle or of a
         smaller zero are dropped."""
-        net, negative, zeros = self._roots()
+        net, negative, zeros = self._roots
         product = self.net_exponents() is not None
         pts = tuple(SingularPoint(ang, net[ang][0], net[ang][1] if product
                                   else x) for ang, x in sorted(negative.items()))
@@ -899,7 +901,7 @@ class BoundaryEvaluator:
 
     @np.errstate(all="ignore")
     def _run(self, anchor: complex, dz, p: Optional[float]) -> np.ndarray:
-        plan = self._compiled()
+        plan = self._plan
         # z^2 - anchor^2 = dz (2 anchor + dz)
         c = (anchor, dz, *((anchor * anchor, dz * (2.0 * anchor + dz))
                            if plan.squares else ()))
@@ -927,3 +929,22 @@ class BoundaryEvaluator:
         # (1-gap) e^{i d} - 1 = (e^{id} - 1) - gap - gap (e^{id} - 1)
         rel = em1 - gap - gap * em1
         return self._run(anchor, anchor * rel, p)
+
+
+_COMPILED: dict = {}
+_COMPILED_MAX = 256     # evaluators kept, the least recently used dropped
+
+
+def compiled(e: Expr, env: Optional[ParamEnv] = None) -> BoundaryEvaluator:
+    """The one BoundaryEvaluator of this object under the checked env, kept
+    by id, as Expr equality merges Const(-0j) * z with Const(0j) * z, and
+    by parameter bits; it holds its tree, so the id is not reused."""
+    env = check_param_env(env)
+    key = (id(e), tuple(sorted((k, v.hex()) for k, v in env.items())))
+    ev = _COMPILED.pop(key, None)
+    if ev is None or ev.expr is not e:
+        ev = BoundaryEvaluator(e, env)
+        if len(_COMPILED) >= _COMPILED_MAX:
+            del _COMPILED[next(iter(_COMPILED))]
+    _COMPILED[key] = ev
+    return ev

@@ -25,12 +25,12 @@ over [0, pi] alone (_layout), as |f| at -t is |f| at t; when also |f(-z)| =
 [0, pi/2], as |f| at t + pi is too.
 
 The norm driver _norm serves both spaces: _setup checks p and the
-parameters, compiles f and reads its boundary structure off the compiled
-plan (BoundaryEvaluator.structure); the space's integral runs; and when it
-does not converge, a product form is divergent where p times its net
-exponent at a boundary root reaches 1 on the circle or 2 on the disk
-(BoundaryEvaluator.net_exponents), and otherwise the space's probe looks
-for divergence along the one truncation ladder.
+parameters, takes f's shared evaluator (expr.compiled) and reads its
+boundary structure off its plan (BoundaryEvaluator.structure); the space's
+integral runs; and when it does not converge, a product form is divergent
+where p times its net exponent at a boundary root reaches 1 on the circle
+or 2 on the disk (BoundaryEvaluator.net_exponents), and otherwise the
+space's probe looks for divergence along the one truncation ladder.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .expr import (
     SingularPoint,
     _canonical_angle,
     _exact_root,
+    compiled,
 )
 from .quad import (NonFiniteSampleError, QuadConfig, _bisect, _pieces,
                    _piecewise, _side_plan, _total, integrate_piecewise)
@@ -393,15 +394,15 @@ def _divergence_probe(ev: BoundaryEvaluator, p: float,
 
 
 def _setup(f: Expr, p: float, env, singular_angles=None):
-    """The checked p, the evaluator, which checks env, and the boundary
-    structure: read off the evaluator's plan (BoundaryEvaluator.structure,
-    where a zero at a pole of a product form lowers the strength the depth
-    floors read), or probed at the declared singular_angles.  Returns (p,
-    evaluator, structure)."""
+    """The checked p, f's evaluator (compiled), which checks env, and the
+    boundary structure: read off the evaluator's plan
+    (BoundaryEvaluator.structure, where a zero at a pole of a product form
+    lowers the strength the depth floors read), or probed at the declared
+    singular_angles.  Returns (p, evaluator, structure)."""
     p = float(p)
     if not 0.0 < p < math.inf:
         raise ValueError(f"p must be positive and finite, got {p}")
-    ev = BoundaryEvaluator(f, env)
+    ev = compiled(f, env)
     if singular_angles is None:
         return p, ev, ev.structure()
     return p, ev, _declared_structure(ev, p, singular_angles)

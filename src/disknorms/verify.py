@@ -15,7 +15,8 @@ Every report is built by _report, which forms the defect and the verdict.
 The four triangle cases build f, g = -f(-z) and f + g with _pair, and
 three of them compare ||f+g|| with ||f|| + ||g|| through _triangle; the
 two cases that compare a norm with itself use _same_norm.  No case
-integrates g: norm_g (norm_k) is f's result by rotation invariance.
+integrates g: norm_g (norm_k) is f's result by rotation invariance.  The
+trees are built once (_parse, _trees), and so compiled once (expr.compiled).
 """
 from __future__ import annotations
 
@@ -278,12 +279,20 @@ def _norm_margin(kappa: float, *results: NormResult) -> float:
     return kappa * math.fsum(r.value_abs_err for r in results)
 
 
-def _pair(text: str, scale: float, norm_fn, p: float, env, cfg):
-    """f = scale * text, g = -f(-z) and f + g, with norm_fn bound to p,
-    env and cfg.  Returns (f, g, f + g, norm)."""
-    f = _scaled(parse(text), scale)
+_parse = functools.cache(parse)      # each literal parsed once a process
+
+
+@functools.lru_cache(maxsize=64)
+def _trees(text: str, scale: float) -> tuple:
+    """(f, g, f + g) of f = scale * text and g = -f(-z), built once."""
+    f = _scaled(_parse(text), scale)
     g = Neg(substitute_negate(f))
-    return f, g, Add(f, g), lambda e: norm_fn(e, p, env=env, cfg=cfg)
+    return f, g, Add(f, g)
+
+
+def _pair(text: str, scale: float, norm_fn, p: float, env, cfg):
+    """_trees(text, scale) and norm, norm_fn bound to p, env and cfg."""
+    return *_trees(text, scale), lambda e: norm_fn(e, p, env=env, cfg=cfg)
 
 
 def _triangle(kappa: float, norm_f: NormResult,
@@ -312,18 +321,18 @@ def verify_hp_counterexample(p: float, cfg: Optional[QuadConfig] = None, *,
     _check_inputs(kappa=kappa, scale=scale)
     f, g, total, norm = _pair("(1+z)/(1-z)", scale, hardy_norm, p, None, cfg)
     norm_f, norm_sum = norm(f), norm(total)
-    norm_pole = norm(parse("1/(1-z)"))
+    norm_pole = norm(_parse("1/(1-z)"))
     lhs, rhs, margin = _triangle(kappa, norm_f, norm_sum)
 
     sym = _identity_check("g = -(1-z)/(1+z)", g,
-                          _scaled(parse("-(1-z)/(1+z)"), scale), None)
+                          _scaled(_parse("-(1-z)/(1+z)"), scale), None)
     chain_rhs = 4.0 * scale * norm_pole.value
     chain_margin = kappa * (norm_sum.value_abs_err
                             + 4.0 * scale * norm_pole.value_abs_err)
     chain = BoundCheck("norm of f+g equals 4*scale*norm of 1/(1-z)",
                        lhs, chain_rhs, chain_margin,
                        abs(lhs - chain_rhs) <= chain_margin)
-    closed = _scaled(parse("(4*z)/(1-z^2)"), scale)
+    closed = _scaled(_parse("(4*z)/(1-z^2)"), scale)
     ident = _identity_check("f + g = 4z/(1-z^2)", total, closed, None)
 
     return _report("hp-counterexample",
@@ -357,7 +366,7 @@ def verify_hp_equality_case(p: float, cfg: Optional[QuadConfig] = None, *,
                             + 2.0 * norm_h.value_abs_err)
     chain = BoundCheck("norm of h+k equals 2*norm of h", lhs, chain_rhs,
                        chain_margin, abs(lhs - chain_rhs) <= chain_margin)
-    closed = _scaled(parse("(2*z)/(1-z^2)"), scale)
+    closed = _scaled(_parse("(2*z)/(1-z^2)"), scale)
     ident = _identity_check("h + k = 2z/(1-z^2)", total, closed, None)
 
     return _report("hp-equality", {"p": p, "kappa": kappa, "scale": scale},
@@ -442,7 +451,7 @@ def verify_ap_large_p(p: float, eps: float,
 
     norm_f, norm_sum = norm(f), norm(total)
     lhs, rhs, margin = _triangle(kappa, norm_f, norm_sum)
-    closed = _scaled(parse("(8*z*(1+z^2)) / (1-z^2)^(2+eps)"), scale)
+    closed = _scaled(_parse("(8*z*(1+z^2)) / (1-z^2)^(2+eps)"), scale)
     ident = _identity_check("f + g = 8z(1+z^2)/(1-z^2)^(2+eps)",
                             total, closed, env)
 

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from disknorms import expr
 from disknorms.expr import (Add, Const, Div, EvalDomainError, Mul, Neg,
                             Param, ParseError, Pow, Z, boundary_structure,
-                            evaluate, exponent_value, parse,
+                            compiled, evaluate, exponent_value, parse,
                             substitute_negate, substitute_rotate,
                             substitute_square, BoundaryEvaluator, _is_int,
                             _resolve)
@@ -960,7 +961,7 @@ def _sum_of(text):
 
 def _reduced_sums(ev):
     return sum(isinstance(k, tuple) and k[0] == "|"
-               for k in ev._compiled().keys)
+               for k in ev._plan.keys)
 
 
 @pytest.mark.parametrize("cause", sorted(_CAUSES))
@@ -1025,3 +1026,83 @@ def test_zero_leaf_with_positive_power_gives_zero(text):
 def test_net_exponents_of_product_forms(text, env, net):
     got = BoundaryEvaluator(parse(text), env).net_exponents()
     assert got == (None if net is None else pytest.approx(net, rel=1e-15))
+
+
+# ---------------------------------------------------------------------------
+# the memo of compiled evaluators
+
+
+def _signs(w: complex) -> tuple:
+    return math.copysign(1.0, w.real), math.copysign(1.0, w.imag)
+
+
+def test_memo_keeps_equal_trees_with_other_zeros_apart():
+    # Expr equality merges these two trees, yet 0.5 times each constant is
+    # its own signed zero; a binding's -0.0 and 0.0 differ the same way
+    neg, pos = Mul(Const(complex(-0.0, -0.0)), Z()), Mul(Const(0j), Z())
+    assert neg == pos and hash(neg) == hash(pos)
+    want = {id(neg): (1.0, -1.0), id(pos): (1.0, 1.0)}
+    for order in ((neg, pos), (pos, neg)):
+        expr._COMPILED.clear()
+        for e in order + order:
+            assert _signs(evaluate(e, 0.5)) == want[id(e)]
+    e = parse("eps*z")
+    for order in ((-0.0, 0.0), (0.0, -0.0)):
+        expr._COMPILED.clear()
+        for eps in order + order:
+            assert _signs(evaluate(e, 0.5, {"eps": eps})) == (
+                math.copysign(1.0, eps), 1.0)
+
+
+@pytest.mark.parametrize("text", ["alpha*z", "(1-z)^(-alpha)"])
+def test_unbound_parameter_raises_on_every_evaluate(text):
+    e = parse(text)
+    for _ in range(3):
+        with pytest.raises(EvalDomainError,
+                           match="unbound parameter 'alpha'"):
+            evaluate(e, 0.5)
+
+
+@pytest.mark.parametrize("env", [{"p": -1}, {"p": 0.0}, {"eps": math.inf},
+                                 {"q": math.nan}])
+def test_bad_binding_raises_before_the_memo_is_read(monkeypatch, env):
+    e = parse("1/(1-z)")
+    compiled(e)
+    monkeypatch.setattr(expr, "_COMPILED", None)    # any read would raise
+    for call in (lambda: compiled(e, env), lambda: evaluate(e, 0.5, env),
+                 lambda: boundary_structure(e, env)):
+        with pytest.raises(EvalDomainError):
+            call()
+
+
+def test_memo_keeps_at_most_its_bound():
+    expr._COMPILED.clear()
+    trees = [parse(f"{k}/(1-z)") for k in range(300)]
+    for k, e in enumerate(trees):
+        assert evaluate(e, 0.5) == 2 * k
+        if k % 100 == 99:
+            evaluate(trees[0], 0.5)
+    assert len(expr._COMPILED) == expr._COMPILED_MAX == 256
+    # the least recently used go first: trees[0] was used lately
+    kept = {id(ev.expr) for ev in expr._COMPILED.values()}
+    assert kept == {id(e) for e in [trees[0]] + trees[45:]}
+
+
+def test_compiled_is_one_evaluator_per_object_and_binding():
+    e, twin = parse("(1+z)^(2-eps)"), parse("(1+z)^(2-eps)")
+    assert e == twin and e is not twin
+    ev = compiled(e, {"eps": 0.5})
+    assert compiled(e, {"eps": 0.5}) is ev and ev.expr is e
+    assert compiled(twin, {"eps": 0.5}) is not ev
+    assert compiled(e, {"eps": 0.25}) is not ev
+    # bindings are keyed as check_param_env returns them
+    assert compiled(e, {"eps": 1}) is compiled(e, {"eps": 1.0})
+    assert compiled(e) is compiled(e, {})
+
+
+def test_shared_evaluator_hands_out_copies_of_its_roots():
+    ev = compiled(parse("(1-z^2)^0.5/(1-z)^2"))
+    net = ev.net_exponents()
+    net.clear()
+    assert ev.net_exponents() == pytest.approx({1: 1.5, -1: -0.5})
+    assert ev.structure() == boundary_structure(ev.expr)

@@ -409,7 +409,8 @@ def test_inner_integral_error_is_a_non_finite_sample_error():
 @pytest.mark.parametrize("norm", [hardy_norm, bergman_norm])
 def test_norm_resolves_its_expression_once(monkeypatch, norm):
     # the evaluator compiles its resolved form once, and the boundary
-    # structure is read off that plan
+    # structure is read off that plan; a second norm of the same object
+    # takes the same evaluator (expr.compiled)
     f = parse("(1+z)^(2-eps)/(1-z)^(2+eps)")
     top = []
     resolve = expr._resolve
@@ -421,6 +422,9 @@ def test_norm_resolves_its_expression_once(monkeypatch, norm):
     monkeypatch.setattr(expr, "_resolve", counted)
     norm(f, 0.5, env={"eps": 0.1})
     assert sum(top) == 1
+    top.clear()
+    norm(f, 0.5, env={"eps": 0.1})
+    assert sum(top) == 0
 
 
 def test_ladder_growth_test():

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import importlib.util
 import math
 import pathlib
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from disknorms import verify as verify_mod
+from disknorms import expr, verify as verify_mod
+from disknorms.cli import run_sweep
 from disknorms.expr import evaluate, parse
 from disknorms.verify import (eps_window, verify_ap_large_p,
                               verify_ap_small_p, verify_elem_inequality,
@@ -211,6 +213,45 @@ def test_triangle_cases_compute_each_distinct_norm_once(monkeypatch, case,
     assert len(made) == calls
     if same is not None:
         assert subs[same[0]] is subs[same[1]]
+
+
+def _count_compiles(monkeypatch) -> tuple:
+    """Empty the memo of compiled evaluators, then list the tree of each
+    plan compiled and of each boundary-root walk."""
+    expr._COMPILED.clear()
+    plans, walks = [], []
+
+    def plan(node, env, _plan=expr._Plan):
+        plans.append(node.e)
+        return _plan(node, env)
+
+    def roots(ev, _walk=expr.BoundaryEvaluator.__dict__["_roots"].func):
+        walks.append(ev.expr)
+        return _walk(ev)
+    counted = functools.cached_property(roots)
+    counted.__set_name__(expr.BoundaryEvaluator, "_roots")
+    monkeypatch.setattr(expr, "_Plan", plan)
+    monkeypatch.setattr(expr.BoundaryEvaluator, "_roots", counted)
+    return plans, walks
+
+
+def test_a_sweep_compiles_each_tree_once(monkeypatch):
+    # f, f + g and 1/(1-z) normed, g, and the closed forms of g and f + g
+    # checked: six trees, the same at every p, three of them walked
+    plans, walks = _count_compiles(monkeypatch)
+    rows = run_sweep("hp-counterexample", 0.05, 0.95, 9)
+    assert [row.verdict for row in rows] == ["Confirmed"] * 9
+    assert len(plans) == len({id(e) for e in plans}) == 6
+    assert len(walks) == len({id(e) for e in walks}) == 3
+
+
+def test_a_report_compiles_f_plus_g_once(monkeypatch):
+    # f + g is normed and checked against its closed form on one plan
+    plans, _ = _count_compiles(monkeypatch)
+    verify_hp_counterexample(0.5)
+    _, _, total = verify_mod._trees("(1+z)/(1-z)", 1.0)
+    assert len(plans) == 6
+    assert [e is total for e in plans].count(True) == 1
 
 
 def test_hp_counterexample_rejects_bad_p():
