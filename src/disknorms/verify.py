@@ -16,7 +16,7 @@ The four triangle cases build f, g = -f(-z) and f + g with _pair, and
 three of them compare ||f+g|| with ||f|| + ||g|| through _triangle; the
 two cases that compare a norm with itself use _same_norm.  No case
 integrates g: norm_g (norm_k) is f's result by rotation invariance.  The
-trees are built once (_parse, _trees), and so compiled once (expr.compiled).
+trees are built once (_literal, _trees), and so compiled once (expr.compiled).
 """
 from __future__ import annotations
 
@@ -149,10 +149,12 @@ def _same_norm(case_id: str, inputs: dict, kappa: float, lhs_name: str,
                    _equality_verdict, ((lhs_name, lhs), (rhs_name, rhs)))
 
 
-def _scaled(e: Expr, scale: float) -> Expr:
-    if scale == 1.0:
-        return e
-    return Mul(Const(complex(scale)), e)
+@functools.lru_cache(maxsize=64)
+def _literal(text: str, scale: float) -> Expr:
+    """scale * text, parsed and built once (scale > 0, so keys that compare
+    equal have equal bits)."""
+    e = parse(text)
+    return e if scale == 1.0 else Mul(Const(complex(scale)), e)
 
 
 @functools.cache
@@ -279,13 +281,10 @@ def _norm_margin(kappa: float, *results: NormResult) -> float:
     return kappa * math.fsum(r.value_abs_err for r in results)
 
 
-_parse = functools.cache(parse)      # each literal parsed once a process
-
-
 @functools.lru_cache(maxsize=64)
 def _trees(text: str, scale: float) -> tuple:
     """(f, g, f + g) of f = scale * text and g = -f(-z), built once."""
-    f = _scaled(_parse(text), scale)
+    f = _literal(text, scale)
     g = Neg(substitute_negate(f))
     return f, g, Add(f, g)
 
@@ -321,18 +320,18 @@ def verify_hp_counterexample(p: float, cfg: Optional[QuadConfig] = None, *,
     _check_inputs(kappa=kappa, scale=scale)
     f, g, total, norm = _pair("(1+z)/(1-z)", scale, hardy_norm, p, None, cfg)
     norm_f, norm_sum = norm(f), norm(total)
-    norm_pole = norm(_parse("1/(1-z)"))
+    norm_pole = norm(_literal("1/(1-z)", 1.0))
     lhs, rhs, margin = _triangle(kappa, norm_f, norm_sum)
 
     sym = _identity_check("g = -(1-z)/(1+z)", g,
-                          _scaled(_parse("-(1-z)/(1+z)"), scale), None)
+                          _literal("-(1-z)/(1+z)", scale), None)
     chain_rhs = 4.0 * scale * norm_pole.value
     chain_margin = kappa * (norm_sum.value_abs_err
                             + 4.0 * scale * norm_pole.value_abs_err)
     chain = BoundCheck("norm of f+g equals 4*scale*norm of 1/(1-z)",
                        lhs, chain_rhs, chain_margin,
                        abs(lhs - chain_rhs) <= chain_margin)
-    closed = _scaled(_parse("(4*z)/(1-z^2)"), scale)
+    closed = _literal("(4*z)/(1-z^2)", scale)
     ident = _identity_check("f + g = 4z/(1-z^2)", total, closed, None)
 
     return _report("hp-counterexample",
@@ -366,7 +365,7 @@ def verify_hp_equality_case(p: float, cfg: Optional[QuadConfig] = None, *,
                             + 2.0 * norm_h.value_abs_err)
     chain = BoundCheck("norm of h+k equals 2*norm of h", lhs, chain_rhs,
                        chain_margin, abs(lhs - chain_rhs) <= chain_margin)
-    closed = _scaled(_parse("(2*z)/(1-z^2)"), scale)
+    closed = _literal("(2*z)/(1-z^2)", scale)
     ident = _identity_check("h + k = 2z/(1-z^2)", total, closed, None)
 
     return _report("hp-equality", {"p": p, "kappa": kappa, "scale": scale},
@@ -451,7 +450,7 @@ def verify_ap_large_p(p: float, eps: float,
 
     norm_f, norm_sum = norm(f), norm(total)
     lhs, rhs, margin = _triangle(kappa, norm_f, norm_sum)
-    closed = _scaled(_parse("(8*z*(1+z^2)) / (1-z^2)^(2+eps)"), scale)
+    closed = _literal("(8*z*(1+z^2)) / (1-z^2)^(2+eps)", scale)
     ident = _identity_check("f + g = 8z(1+z^2)/(1-z^2)^(2+eps)",
                             total, closed, env)
 

@@ -254,6 +254,17 @@ def test_a_report_compiles_f_plus_g_once(monkeypatch):
     assert [e is total for e in plans].count(True) == 1
 
 
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+def test_a_second_report_compiles_nothing(monkeypatch, scale):
+    # the scaled trees and closed forms are built once too
+    plans, _ = _count_compiles(monkeypatch)
+    verify_hp_counterexample(0.5, scale=scale)
+    assert len(plans) == 6
+    plans.clear()
+    verify_hp_counterexample(0.5, scale=scale)
+    assert plans == []
+
+
 def test_hp_counterexample_rejects_bad_p():
     for bad in (0.0, 1.0, 1.5, -0.2):
         with pytest.raises(ValueError):
