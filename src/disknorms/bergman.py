@@ -7,11 +7,13 @@ The A^p quasi-norm is computed from the radial form
 with the area measure normalized so the disk has measure 1.  The inner
 circle integral reuses the arc machinery of the hardy module at radius
 1 - gap; the means at all radii of one outer request run at once
-(hardy._circle_means), and where the outer error spreads over several
-panels, as at the kinks that zeros of f put into M_p^p, one request
-bisects up to four of them (_RadialIntegrand.batch).  The outer radial
-integral receives gaps directly from the singular-endpoint transform, so
-radii exponentially close to 1 never suffer the 1 - r rounding collapse.
+(hardy._circle_means) and come back in arrays, which the radial integrand
+reads whole (_RadialIntegrand._terms).  Where the outer error spreads
+over several panels, as at the kinks that zeros of f put into M_p^p, one
+request bisects up to four of them (_RadialIntegrand.batch).  The outer
+radial integral receives gaps directly from the singular-endpoint
+transform, so radii exponentially close to 1 never suffer the 1 - r
+rounding collapse.
 bergman_norm hands this radial integral, and a probe that truncates it at
 1 - cut, to the norm driver of the hardy module.  Each of the probe's three
 rungs is the radial integral's singular side with its transform stopped at
@@ -37,8 +39,8 @@ from .hardy import (
     _ladder_says_divergent,
     _norm,
 )
-from .quad import (NonFiniteSampleError, QuadConfig, _bisect, _side_plan,
-                   _sides, integrate)
+from .quad import (NonFiniteSampleError, QuadConfig, _bisect, _Rows,
+                   _side_plan, _sides, integrate)
 
 __all__ = [
     "InnerIntegralError",
@@ -99,28 +101,45 @@ class _RadialIntegrand:
         self.max_inner_rel = 0.0
 
     def _terms(self, radii, gaps):
-        """2 r^{1+k} M_p^p(r) at each radius r = 1 - gap; the inner means
-        run at once, their bookkeeping and failures in radius order."""
-        out = np.empty(len(gaps))
+        """2 r^{1+k} M_p^p(r) at each radius r = 1 - gap, both arrays; the
+        inner means run at once, their bookkeeping and failures in radius
+        order: in arrays when they come as such (a quad._Rows), else one by
+        one."""
         means = _circle_means(self._ev, self._p, self._st, gaps, self._inner)
-        for j, (g, (m, e, n, _)) in enumerate(zip(gaps, means)):
-            self.inner_evals += n
-            if not (math.isfinite(m) and math.isfinite(e)):
-                raise InnerIntegralError(1.0 - g)
-            if m > 0.0:
-                self.max_inner_rel = max(self.max_inner_rel, e / m)
-            out[j] = 2.0 * radii[j] ** (1 + self._k) * m
+        if isinstance(means, _Rows):
+            blocks = [(means.value, means.err, means.evals)]
+        else:
+            blocks = ((np.array([m]), np.array([e]), np.array([n]))
+                      for m, e, n, _ in means)
+        # r ** 1 is r; numpy's power of an array may differ in the last
+        # bit from the scalar power of each radius
+        rk = radii if not self._k else np.array(
+            [r ** (1 + self._k) for r in radii])
+        out, done = np.empty(len(gaps)), 0
+        for m, e, n in blocks:
+            bad = ~(np.isfinite(m) & np.isfinite(e))
+            j = int(bad.argmax()) if bad.any() else m.size
+            self.inner_evals += int(n[:j + 1].sum())
+            pos = m[:j] > 0.0
+            if pos.any():
+                with np.errstate(over="ignore"):    # as Python floats
+                    rel = (e[:j][pos] / m[:j][pos]).max()
+                self.max_inner_rel = max(self.max_inner_rel, float(rel))
+            if j < m.size:
+                raise InnerIntegralError(1.0 - gaps[done + j])
+            out[done:done + m.size] = 2.0 * rk[done:done + m.size] * m
+            done += m.size
         return out
 
     def values(self, r):
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        return self._terms(list(r), [1.0 - rj for rj in r])
+        return self._terms(r, 1.0 - r)
 
     from_left = values      # offsets from the left endpoint 0 are radii
 
     def from_right(self, d):
         d = np.atleast_1d(np.asarray(d, dtype=float))
-        return self._terms([1.0 - dj for dj in d], list(d))
+        return self._terms(1.0 - d, d)
 
 
 def _radial_integral(ev: BoundaryEvaluator, p: float,

@@ -17,6 +17,10 @@ builds one integrand per arc, which takes the gap with each point and
 plans each side once per class of gaps, and hands the sides of every gap
 to quad._bisect, which runs one gap's alone by heap and several gaps' at
 once, sampling each arc and method with one evaluator call per round.
+Several gaps' sides come back finished in arrays, and their pieces, arcs
+and means add up in arrays, each row as quad._total adds it (_finished);
+one gap's sides, or a request with a sum that is not finite, add up by
+quad._total, one mean at a time.
 
 When every coefficient of f is real (BoundaryEvaluator.real_coefficients)
 and its singular angles are symmetric under t -> 2 pi - t, each mean runs
@@ -52,7 +56,8 @@ from .expr import (
     compiled,
 )
 from .quad import (NonFiniteSampleError, QuadConfig, _bisect, _pieces,
-                   _piecewise, _side_plan, _total, integrate_piecewise)
+                   _piecewise, _Rows, _side_plan, _total,
+                   integrate_piecewise)
 
 __all__ = [
     "NormResult",
@@ -240,6 +245,24 @@ class _ArcIntegrand:
             plan = self._plan(j, side, uncapped, False)
         return getattr(self, plan.method), gap, plan
 
+    def owners(self, j: int, side: tuple, gaps) -> list:
+        """The owner of side at each of gaps, as owner gives it, the class
+        of every gap worked out at once and its plan looked up once."""
+        g = np.asarray(gaps, dtype=float)
+        flat = 1e-3 * g
+        uncapped = g >= self._uncapped_from
+        cls = 2 * uncapped          # 2 uncapped + 1 tailed
+        for u in set(uncapped.tolist()):
+            tail = self._plan(j, side, u, True).tail_at
+            cls += (uncapped == u) & (flat > 0.0) & (
+                True if tail is None else tail <= flat)
+        pick = {}
+        for c in set(cls.tolist()):
+            plan = self._plan(j, side, c >= 2, c % 2 == 1)
+            pick[c] = getattr(self, plan.method), plan
+        return [(pick[c][0], gap, pick[c][1])
+                for c, gap in zip(cls.tolist(), gaps)]
+
     def _plan(self, j: int, side: tuple, uncapped: bool, tailed: bool):
         """The plan of the j-th side at the gaps of one class."""
         key = (j, uncapped, tailed)
@@ -277,13 +300,16 @@ def _circle_mean_p(ev: BoundaryEvaluator, p: float,
 
 def _circle_means(ev: BoundaryEvaluator, p: float,
                   structure: BoundaryStructure, gaps, cfg: QuadConfig):
-    """Yield the (mean, abs_err_est, evaluations, converged) of the mean
-    (1/2 pi) int |f((1-gap) e^{i t})|^p dt over the full circle at each of
-    gaps, in order, with cfg's tolerances on each.  quad._bisect runs the
-    sides of every gap, arc and piece: those of one gap alone by heap, of
-    several at once (batched as scipy.integrate.quad_vec batches its
-    intervals), and raises a failure where, and as, the gap loop raises it.
-    Each arc has one integrand, whatever the number of gaps."""
+    """An iterator of the (mean, abs_err_est, evaluations, converged) of the
+    mean (1/2 pi) int |f((1-gap) e^{i t})|^p dt over the full circle at
+    each of gaps, in order, with cfg's tolerances on each.  quad._bisect
+    runs the sides of every gap, arc and piece: those of one gap alone by
+    heap, of several at once (batched as scipy.integrate.quad_vec batches
+    its intervals), and raises a failure where, and as, the gap loop
+    raises it.  Sides bisected at once are added up in arrays, a quad._Rows
+    of the means (_finished); else each gap's sides add up in turn, by
+    _total, as it is read.  Each arc has one integrand, whatever the number
+    of gaps."""
     arcs, span = _layout(ev, structure)
     plans = _arc_pieces(arcs, span, cfg)
     sides = []
@@ -291,11 +317,76 @@ def _circle_means(ev: BoundaryEvaluator, p: float,
         intg = _ArcIntegrand(ev, p, arc)
         sides += [(intg, j, side) for j, side in enumerate(
             side for _, piece_sides in pieces for side in piece_sides)]
-    results = _bisect([intg.owner(j, side, gap) for gap in gaps
-                       for intg, j, side in sides])
-    for _ in gaps:
-        yield _total([_piecewise(pieces, sub, results)
-                      for _, sub, pieces in plans], cfg, scale=span)
+    if len(gaps) == 1:
+        owners = [intg.owner(j, side, gaps[0]) for intg, j, side in sides]
+    else:
+        owners = [owner for at_gap in zip(*(intg.owners(j, side, gaps)
+                                            for intg, j, side in sides))
+                  for owner in at_gap]
+    done = _bisect(owners)
+    if isinstance(done, _Rows):
+        means = _finished(done, plans, span, cfg, len(gaps))
+        if means is not None:
+            return means
+    return (_total([_piecewise(pieces, sub, done) for _, sub, pieces in plans],
+                   cfg, scale=span) for _ in gaps)
+
+
+def _finished(sides: _Rows, plans: list, span: float, cfg: QuadConfig,
+              n: int) -> Optional[_Rows]:
+    """The _Rows of the means at n gaps from their sides (_circle_means),
+    gap by gap in _arc_pieces order, as the gap loop's quad._total gives
+    each; None when a sum is not finite, where that loop's fsum may
+    raise."""
+    cols = iter(range(sides.value.size // n))
+    side = [a.reshape(n, -1) for a in (
+        sides.value, sides.err, sides.evals, sides.converged)]
+
+    def part():
+        c = next(cols)
+        return [a[:, c] for a in side]
+
+    arcs = [_totals([_totals([part() for _ in piece_sides], piece, plus=True)
+                     for piece, piece_sides in pieces], sub)
+            for _, sub, pieces in plans]
+    value, err, evals, conv = _totals(arcs, cfg, scale=span)
+    if np.isfinite(value).all() and np.isfinite(err).all():
+        return _Rows(value, err, evals, conv)
+    return None
+
+
+def _totals(parts: list, cfg: QuadConfig, plus: bool = False,
+            scale: float = 1.0) -> list:
+    """The _total of parts under cfg, by fsum or, with plus, by + (two
+    sides of a piece at most), (value, err, evaluations, converged) arrays
+    each, a row per gap, in arrays, quietly, as in Python floats: one part
+    is itself, two add by + (fsum rounds two parts as + does, but to 0.0
+    for -0.0 + -0.0, and raises where + overflows), more by fsum row by
+    row, nan where it raises; over scale, and checked against cfg."""
+    with np.errstate(all="ignore"):
+        if len(parts) == 1:
+            value, err = parts[0][:2]
+        elif len(parts) == 2:
+            (v1, e1, *_), (v2, e2, *_) = parts
+            value, err = v1 + v2, e1 + e2
+            if not plus:
+                value, err = value + 0.0, err + 0.0
+        else:
+            value, err = (np.array([_fsum(row) for row in zip(*(
+                q[i].tolist() for q in parts))]) for i in (0, 1))
+        if scale != 1.0:
+            value, err = value / scale, err / scale
+        conv = np.logical_and.reduce([q[3] for q in parts]) & (
+            err <= np.fmax(cfg.abs_tol, cfg.rel_tol * np.abs(value)))
+    return [value, err, sum(q[2] for q in parts), conv]
+
+
+def _fsum(row) -> float:
+    """fsum of row, or nan where it raises."""
+    try:
+        return fsum(row)
+    except (OverflowError, ValueError):
+        return math.nan
 
 
 # ---------------------------------------------------------------------------

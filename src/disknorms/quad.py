@@ -30,11 +30,12 @@ arg by heap, one panel a step, and those of several at once (_rounds),
 with their panels in arrays, each in the heap's order and arithmetic, so
 bit for bit as the heap runs it, provided the samples reach the stacked
 sums (_sums) as a fresh C-contiguous array: numpy sums a stride-0
-broadcast, such as a constant integrand returns, in another order.  When
-that raises, it runs each alone by heap in its turn, so each fails as it
-would alone.  Either way _finish_side adds each side's tail and checks its
-convergence, and _total sums the sides, pieces and means and checks
-theirs.
+broadcast, such as a constant integrand returns, in another order; the
+one-sample tails ride in the first round's requests.  When that raises,
+it runs each alone by heap in its turn, so each fails as it would alone.
+_finish_side adds each side's tail and checks its convergence, for the
+rounds in arrays (_finish_sides, a _Rows), and _total sums the sides,
+pieces and means and checks theirs.
 """
 from __future__ import annotations
 
@@ -44,7 +45,7 @@ import math
 import operator
 from dataclasses import dataclass
 from math import fsum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -299,18 +300,20 @@ def _adaptive(fn, plan: _Plan, batch: int = 1):
 
 
 def _bisect(owners):
-    """Yield the _finish_side of each of owners, (fn, arg, plan) each, in
-    order: alone (_alone) when they share one arg, as one integral runs,
-    else at once by _rounds, and when that raises anything, each alone in
-    its turn, failing as it would alone."""
-    done = (_alone(*owner) for owner in owners)
+    """The _finish_side of each of owners, (fn, arg, plan) each, in order,
+    as an iterator: alone (_alone) when they share one arg, as one integral
+    runs, each finished as it is read; else at once by _rounds, finished
+    in arrays (_finish_sides), a _Rows; and when _rounds raises anything,
+    each alone in its turn, failing as it would alone."""
     if len({arg for _, arg, _ in owners}) > 1:
         try:
             done = _rounds(owners)
         except Exception:
             pass                    # the owners run alone
-    for (_, _, plan), d in zip(owners, done):
-        yield _finish_side(plan, *d)
+        else:
+            return _finish_sides([plan for _, _, plan in owners], done)
+    return (_finish_side(plan, *_alone(fn, arg, plan))
+            for fn, arg, plan in owners)
 
 
 def _alone(fn, arg, plan: _Plan):
@@ -318,60 +321,124 @@ def _alone(fn, arg, plan: _Plan):
     return _adaptive(lambda x: fn(x, arg), plan)
 
 
-def _rounds(owners):
+class _Bisected(NamedTuple):
+    """What _rounds gives of its owners, an array each in owner order:
+    value and err (one fsum each), evaluations and the tail sample (0.0
+    with no tail_at); and panels, the leaf panels, (lo, hi, value, err)
+    each, of each owner whose tail is extrapolated, by owner index, the
+    only ones _finish_side reads."""
+    value: np.ndarray
+    err: np.ndarray
+    evals: np.ndarray
+    y_end: np.ndarray
+    panels: dict
+
+
+class _Rows:
+    """Rows of (value, err, evaluations, converged), an array per field in
+    row order, read as an iterator of tuples of Python numbers, as
+    _finish_side and _total give them."""
+
+    def __init__(self, value, err, evals, converged):
+        self.value, self.err = value, err
+        self.evals, self.converged = evals, converged
+        self._rows = None
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        if self._rows is None:
+            self._rows = zip(self.value.tolist(), self.err.tolist(),
+                             self.evals.tolist(), self.converged.tolist())
+        return next(self._rows)
+
+
+def _places(keys) -> tuple:
+    """(the distinct keys in first-seen order, an array of each key's place
+    among them)."""
+    distinct = dict.fromkeys(keys)
+    place = dict(zip(distinct, range(len(distinct))))
+    return list(distinct), np.fromiter(map(place.__getitem__, keys),
+                                       dtype=int, count=len(keys))
+
+
+def _table(plans, fields):
+    """The fields(plan) of each of plans, a row each, None read as and
+    short rows padded with nan, worked out once per distinct plan (by
+    identity): few plans serve many owners."""
+    ids = list(map(id, plans))
+    distinct, row = _places(ids)
+    by_id = dict(zip(ids, plans))
+    rows = [[math.nan if v is None else v for v in fields(by_id[i])]
+            for i in distinct]
+    width = max(map(len, rows), default=0)
+    return np.array([r + [math.nan] * (width - len(r)) for r in rows],
+                    dtype=float).reshape(-1, width)[row]
+
+
+def _rounds(owners) -> _Bisected:
     """Run the bisections of owners, (fn, arg, plan) each, as _adaptive
     runs each alone, all at once in rounds.  A round takes every running
     owner's largest-error panel (ties to the lowest seq, as the heap) and
     samples all halves with one call fn(points, args) per fn, args the
-    points' owners' args.  One more round samples the plan.tail_at.  Each
-    field of the panels is one flat array, a row of slots per owner in seq
-    order.  Returns [(value, err, evaluations, leaf panels), tail sample or
-    None] of each owner, value and err by fsum (correctly rounded, so in
-    any order), the panels None but for an extrapolated tail, which
-    _finish_side reads; the first exception of a call, a _samples check or
-    an fsum propagates."""
-    n, fns = len(owners), {}
-    group = np.array([fns.setdefault(fn, len(fns)) for fn, _, _ in owners],
-                     dtype=int)
-    fns, plans = list(fns), [plan for _, _, plan in owners]
-    args, atol, rtol, room, L = np.array(
-        [(a, p.abs_tol, p.rel_tol, p.budget - 30, p.L) for _, a, p in owners],
-        dtype=float).reshape(n, 5).T
+    points' owners' args; the first round's calls also take each
+    plan.tail_at, whose sample is not checked.  Each field of the panels
+    is one flat array, a row of slots per owner in seq order.  Returns
+    their _Bisected, value and err by fsum (correctly rounded, so in any
+    order); the first exception of a call, a _samples check or an fsum
+    propagates."""
+    n, (fns, args, plans) = len(owners), zip(*owners)
+    fns, group = _places(fns)
+    args, plans = np.array(args, dtype=float), list(plans)
+    cols = _table(plans, lambda p: (
+        p.abs_tol, p.rel_tol, p.budget - 30, p.L, p.tail_at,
+        len(p.edges) - 1, *p.edges))
+    atol, rtol, room, L, tail_at = cols[:, :5].T
+    k = cols[:, 5].astype(int)
+    ends = np.flatnonzero(~np.isnan(tail_at))
 
-    def call(own, points, x=None, w=None):
-        """The samples at points (a row per entry of own), one call per fn
-        with rows (a sole fn takes them all, unmasked), weighted and checked
-        (_samples) at nodes x when given, copied into a fresh C-contiguous
-        array: the stacked matmul of _sums sums a stride-0 one in another
-        order."""
-        y, m = np.empty_like(points), points.shape[1]
-        for g, r in ([(0, slice(None))] if len(fns) == 1 and own.size else [
-                (g, group[own] == g) for g in np.unique(group[own]).tolist()]):
-            out = fns[g](points[r].ravel(), np.repeat(args[own[r]], m))
-            y[r] = (np.asarray(out, dtype=float).reshape(-1, m) if x is None
-                    else _samples(out, x[r], None if w is None else w[r]))
-        return y
+    def call(own, points, x, w, ends=ends[:0]):
+        """The samples at points (a row per entry of own), weighted and
+        checked (_samples) at nodes x, copied into a fresh C-contiguous
+        array (the stacked matmul of _sums sums a stride-0 one in another
+        order), and, unchecked, those at the tail_at of the owners ends:
+        one call per fn with rows (a sole fn takes them all, unmasked), none
+        for no rows."""
+        y, m, t = np.empty_like(points), points.shape[1], np.empty(ends.size)
+        for g, r, s in ([(0, slice(None), slice(None))]
+                        if len(fns) == 1 and own.size
+                        else [(g, group[own] == g, group[ends] == g)
+                              for g in np.unique(group[own]).tolist()]):
+            at, a = points[r].ravel(), np.repeat(args[own[r]], m)
+            if ends.size:
+                at = np.concatenate([at, tail_at[ends[s]]])
+                a = np.concatenate([a, args[ends[s]]])
+            out = np.asarray(fns[g](at, a), dtype=float)
+            if out.shape != at.shape:
+                raise QuadError(f"expected {at.size} samples, one per "
+                                f"point, got {out.size}")
+            size = x[r].size
+            y[r] = _samples(out[:size], x[r], None if w is None else w[r])
+            t[s] = out[size:]
+        return y, t
 
-    def sample(own, lo, hi):
-        """(value, error) of the panels (lo, hi) of the owners own."""
-        h, x, points, w = _node_arrays(lo, hi, L[own])
-        return _sums(call(own, points, x, w), h)
-
-    k = np.array([len(p.edges) - 1 for p in plans], dtype=int)
     width, start = max(16, int(k.max(initial=0))), np.cumsum(k) - k
     own = np.repeat(np.arange(n), k)
-    lo = np.array([t for p in plans for t in p.edges[:-1]], dtype=float)
-    hi = np.array([t for p in plans for t in p.edges[1:]], dtype=float)
-    v, e = sample(own, lo, hi)
+    slot = np.arange(cols.shape[1] - 7) < k[:, None]
+    lo, hi = cols[:, 6:-1][slot], cols[:, 7:][slot]
+    h, x, points, w = _node_arrays(lo, hi, L[own])
+    y, t = call(own, points, x, w, ends)
+    v, e = _sums(y, h)
+    y_end = np.zeros(n)
+    y_end[ends] = t
     # lo (nan: no leaf), hi, value, error and key (the error of a live panel)
     fills = (np.nan, 0.0, 0.0, 0.0, -np.inf)
     P = [np.full(n * width, fill) for fill in fills]
     c = own * width + np.arange(own.size) - np.repeat(start, k)
-    for a, x in zip(P, (lo, hi, v, e, e)):
-        a[c] = x
-    v, e = v.tolist(), e.tolist()
-    tv, te = np.array([(fsum(v[a:b]), fsum(e[a:b])) for a, b in zip(
-        start.tolist(), (start + k).tolist())]).reshape(n, 2).T
+    for a, z in zip(P, (lo, hi, v, e, e)):
+        a[c] = z
+    tv, te = _fsums(v, e, start.tolist(), (start + k).tolist())
     npan = k.copy()                 # an owner's evaluations are 15 * npan
 
     o = np.arange(n)                # the running owners
@@ -395,7 +462,9 @@ def _rounds(owners):
             o, f, lo, mid, hi = o[take], f[take], lo[take], mid[take], hi[take]
         lo2, hi2 = np.empty(2 * o.size), np.empty(2 * o.size)
         lo2[0::2], lo2[1::2], hi2[0::2], hi2[1::2] = lo, mid, mid, hi
-        v, e = sample(np.repeat(o, 2), lo2, hi2)
+        own = np.repeat(o, 2)
+        h, x, points, w = _node_arrays(lo2, hi2, L[own])
+        v, e = _sums(call(own, points, x, w)[0], h)
         tv[o] += (v[0::2] + v[1::2]) - pv[f]
         te[o] += (e[0::2] + e[1::2]) - pe[f]
         plo[f], key[f] = np.nan, -np.inf
@@ -407,22 +476,46 @@ def _rounds(owners):
             width *= 2
         c = np.repeat(o * width + s, 2)
         c[1::2] += 1
-        for a, x in zip(P, (lo2, hi2, v, e, e)):
-            a[c] = x
+        for a, z in zip(P, (lo2, hi2, v, e, e)):
+            a[c] = z
         o = running
 
-    tails = np.array([j for j, p in enumerate(plans) if p.tail_at is not None],
-                     dtype=int)
-    y = call(tails, np.array([plans[j].tail_at for j in tails])[:, None])
-    ends = dict(zip(tails.tolist(), y[:, 0].tolist()))
     plo, phi, pv, pe = (a.reshape(n, width) for a in P[:4])
     leaf = ~np.isnan(plo)
     end = np.cumsum(leaf.sum(axis=1)).tolist()
-    v, e = pv[leaf].tolist(), pe[leaf].tolist()
-    return [[(fsum(v[a:b]), fsum(e[a:b]), 15 * int(npan[j]), list(zip(
-        plo[j, leaf[j]].tolist(), phi[j, leaf[j]].tolist(), v[a:b], e[a:b]))
-        if plan.L and plan.tail_at is None else None), ends.get(j)]
-        for j, plan, a, b in zip(range(n), plans, [0, *end], end)]
+    v, e, starts = pv[leaf], pe[leaf], [0, *end[:-1]]
+    panels = {j: list(zip(plo[j, leaf[j]].tolist(), phi[j, leaf[j]].tolist(),
+                          v[starts[j]:end[j]].tolist(),
+                          e[starts[j]:end[j]].tolist()))
+              for j in np.flatnonzero((L > 0.0) & np.isnan(tail_at)).tolist()}
+    return _Bisected(*_fsums(v, e, starts, end), 15 * npan, y_end, panels)
+
+
+def _fsums(v, e, starts, ends):
+    """The fsum of v, and of e, over each slice [start, end), as arrays."""
+    bounds = list(map(slice, starts, ends))
+    return [np.fromiter(map(fsum, map(a.tolist().__getitem__, bounds)),
+                        dtype=float, count=len(bounds)) for a in (v, e)]
+
+
+def _finish_sides(plans, done: _Bisected) -> _Rows:
+    """The _finish_side of each of plans from done, their _rounds, in
+    arrays: a sampled tail adds its bound and one evaluation, an
+    extrapolated one its _tail_estimate, side by side, and each side is
+    checked against its plan; in numpy as Python floats, quietly."""
+    atol, rtol, tail_at = _table(plans, lambda p: (
+        p.abs_tol, p.rel_tol, p.tail_at)).T
+    tailed = ~np.isnan(tail_at)
+    value, ok = done.value, np.ones(len(plans), dtype=bool)
+    with np.errstate(all="ignore"):
+        err = np.where(tailed, done.err + _SAFETY * np.abs(done.y_end)
+                       * tail_at, done.err)
+        for j, panels in done.panels.items():
+            tail, ok[j] = _tail_estimate(panels, plans[j].W,
+                                         plans[j].abs_tol, abs(value[j]))
+            err[j] += tail
+        return _Rows(value, err, done.evals + tailed,
+                     ok & (err <= np.fmax(atol, rtol * np.abs(value))))
 
 
 def _side_plan(intg, lo: float, hi: float, side: Optional[str],

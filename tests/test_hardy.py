@@ -459,8 +459,15 @@ _MEANS = [
     ("1/(1-z)^2", 0.6, None, [0.0, 2.0]),               # declared angles
     ("(1+z)^(4/p)", 0.4, {"p": 0.4}, None),             # entire
     ("3", 0.7, None, None),                             # a constant
+    # layouts that no benchmark workload reaches (each of its means has one
+    # arc, one piece and one side): see test_lockstep_means_reach_...
+    ("i*z/(1-z)^2", 0.6, None, None),                   # complex: 2 pi
+    ("1/((1-z)^2*(1+z))", 0.6, None, None),             # a two-sided piece
+    ("(1-z)*(1+z)*(1-i*z)", 0.7, None, None),           # three pieces
+    ("1/(1-z)^3", 0.3, None, None),                     # extrapolated tails
 ]
-_MEANS_IDS = ["pole", "z2-leaves", "kinks", "declared", "entire", "constant"]
+_MEANS_IDS = ["pole", "z2-leaves", "kinks", "declared", "entire", "constant",
+              "complex", "two-sided", "three-pieces", "extrapolated"]
 
 
 @pytest.mark.parametrize("text,p,env,angles", _MEANS, ids=_MEANS_IDS)
@@ -665,8 +672,10 @@ def test_lockstep_raises_first_failure_in_gap_order(bad):
     fev.raised.clear()
     assert _outcome(lambda: _lockstep(fev, p, st, _GAPS, cfg)) == seq
     if isinstance(bad[first], list):
+        # the engine's first request samples the tails with the panels, so
+        # it too meets the earlier arc's tail first
         assert seq.endswith("side +1 of 1")
-        assert fev.raised[0] == f"bad gap {first!r} on side -1 of 1"
+        assert fev.raised[0] == f"bad gap {first!r} on side +1 of 1"
 
 
 def _sides_by_key(text, p, gap):
@@ -939,3 +948,181 @@ def test_lockstep_failure_reruns_the_gaps_in_order(monkeypatch, radial, bad):
         last = min(bad, key=_GAPS.index)
     reruns = _spied_reruns(monkeypatch, call)
     assert reruns == _GAPS[:_GAPS.index(last) + 1]
+
+
+def _reached(monkeypatch, case):
+    """What the lockstep means of the _MEANS case reach, by name, and
+    whether they are added up in arrays (a quad._Rows)."""
+    text, p, env, angles = _MEANS[_MEANS_IDS.index(case)]
+    p, ev, st = hardy._setup(parse(text), p, env, angles)
+    cfg = QuadConfig(abs_tol=1e-11, rel_tol=1e-9, max_evaluations=20000)
+    arcs, span = hardy._layout(ev, st)
+    pieces = [arc for _, _, arc in hardy._arc_pieces(arcs, span, cfg)]
+    owners = _bisected(monkeypatch, lambda: _lockstep(ev, p, st, _GAPS, cfg))
+    extrapolated = sum(bool(plan.L) and plan.tail_at is None
+                       for _, _, plan in owners)
+    return {
+        "complex": not ev.real_coefficients and span == 2.0 * math.pi,
+        "two-sided": any(len(sides) == 2 for arc in pieces
+                         for _, sides in arc),
+        "three-pieces": any(len(arc) >= 3 for arc in pieces),
+        # more than the deepest gap's, 1e-250, as at every pole
+        "extrapolated": extrapolated > 1,
+    }, isinstance(hardy._circle_means(ev, p, st, _GAPS, cfg), quad._Rows)
+
+
+@pytest.mark.parametrize("case", ["complex", "two-sided", "three-pieces",
+                                  "extrapolated"])
+def test_lockstep_means_reach_the_layouts_no_workload_does(monkeypatch,
+                                                           case):
+    # the lockstep adds these means up in arrays: two arcs, or two sides of
+    # a piece, by +, three pieces of an arc by fsum row by row, and a side
+    # whose tail is extrapolated by its own _tail_estimate; each equals
+    # the gap loop's (test_lockstep_means_equal_sequential)
+    reached, in_arrays = _reached(monkeypatch, case)
+    assert reached[case] and in_arrays
+
+
+class _SwollenEvaluator(_FailingEvaluator):
+    """A _FailingEvaluator whose |f|^p is the constant huge[gap], from value
+    and near alike, on the circle of radius 1 - gap of each gap of huge:
+    finite samples, and sides, whose sums overflow."""
+
+    def __init__(self, ev, huge, **faults):
+        super().__init__(ev, {}, **faults)
+        self._huge = huge
+
+    def value(self, z, p=None):
+        w = super().value(z, p)
+        for g, c in self._huge.items():
+            w = np.where(np.abs(np.abs(z) - (1.0 - g))
+                         <= 4.0 * np.finfo(float).eps, c, w)
+        return w
+
+    def near(self, anchor, delta, gap, p=None):
+        w = super().near(anchor, delta, gap, p)
+        gap = np.broadcast_to(gap, np.shape(delta))
+        for g, c in self._huge.items():
+            w = np.where(gap == g, c, w)
+        return w
+
+
+def _rows_then_outcome(call):
+    """The rows that the iterator call() yields, and how it ends."""
+    rows = []
+    try:
+        for row in call():
+            rows.append(row)
+    except Exception as ex:
+        return repr(rows), f"{type(ex).__name__}: {ex}"
+    return repr(rows), None
+
+
+# (text, |f|^p at gap 0.1): the sum of two pieces (+), of three pieces
+# (fsum row by row) and of two arcs of two sides each overflows
+_OVERFLOWS = [("i*(1-z)*(1+z)", 5e307), ("(1-z)*(1+z)*(1-i*z)", 5e307),
+              ("1/(1-z^2)", 3.5e307)]
+
+
+@pytest.mark.parametrize("text,huge", _OVERFLOWS)
+def test_overflowing_sums_raise_where_the_gap_loop_raises(monkeypatch, text,
+                                                          huge):
+    # every side is finite and the bisections run at once without a
+    # failure, but at gap 0.1 the means' fsum overflows: the lockstep
+    # yields the gap loop's means up to 0.1, and raises its OverflowError
+    p, ev, st = hardy._setup(parse(text), 0.6, None)
+    fev = _SwollenEvaluator(ev, {0.1: huge})
+    cfg = QuadConfig()
+    seq = _rows_then_outcome(lambda: (hardy._circle_mean_p(fev, p, st, g, cfg)
+                                      for g in _GAPS))
+    assert seq[1] == "OverflowError: intermediate overflow in fsum"
+    assert _rows_then_outcome(
+        lambda: hardy._circle_means(fev, p, st, _GAPS, cfg)) == seq
+    assert _spied_reruns(
+        monkeypatch, lambda: _lockstep(fev, p, st, _GAPS, cfg)) == []
+
+
+@pytest.mark.parametrize("swollen,first", [(0.01, "OverflowError"),
+                                           (0.1, "InnerIntegralError")])
+def test_radial_overflow_raises_at_the_gap_loops_radius(swollen, first):
+    # gap 1e-6 gives a non-finite mean (its tails come back inf), and the
+    # means' fsum overflows at the swollen gap: whichever comes first in
+    # radius order raises, as in the one-radius-at-a-time loop
+    p, ev, st = hardy._setup(parse("1/(1-z^2)"), 0.6, None)
+    fev = _SwollenEvaluator(ev, {swollen: 3.5e307}, inf_tail=1e-6)
+    intg = _RadialIntegrand(fev, p, st, QuadConfig(abs_tol=1e-9,
+                                                   rel_tol=1e-7))
+    d = np.array(_GAPS)
+    seq = _outcome(lambda: _radial_sequential(intg, d))
+    assert seq.startswith(first)
+    assert _outcome(lambda: list(intg.from_right(d))) == seq
+
+
+def _gap_loop(intg, radii, gaps, book):
+    """The terms of the _RadialIntegrand intg at radii, 1 - gaps, one
+    radius at a time, as the loop that its _terms replaces runs them,
+    adding its inner_evals and max_inner_rel into book."""
+    out = []
+    for r, g in zip(radii, gaps):
+        m, e, n, _ = hardy._circle_mean_p(intg._ev, intg._p, intg._st, g,
+                                          intg._inner)
+        book[0] += n
+        if not (math.isfinite(m) and math.isfinite(e)):
+            raise InnerIntegralError(1.0 - g)
+        if m > 0.0:
+            book[1] = max(book[1], e / m)
+        out.append(2.0 * r ** (1 + intg._k) * m)
+    return out
+
+
+# (text, p, env, weight_pow, inf_tail): the last fails at gap 1e-6
+_BOOKKEEPING = [("1/(1-z)^2", 0.6, None, 0, None),
+                ("(1+z)^(4/p)", 0.4, {"p": 0.4}, 2, None),
+                ("(8*z*(1+z^2))/(1-z^2)^(2+eps)", 0.6, {"eps": 0.7}, 0, None),
+                ("1/(1-z^2)", 0.6, None, 0, 1e-6)]
+
+
+@pytest.mark.parametrize("text,p,env,k,inf_tail", _BOOKKEEPING)
+def test_radial_bookkeeping_equals_the_gap_loops(text, p, env, k, inf_tail):
+    # the radial terms from both ends, and inner_evals and max_inner_rel
+    # after them (which feed the Bergman error fold and
+    # bergman.radial.inner_evals_per_outer_node), equal the gap loop's bit
+    # for bit; on a failure, inner_evals counts the failing radius too
+    p, ev, st = hardy._setup(parse(text), p, env)
+    if inf_tail is not None:
+        ev = _FailingEvaluator(ev, {}, inf_tail=inf_tail)
+    intg = _RadialIntegrand(ev, p, st, QuadConfig(abs_tol=1e-9,
+                                                  rel_tol=1e-7), k)
+    book = [0, 0.0]
+    d = np.array(_GAPS)
+    r = 1.0 - d
+    for call, x, radii, gaps in ((intg.from_right, d, r, d),
+                                 (intg.values, r, r, 1.0 - r)):
+        assert _outcome(lambda: list(call(x))) == _outcome(
+            lambda: _gap_loop(intg, radii, gaps, book))
+    assert (intg.inner_evals, repr(intg.max_inner_rel)) == (
+        book[0], repr(book[1]))
+    assert book[0] > 0 and book[1] > 0.0
+
+
+def test_owners_at_many_gaps_are_the_owner_at_each():
+    # _ArcIntegrand.owners works out the gap classes at once: 0, gaps
+    # whose 1e-3 gap underflows to 0, capped and uncapped, and flat or not
+    # at the deepest offset, up to the gap whose 1e-3 gap is that offset
+    p, ev, st = hardy._setup(parse("(8*z*(1+z^2))/(1-z^2)^(2+eps)"), 0.6,
+                             {"eps": 0.7})
+    met = 0
+    for arc, _, pieces in hardy._arc_pieces(*hardy._layout(ev, st),
+                                            QuadConfig()):
+        intg = hardy._ArcIntegrand(ev, p, arc)
+        for j, side in enumerate(s for _, sides in pieces for s in sides):
+            gaps = _GAPS + [0.0, 1e-136, 5e-101, 1e-322, 5e-324]
+            for uncapped in (False, True):
+                t = intg._plan(j, side, uncapped, True).tail_at
+                if t is not None:
+                    g = t / 1e-3
+                    gaps += [np.nextafter(g, 0.0), g, np.nextafter(g, 1.0)]
+                    met += any(1e-3 * x == t for x in gaps[-3:])
+            assert intg.owners(j, side, gaps) == [
+                intg.owner(j, side, g) for g in gaps]
+    assert met > 0

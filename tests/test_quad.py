@@ -482,14 +482,25 @@ def _as_read(result, plan):
                  sorted(panels) if plan.L and plan.tail_at is None else None))
 
 
+def _each_owner(done, plans):
+    """The results of the owners of plans in done, the _Bisected of their
+    _rounds, as _adaptive gives each: [(value, err, evaluations, panels or
+    None), tail sample or None]."""
+    return [[(float(done.value[j]), float(done.err[j]), int(done.evals[j]),
+              done.panels.get(j)),
+             None if plan.tail_at is None else float(done.y_end[j])]
+            for j, plan in enumerate(plans)]
+
+
 @pytest.mark.parametrize("case", range(len(_OWNERS)))
 def test_engine_alone_equals_the_heap(case):
     fn, plan = _OWNERS[case]
     sizes = []
     done = quad._rounds([(lambda x, _: sizes.append(x.size) or fn(x), 0.0,
                           plan)])
-    assert _as_read(done[0], plan) == _as_read(quad._adaptive(fn, plan), plan)
-    assert (done[0][0][3] is None) == (not plan.L or plan.tail_at is not None)
+    assert _as_read(_each_owner(done, [plan])[0], plan) == \
+        _as_read(quad._adaptive(fn, plan), plan)
+    assert (0 not in done.panels) == (not plan.L or plan.tail_at is not None)
     assert 0 not in sizes       # no call for no points, as a tail round
 
 
@@ -509,7 +520,8 @@ def test_engine_runs_owners_together_as_the_heap_runs_each():
     expected += [quad._adaptive(lambda x, a=a: np.sqrt(np.abs(x - a)),
                                 _plain(_THIRDS)) for a in (0.2, 0.5, 0.61)]
     plans = [plan for _, _, plan in owners]
-    assert [_as_read(d, plan) for d, plan in zip(done, plans)] == [
+    assert [_as_read(d, plan) for d, plan in zip(_each_owner(done, plans),
+                                                 plans)] == [
         _as_read(r, plan) for r, plan in zip(expected, plans)]
     assert calls[0] == 3 * 45 and len(calls) < sum(
         r[0][2] for r in expected[-3:]) // 30
@@ -617,7 +629,8 @@ def test_engine_equals_each_owner_alone_bit_for_bit(fns, drawn):
               for f, arg, *plan in drawn]
     alone = [quad._alone(*owner) for owner in owners]
     plans = [plan for _, _, plan in owners]
-    assert [_as_read(d, plan) for d, plan in zip(quad._rounds(owners), plans)
+    assert [_as_read(d, plan) for d, plan in zip(
+        _each_owner(quad._rounds(owners), plans), plans)
             ] == [_as_read(a, plan) for a, plan in zip(alone, plans)]
     assert [repr(side) for side in quad._bisect(owners)] == [
         repr(quad._finish_side(plan, *a)) for a, plan in zip(alone, plans)]
